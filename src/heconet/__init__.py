@@ -10,9 +10,10 @@ The package connects three views of the same production system:
 * dynamic network models: timed Petri nets and their minimum-cost
   flow optimization (:mod:`heconet.petri`, :mod:`heconet.hfnmcf`).
 
-All optimization is backed by a self-contained two-phase simplex
-solver with solution certification (:mod:`heconet.lp`).  Hot numeric
-loops are JIT compiled with numba when available; set
+All optimization is backed by a self-contained two-phase,
+bounded-variable simplex solver with solution certification
+(:mod:`heconet.lp`).  The trajectory and spectral-radius kernels are
+JIT compiled with numba when available; set
 ``HECONET_DISABLE_NUMBA=1`` to force the pure-numpy fallback.
 """
 

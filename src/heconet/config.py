@@ -8,6 +8,8 @@ problem scales this package targets (tens to a few thousand variables).
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -34,8 +36,9 @@ class Tolerances:
     lp_reduced_cost:
         Reduced costs above ``-lp_reduced_cost`` count as optimal.
     lp_ratio_tie:
-        Window within which ratio-test candidates are considered tied;
-        ties resolve to the smallest basic variable index.
+        Bound relaxation of the two-pass Harris ratio test: a basic
+        variable may overshoot a bound by this much, and among the rows
+        that block within the relaxed step the largest pivot leaves.
     lp_feasibility:
         Bound on primal and dual feasibility residuals during
         certification.
@@ -51,6 +54,9 @@ class Tolerances:
     demand_slack:
         Demand rows must be satisfied to within this slack in
         technology-choice solutions.
+
+    Every float must be finite and > 0 and every integer cap >= 1;
+    anything else raises ``ValueError`` at construction.
     """
 
     spectral_tol: float = 1e-10
@@ -66,6 +72,17 @@ class Tolerances:
     lp_refactor_every: int = 50
     lp_max_iter: int = 50_000
     demand_slack: float = 1e-6
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"tolerance {f.name!r} must be a number, got {value!r}")
+            if f.type is int:
+                if not isinstance(value, numbers.Integral) or value < 1:
+                    raise ValueError(f"tolerance {f.name!r} must be an integer >= 1, got {value!r}")
+            elif not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {f.name!r} must be finite and > 0, got {value!r}")
 
     def replace(self, **changes) -> "Tolerances":
         return dataclasses.replace(self, **changes)
@@ -84,9 +101,6 @@ class Tolerances:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ValueError(f"unknown tolerance keys: {', '.join(unknown)}")
-        for key, value in raw.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"tolerance {key!r} must be a number")
         return cls(**raw)
 
 

@@ -21,6 +21,7 @@ Only linear objectives are supported; a nonzero quadratic term is
 rejected explicitly rather than ignored.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -174,8 +175,10 @@ class VariableLayout:
     def sum_transitions(self) -> int:
         return sum(e for _, e in self.operand_shapes)
 
-    @property
+    @functools.cached_property
     def offsets(self) -> dict:
+        """Start of each family in X, and the total ``size``; computed
+        once per layout, so callers must not modify it."""
         k1 = self.horizon + 1
         off = {}
         pos = 0

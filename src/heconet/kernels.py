@@ -1,11 +1,13 @@
-"""Hot numeric loops, JIT compiled with numba when available.
+"""Hot numeric loops.
 
-Each kernel is written once in numpy-compatible form.  At import time
-the module selects between the plain function and its ``numba.njit``
-compilation; set ``HECONET_DISABLE_NUMBA=1`` (or uninstall numba) to
-force the pure-numpy path.  The undecorated functions stay reachable
-under a ``_py`` suffix and the compiled ones under ``_jit`` so the two
-paths can be compared directly (see ``benchmarks/bench_kernels.py``).
+The trajectory roll and the power iteration are written once in
+numpy-compatible form; at import time the module selects between the
+plain function and its ``numba.njit`` compilation.  Set
+``HECONET_DISABLE_NUMBA=1`` (or uninstall numba) to force the
+pure-numpy path.  The undecorated functions stay reachable under a
+``_py`` suffix and the compiled ones under ``_jit`` so the two paths
+can be compared directly.  The simplex kernel works on sparse columns
+with numpy array operations and has no compiled twin.
 """
 
 import os
@@ -28,83 +30,180 @@ if not _DISABLE:
 # Simplex iteration outcomes.
 OPTIMAL = 0
 UNBOUNDED = 1
-BREAKDOWN = 2
-ITERATION_LIMIT = 3
+ITERATION_LIMIT = 2
+
+# Consecutive degenerate pivots after which pricing falls back from
+# Dantzig's rule to Bland's, which cannot cycle; one non-degenerate
+# pivot switches back.
+_DEGENERATE_RUN = 25
 
 
-def simplex_iterate_py(a, b, c, basis, in_basis, binv, pivot_tol, rc_tol,
-                       tie_tol, refactor_every, max_iter):
-    """Revised simplex iterations on a standard-form problem.
+class SparseColumns:
+    """A constraint matrix held by columns in plain numpy index arrays.
 
-    min c'w  s.t.  a w = b, w >= 0, starting from the feasible basis
-    ``basis`` with inverse ``binv``.  ``basis``, ``in_basis`` and
-    ``binv`` are updated in place.  Entering variable: smallest index
-    with reduced cost < -rc_tol (Bland).  Leaving variable: minimum
-    ratio, ties within tie_tol resolved to the smallest basic variable
-    index (Bland).  The basis inverse is maintained by eta updates and
-    refactorized from scratch every ``refactor_every`` pivots.
-
-    Returns (status, iterations).
+    Entry ``k`` is ``data[k]`` at row ``indices[k]`` of column ``cols[k]``;
+    entries are sorted by column, and column ``j`` occupies
+    ``indptr[j]:indptr[j + 1]``.  Keeping ``cols`` next to ``indices``
+    turns both matrix-vector products into one ``bincount`` each.
     """
-    m, n = a.shape
+
+    def __init__(self, shape, cols, indices, data):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.data = np.asarray(data, dtype=float)
+        counts = np.bincount(self.cols, minlength=self.shape[1])
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+    @classmethod
+    def from_dense(cls, dense):
+        """The nonzeros of a dense 2-d array."""
+        rows, cols = np.nonzero(dense)
+        order = np.argsort(cols, kind="stable")
+        rows, cols = rows[order], cols[order]
+        return cls(dense.shape, cols, rows, dense[rows, cols])
+
+    @property
+    def nbytes(self) -> int:
+        return (self.cols.nbytes + self.indices.nbytes + self.data.nbytes
+                + self.indptr.nbytes)
+
+    def column(self, j):
+        """Rows and values of the nonzeros of column ``j``."""
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
+
+    def matvec(self, x):
+        return np.bincount(self.indices, weights=self.data * x[self.cols],
+                           minlength=self.shape[0])
+
+    def rmatvec(self, y):
+        return np.bincount(self.cols, weights=self.data * y[self.indices],
+                           minlength=self.shape[1])
+
+    def dense(self, columns):
+        """The listed (distinct) columns as a dense ``(rows, len(columns))`` matrix."""
+        position = np.full(self.shape[1], -1, dtype=np.int64)
+        position[columns] = np.arange(len(columns))
+        keep = position[self.cols] >= 0
+        out = np.zeros((self.shape[0], len(columns)))
+        out[self.indices[keep], position[self.cols[keep]]] = self.data[keep]
+        return out
+
+
+def _refactor(a, b, x, basis, binv):
+    """Invert the basis afresh and recompute the basic values from it."""
+    binv[:, :] = np.linalg.inv(a.dense(basis))
+    _recompute_basics(a, b, x, basis, binv)
+
+
+def _recompute_basics(a, b, x, basis, binv):
+    """x_B = B^-1 (b - N x_N), which makes the row residuals exact."""
+    nonbasic = x.copy()
+    nonbasic[basis] = 0.0
+    x[basis] = binv @ (b - a.matvec(nonbasic))
+
+
+def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
+                    refactor_every, max_iter):
+    """Bounded-variable revised simplex iterations.
+
+    min c'x  s.t.  a x = b,  lower <= x <= upper, with ``a`` a
+    :class:`SparseColumns`.  It starts from the basis ``basis`` (one
+    column per row position) with inverse ``binv`` and the point ``x``,
+    whose nonbasic entries sit at a finite bound, or at 0 when the
+    column is free.  ``x``, ``basis`` and ``binv`` are updated in place;
+    on OPTIMAL the basic values are recomputed from ``binv`` so the rows
+    hold to round-off.
+
+    ``tol`` supplies ``lp_reduced_cost`` (pricing), ``lp_pivot``
+    (smallest usable pivot) and ``lp_ratio_tie`` (the bound relaxation
+    of the two-pass Harris ratio test).
+
+    * Pricing: Dantzig (largest |reduced cost|) among nonbasic columns
+      that can move in their improving direction; after
+      ``_DEGENERATE_RUN`` degenerate pivots in a row, Bland (smallest
+      index) until a pivot makes progress.
+    * Ratio test: pass 1 takes the smallest step that keeps every basic
+      variable within its bounds relaxed by ``lp_ratio_tie``; pass 2
+      picks, among the rows that block within that step, the largest
+      pivot (under Bland: the smallest basic column).  An entering
+      column whose own bound range is shorter flips bound instead.
+    * The basis inverse gets a rank-1 eta update on the rows where the
+      pivot column is nonzero, and is refactorized every
+      ``refactor_every`` basis changes.
+
+    Returns (status, iterations); bound flips count as iterations.
+    """
+    rc_tol, pivot_tol, harris = tol.lp_reduced_cost, tol.lp_pivot, tol.lp_ratio_tie
+    is_basic = np.zeros(a.shape[1], dtype=bool)
+    is_basic[basis] = True
     iters = 0
     since_refactor = 0
-    while iters < max_iter:
-        cb = np.empty(m)
-        for i in range(m):
-            cb[i] = c[basis[i]]
-        y = np.dot(cb, binv)
-        reduced = c - np.dot(y, a)
-        eligible = np.where(np.logical_and(reduced < -rc_tol, ~in_basis))[0]
-        if eligible.size == 0:
+    degenerate = 0
+    while True:
+        cb = c[basis]
+        priced = np.flatnonzero(cb)
+        y = cb[priced] @ binv[priced]
+        d = c - a.rmatvec(y)
+        eligible = ((d < -rc_tol) & (x < upper)) | ((d > rc_tol) & (x > lower))
+        eligible &= ~is_basic
+        candidates = np.flatnonzero(eligible)
+        if candidates.size == 0:
+            _recompute_basics(a, b, x, basis, binv)
             return OPTIMAL, iters
-        entering = eligible[0]
+        if iters >= max_iter:
+            return ITERATION_LIMIT, iters
+        bland = degenerate >= _DEGENERATE_RUN
+        q = candidates[0] if bland else candidates[np.argmax(np.abs(d[candidates]))]
+        sigma = 1.0 if d[q] < 0.0 else -1.0
 
-        acol = np.ascontiguousarray(a[:, entering])
-        d = np.dot(binv, acol)
-        xb = np.dot(binv, b)
+        rows, vals = a.column(q)
+        alpha = binv[:, rows] @ vals
+        # Basic values move as x_B - theta * delta for a step theta >= 0.
+        delta = sigma * alpha
+        xb = x[basis]
+        room = np.full(basis.size, np.inf)
+        falling = delta > pivot_tol
+        rising = delta < -pivot_tol
+        room[falling] = (xb[falling] - lower[basis[falling]]) / delta[falling]
+        room[rising] = (upper[basis[rising]] - xb[rising]) / -delta[rising]
+        blocking = np.flatnonzero(falling | rising)
+        theta_max = np.min(room[blocking] + harris / np.abs(delta[blocking]),
+                           initial=np.inf)
+        span = upper[q] - lower[q]
+        if span <= theta_max:
+            if not np.isfinite(span):
+                return UNBOUNDED, iters
+            theta, leave = span, -1
+        else:
+            tied = blocking[room[blocking] <= theta_max]
+            leave = tied[np.argmin(basis[tied])] if bland \
+                else tied[np.argmax(np.abs(delta[tied]))]
+            theta = max(room[leave], 0.0)
 
-        best = np.inf
-        for i in range(m):
-            if d[i] > pivot_tol:
-                ratio = xb[i] / d[i]
-                if ratio < 0.0:
-                    ratio = 0.0
-                if ratio < best:
-                    best = ratio
-        if not np.isfinite(best):
-            return UNBOUNDED, iters
-        leave = -1
-        leave_var = n
-        for i in range(m):
-            if d[i] > pivot_tol:
-                ratio = xb[i] / d[i]
-                if ratio < 0.0:
-                    ratio = 0.0
-                if ratio <= best + tie_tol and basis[i] < leave_var:
-                    leave = i
-                    leave_var = basis[i]
-        pivot = d[leave]
-        if abs(pivot) <= pivot_tol:
-            return BREAKDOWN, iters
-
-        binv[leave, :] *= 1.0 / pivot
-        for i in range(m):
-            if i != leave and d[i] != 0.0:
-                binv[i, :] -= d[i] * binv[leave, :]
-        in_basis[basis[leave]] = False
-        in_basis[entering] = True
-        basis[leave] = entering
-
+        x[basis] = xb - theta * delta
         iters += 1
+        degenerate = degenerate + 1 if theta <= harris else 0
+        if leave < 0:
+            # Land exactly on the far bound so the column stays nonbasic there.
+            x[q] = upper[q] if sigma > 0.0 else lower[q]
+            continue
+        x[q] += sigma * theta
+
+        out = basis[leave]
+        x[out] = lower[out] if delta[leave] > 0.0 else upper[out]
+        pivot_row = binv[leave] / alpha[leave]
+        touched = np.flatnonzero(alpha)
+        binv[touched] -= np.outer(alpha[touched], pivot_row)
+        binv[leave] = pivot_row
+        is_basic[out] = False
+        is_basic[q] = True
+        basis[leave] = q
         since_refactor += 1
         if since_refactor >= refactor_every:
-            bm = np.empty((m, m))
-            for i in range(m):
-                bm[:, i] = a[:, basis[i]]
-            binv[:, :] = np.linalg.inv(bm)
+            _refactor(a, b, x, basis, binv)
             since_refactor = 0
-    return ITERATION_LIMIT, iters
 
 
 def esn_trajectory_py(m_plus, m_minus, qb0, qe0, u_plus, u_minus, dt):
@@ -153,16 +252,12 @@ def nonneg_power_radius_py(a, tol, max_iter):
 
 
 if USING_NUMBA:
-    simplex_iterate_jit = numba.njit(cache=True)(simplex_iterate_py)
     esn_trajectory_jit = numba.njit(cache=True)(esn_trajectory_py)
     nonneg_power_radius_jit = numba.njit(cache=True)(nonneg_power_radius_py)
-    simplex_iterate = simplex_iterate_jit
     esn_trajectory = esn_trajectory_jit
     nonneg_power_radius = nonneg_power_radius_jit
 else:
-    simplex_iterate_jit = None
     esn_trajectory_jit = None
     nonneg_power_radius_jit = None
-    simplex_iterate = simplex_iterate_py
     esn_trajectory = esn_trajectory_py
     nonneg_power_radius = nonneg_power_radius_py

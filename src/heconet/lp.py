@@ -1,11 +1,19 @@
-"""Dense two-phase revised-simplex solver with solution certification.
+"""Two-phase bounded-variable revised simplex with solution certification.
 
-The solver is deliberately small and deterministic: Bland's rule is
-always on (entering: smallest eligible index; leaving: minimum ratio,
-ties to the smallest basic variable index), the basis inverse is kept
-explicitly and refactorized periodically, and every optimal answer is
-re-checked against the KKT conditions before it is returned.  There is
-no presolve beyond dropping all-zero rows.
+An LP is brought into the computational form  A w = b,  lower <= w <=
+upper: the constraint matrix is held by columns in sparse index arrays
+(:class:`heconet.kernels.SparseColumns`), each inequality row gets one
+slack column, and variable bounds stay inside the simplex (free columns
+are not split, boxed ones may flip bound).  Phase 1 starts from a
+triangular crash basis of free columns, completed by slacks where their
+value is feasible and by artificials elsewhere, and minimizes the
+artificials' sum; phase 2 fixes the artificials at zero, which replaces
+the removal of redundant rows.  Pricing is Dantzig's rule with a
+fall-back to Bland's after a run of degenerate pivots, the ratio test
+is a two-pass Harris test, and the explicit basis inverse is eta-updated
+and periodically refactorized (see :func:`heconet.kernels.simplex_iterate`).
+Every optimal answer is re-checked against the KKT conditions before it
+is returned.
 
 Sign conventions for a minimization problem: duals are >= 0 on ">="
 rows, <= 0 on "<=" rows, free on "=" rows; slacks are reported so that
@@ -175,204 +183,150 @@ def dump_lp(lp: LinearProgram) -> str:
 
 
 @dataclass
-class _Standardized:
-    """Equality form min c'w, a w = b, w >= 0 plus reconstruction maps."""
+class _Simplex:
+    """Computational form  A w = b,  lower <= w <= upper  of an LP.
 
-    a: np.ndarray            # m_std x n_work
-    b: np.ndarray            # >= 0
-    c: np.ndarray            # n_work
-    var_plus: np.ndarray     # std column of the shifted/positive part per var
-    var_minus: np.ndarray    # std column of the negative part, or -1
-    var_base: np.ndarray     # additive base per var
-    var_sign: np.ndarray     # +1 or -1 multiplier on the plus part
-    row_pos: np.ndarray      # std row per original row, or -1 if dropped
-    row_flip: np.ndarray     # +1/-1 applied to each std row during rhs flip
-    infeasible_zero_row: int  # original row index proven infeasible, or -1
+    The columns of ``a`` are the structural variables, one slack per
+    inequality row (bounds [0, inf) on "<=" rows, (-inf, 0] on ">="
+    rows) and the artificials of the crash basis, which occupy the
+    column range ``artificial``.  ``w``, ``basis`` and ``binv`` are the
+    simplex state the kernel updates in place.
+    """
+
+    a: kernels.SparseColumns
+    b: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    artificial: slice
+    w: np.ndarray
+    basis: np.ndarray
+    binv: np.ndarray
 
 
-def _standardize(lp: LinearProgram, tol: Tolerances) -> _Standardized:
-    n = lp.n_vars
-    m = lp.n_rows
-    var_plus = np.full(n, -1, dtype=np.int64)
-    var_minus = np.full(n, -1, dtype=np.int64)
-    var_base = np.zeros(n)
-    var_sign = np.ones(n)
-    caps = []  # (std column, cap) pairs for finite-width variables
+def _crash(a: kernels.SparseColumns, free: np.ndarray, has_slack: np.ndarray) -> np.ndarray:
+    """Row owners of a triangular crash basis built from free columns.
 
-    col = 0
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if np.isfinite(lo):
-            var_plus[j] = col
-            var_base[j] = lo
-            var_sign[j] = 1.0
-            col += 1
-            if np.isfinite(hi):
-                caps.append((var_plus[j], hi - lo))
-        elif np.isfinite(hi):
-            var_plus[j] = col
-            var_base[j] = hi
-            var_sign[j] = -1.0
-            col += 1
-        else:
-            var_plus[j] = col
-            var_minus[j] = col + 1
-            col += 2
-    n_work_vars = col
-
-    # Substituted rhs: b_i - rows_i . base
-    shifted_rhs = lp.rhs - lp.rows @ var_base if m else lp.rhs.copy()
-
-    # All-zero rows are dropped after a consistency check.
-    keep: list[int] = []
-    for i in range(m):
-        if np.any(lp.rows[i] != 0.0):
-            keep.append(i)
+    Free columns are taken in index order; each one pivots on a row that
+    no earlier accepted column touches, preferring rows without a slack
+    and then the largest entry.  Ordered this way the accepted columns
+    form a triangular block with a nonzero diagonal, and unit columns on
+    the remaining rows complete it to a nonsingular basis (Bixby,
+    "Implementing the simplex method: the initial basis", ORSA J.
+    Computing 1992).  Returns the owning column of each row, or -1.
+    """
+    owner = np.full(a.shape[0], -1, dtype=np.int64)
+    touched = np.zeros(a.shape[0], dtype=bool)
+    for j in np.flatnonzero(free):
+        rows, vals = a.column(j)
+        pick = ~touched[rows]
+        if not pick.any():
             continue
-        r = shifted_rhs[i]
-        sense = lp.senses[i]
-        viol = abs(r) if sense == EQUAL else (max(0.0, -r) if sense == LESS_EQUAL else max(0.0, r))
-        if viol > tol.lp_feasibility:
-            return _Standardized(
-                a=np.zeros((0, 0)), b=np.zeros(0), c=np.zeros(0),
-                var_plus=var_plus, var_minus=var_minus, var_base=var_base,
-                var_sign=var_sign, row_pos=np.full(m, -1, dtype=np.int64),
-                row_flip=np.zeros(0), infeasible_zero_row=i)
-
-    n_slack = sum(1 for i in keep if lp.senses[i] != EQUAL) + len(caps)
-    m_std = len(keep) + len(caps)
-    n_std = n_work_vars + n_slack
-    a = np.zeros((m_std, n_std))
-    b = np.zeros(m_std)
-    c = np.zeros(n_std)
-    row_pos = np.full(m, -1, dtype=np.int64)
-    row_flip = np.ones(m_std)
-
-    for j in range(n):
-        cj = lp.cost[j]
-        a_col = var_plus[j]
-        c[a_col] += var_sign[j] * cj
-        if var_minus[j] >= 0:
-            c[var_minus[j]] -= cj
-
-    slack_col = n_work_vars
-    for pos, i in enumerate(keep):
-        row_pos[i] = pos
-        for j in range(n):
-            coeff = lp.rows[i, j]
-            if coeff == 0.0:
-                continue
-            a[pos, var_plus[j]] += var_sign[j] * coeff
-            if var_minus[j] >= 0:
-                a[pos, var_minus[j]] -= coeff
-        b[pos] = shifted_rhs[i]
-        if lp.senses[i] == LESS_EQUAL:
-            a[pos, slack_col] = 1.0
-            slack_col += 1
-        elif lp.senses[i] == GREATER_EQUAL:
-            a[pos, slack_col] = -1.0
-            slack_col += 1
-
-    for offset, (work_col, cap) in enumerate(caps):
-        pos = len(keep) + offset
-        a[pos, work_col] = 1.0
-        a[pos, slack_col] = 1.0
-        slack_col += 1
-        b[pos] = cap
-
-    for pos in range(m_std):
-        if b[pos] < 0.0:
-            a[pos, :] *= -1.0
-            b[pos] *= -1.0
-            row_flip[pos] = -1.0
-
-    return _Standardized(a=a, b=b, c=c, var_plus=var_plus, var_minus=var_minus,
-                         var_base=var_base, var_sign=var_sign, row_pos=row_pos,
-                         row_flip=row_flip, infeasible_zero_row=-1)
+        if (pick & ~has_slack[rows]).any():
+            pick &= ~has_slack[rows]
+        owner[rows[pick][np.argmax(np.abs(vals[pick]))]] = j
+        touched[rows] = True
+    return owner
 
 
-def _run_kernel(a, b, c, basis, in_basis, binv, tol: Tolerances, phase: str):
+def _start(lp: LinearProgram) -> _Simplex:
+    """Computational form of ``lp`` with its crash basis.
+
+    Nonbasic structural columns sit at their lower bound, else at their
+    upper bound, else (free) at 0.  Free columns stay feasible at any
+    value, so they are placed first; a row they leave uncovered takes
+    its slack when the slack's value is within its bounds, and an
+    artificial, signed to start >= 0, otherwise.
+    """
+    m, n = lp.n_rows, lp.n_vars
+    structural = kernels.SparseColumns.from_dense(lp.rows)
+    senses = np.asarray(lp.senses, dtype=object)
+    has_slack = senses != EQUAL
+    free = np.isinf(lp.lower) & np.isinf(lp.upper)
+    owner = _crash(structural, free, has_slack)
+
+    w = np.where(np.isfinite(lp.lower), lp.lower,
+                 np.where(np.isfinite(lp.upper), lp.upper, 0.0))
+    # Invert the basis with unit columns on the uncovered rows; their
+    # values are then the row residuals left by the other columns.  In
+    # row blocks (covered R, uncovered S) the basis is [[F_R, 0], [F_S, I]],
+    # so only F_R needs a dense inverse.
+    covered = owner >= 0
+    owned, uncovered = np.flatnonzero(covered), np.flatnonzero(~covered)
+    f = structural.dense(owner[owned])
+    f_r_inv = np.linalg.inv(f[owned]) if owned.size else np.zeros((0, 0))
+    binv = np.zeros((m, m))
+    binv[np.ix_(owned, owned)] = f_r_inv
+    binv[np.ix_(uncovered, owned)] = -f[uncovered] @ f_r_inv
+    binv[uncovered, uncovered] = 1.0
+    basic = binv @ (lp.rhs - structural.matvec(w))
+    w[owner[covered]] = basic[covered]
+
+    residual = basic[uncovered]
+    slack_ok = ((senses[uncovered] == LESS_EQUAL) & (residual >= 0.0)) | \
+        ((senses[uncovered] == GREATER_EQUAL) & (residual <= 0.0))
+    art_rows = uncovered[~slack_ok]
+    art_sign = np.where(residual[~slack_ok] < 0.0, -1.0, 1.0)
+    binv[art_rows] *= art_sign[:, None]
+
+    slack_rows = np.flatnonzero(has_slack)
+    n_slack, n_art = slack_rows.size, art_rows.size
+    slack_col = np.full(m, -1, dtype=np.int64)
+    slack_col[slack_rows] = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
+    a = kernels.SparseColumns(
+        (m, n + n_slack + n_art),
+        np.concatenate([structural.cols, slack_col[slack_rows], art_cols]),
+        np.concatenate([structural.indices, slack_rows, art_rows]),
+        np.concatenate([structural.data, np.ones(n_slack), art_sign]))
+
+    below = senses[slack_rows] == LESS_EQUAL
+    lower = np.concatenate([lp.lower, np.where(below, 0.0, -np.inf), np.zeros(n_art)])
+    upper = np.concatenate([lp.upper, np.where(below, np.inf, 0.0), np.full(n_art, np.inf)])
+    basis = owner.copy()
+    basis[uncovered[slack_ok]] = slack_col[uncovered[slack_ok]]
+    basis[art_rows] = art_cols
+    w = np.concatenate([w, np.zeros(n_slack + n_art)])
+    w[slack_col[uncovered[slack_ok]]] = residual[slack_ok]
+    w[art_cols] = np.abs(residual[~slack_ok])
+    return _Simplex(a=a, b=lp.rhs, lower=lower, upper=upper,
+                    artificial=slice(n + n_slack, n + n_slack + n_art),
+                    w=w, basis=basis, binv=binv)
+
+
+def _run_kernel(sx: _Simplex, c, tol: Tolerances, phase: str):
     try:
         status, iters = kernels.simplex_iterate(
-            a, b, c, basis, in_basis, binv,
-            tol.lp_pivot, tol.lp_reduced_cost, tol.lp_ratio_tie,
+            sx.a, sx.b, c, sx.lower, sx.upper, sx.w, sx.basis, sx.binv, tol,
             tol.lp_refactor_every, tol.lp_max_iter)
     except np.linalg.LinAlgError as exc:
         raise PivotBreakdownError(
-            f"singular basis during {phase} refactorization: {exc}", basis) from exc
-    if status == kernels.BREAKDOWN:
-        raise PivotBreakdownError(
-            f"pivot below {tol.lp_pivot:g} in {phase}", basis)
+            f"singular basis during {phase} refactorization: {exc}", sx.basis) from exc
     if status == kernels.ITERATION_LIMIT:
         raise IterationLimitError(
             f"simplex exceeded {tol.lp_max_iter} iterations in {phase}")
     return status, iters
 
 
-def _phase1(std: _Standardized, tol: Tolerances):
-    """Find a feasible basis of the standardized system.
+def _phase1(lp: LinearProgram, tol: Tolerances):
+    """Minimize the artificials' sum from the crash basis.
 
-    Returns (basis, in_basis, binv, a, b, keep_rows, iterations) or None
-    when the system is infeasible.  The returned arrays may have fewer
-    rows than the input when redundant rows were eliminated.
+    Returns (simplex state, iterations); the state is None when the
+    artificials cannot reach zero, i.e. the LP is infeasible.  The
+    kernel runs even when the crash needed no artificial (it then
+    prices once and stops), so every solve makes one call per phase.
     """
-    m, n_cols = std.a.shape
-    a_full = np.hstack([std.a, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n_cols), np.ones(m)])
-    basis = np.arange(n_cols, n_cols + m, dtype=np.int64)
-    in_basis = np.zeros(n_cols + m, dtype=bool)
-    in_basis[basis] = True
-    binv = np.eye(m)
-    b = std.b.copy()
-
-    status, iters = _run_kernel(a_full, b, c1, basis, in_basis, binv, tol, "phase 1")
+    sx = _start(lp)
+    c1 = np.zeros(sx.w.size)
+    c1[sx.artificial] = 1.0
+    status, iters = _run_kernel(sx, c1, tol, "phase 1")
     if status != kernels.OPTIMAL:
-        raise PivotBreakdownError("phase 1 did not reach an optimum", basis)
-
-    xb = binv @ b
-    artificial_load = float(np.sum(xb[basis >= n_cols])) if m else 0.0
-    scale = 1.0 + (float(np.max(b)) if m else 0.0)
-    if artificial_load > tol.lp_feasibility * scale:
-        return None
-
-    # Drive remaining zero-level artificials out of the basis; rows that
-    # admit no pivot on a structural column are redundant and removed.
-    redundant: list[int] = []
-    for pos in range(m):
-        if basis[pos] < n_cols:
-            continue
-        row_view = binv[pos, :] @ std.a
-        entering = -1
-        for j in range(n_cols):
-            if not in_basis[j] and abs(row_view[j]) > tol.lp_reduced_cost:
-                entering = j
-                break
-        if entering < 0:
-            redundant.append(pos)
-            continue
-        d = binv @ np.ascontiguousarray(std.a[:, entering])
-        pivot = d[pos]
-        binv[pos, :] /= pivot
-        for i in range(m):
-            if i != pos and d[i] != 0.0:
-                binv[i, :] -= d[i] * binv[pos, :]
-        in_basis[basis[pos]] = False
-        in_basis[entering] = True
-        basis[pos] = entering
-
-    keep_rows = np.array([i for i in range(m) if i not in set(redundant)], dtype=np.int64)
-    a_work = np.ascontiguousarray(std.a[keep_rows])
-    b_work = std.b[keep_rows].copy()
-    if redundant:
-        basis = basis[keep_rows]
-        try:
-            binv = np.linalg.inv(a_work[:, basis]) if keep_rows.size else np.zeros((0, 0))
-        except np.linalg.LinAlgError as exc:
-            raise PivotBreakdownError(
-                f"singular basis after removing redundant rows: {exc}", basis) from exc
-    in_basis = np.zeros(n_cols, dtype=bool)
-    in_basis[basis] = True
-    return basis, in_basis, binv, a_work, b_work, keep_rows, iters
+        # The phase-1 objective is bounded below by 0: no ray exists.
+        raise PivotBreakdownError("phase 1 did not reach an optimum", sx.basis)
+    load = float(np.sum(sx.w[sx.artificial]))
+    scale = 1.0 + (float(np.max(np.abs(sx.b))) if sx.b.size else 0.0)
+    if load > tol.lp_feasibility * scale:
+        return None, iters
+    return sx, iters
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResult:
@@ -383,61 +337,26 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResul
     answer fails its own KKT certificate.  Infeasible and unbounded
     problems are reported through ``status``.
     """
-    std = _standardize(lp, tol)
-    n = lp.n_vars
-    nan_vec = np.full(n, np.nan)
+    nan_vec = np.full(lp.n_vars, np.nan)
     nan_rows = np.full(lp.n_rows, np.nan)
+    sx, iters1 = _phase1(lp, tol)
+    if sx is None:
+        return LpResult(LpStatus.INFEASIBLE, nan_vec, np.nan, nan_rows, nan_rows, iters1)
 
-    if std.infeasible_zero_row >= 0:
-        return LpResult(LpStatus.INFEASIBLE, nan_vec, np.nan, nan_rows, nan_rows, 0)
-
-    m_std, n_work = std.a.shape
-    if m_std == 0:
-        # Every variable sits at its base point; nothing restrains the rest.
-        if np.any(std.c < -tol.lp_reduced_cost):
-            return LpResult(LpStatus.UNBOUNDED, nan_vec, np.nan, nan_rows, nan_rows, 0)
-        w = np.zeros(n_work)
-        return _finish(lp, std, w, np.zeros(0), np.zeros(0, dtype=np.int64), 0, tol)
-
-    phase1 = _phase1(std, tol)
-    if phase1 is None:
-        return LpResult(LpStatus.INFEASIBLE, nan_vec, np.nan, nan_rows, nan_rows, 0)
-    basis, in_basis, binv, a_work, b_work, keep_rows, iters1 = phase1
-
-    if keep_rows.size == 0:
-        if np.any(std.c < -tol.lp_reduced_cost):
-            return LpResult(LpStatus.UNBOUNDED, nan_vec, np.nan, nan_rows, nan_rows, iters1)
-        w = np.zeros(n_work)
-        return _finish(lp, std, w, np.zeros(0), keep_rows, iters1, tol)
-
-    status, iters2 = _run_kernel(a_work, b_work, std.c, basis, in_basis, binv, tol, "phase 2")
-    total_iters = iters1 + iters2
+    # Artificials left in the basis stay there at zero; this replaces
+    # the removal of redundant rows.
+    sx.upper[sx.artificial] = 0.0
+    c2 = np.zeros(sx.w.size)
+    c2[:lp.n_vars] = lp.cost
+    status, iters2 = _run_kernel(sx, c2, tol, "phase 2")
     if status == kernels.UNBOUNDED:
-        return LpResult(LpStatus.UNBOUNDED, nan_vec, np.nan, nan_rows, nan_rows, total_iters)
-
-    w = np.zeros(n_work)
-    w[basis] = binv @ b_work
-    y_std = std.c[basis] @ binv
-    return _finish(lp, std, w, y_std, keep_rows, total_iters, tol)
+        return LpResult(LpStatus.UNBOUNDED, nan_vec, np.nan, nan_rows, nan_rows,
+                        iters1 + iters2)
+    duals = c2[sx.basis] @ sx.binv
+    return _finish(lp, sx.w[:lp.n_vars].copy(), duals, iters1 + iters2, tol)
 
 
-def _finish(lp: LinearProgram, std: _Standardized, w, y_std, keep_rows,
-            iterations, tol: Tolerances) -> LpResult:
-    x = std.var_base + std.var_sign * w[std.var_plus] if lp.n_vars else np.zeros(0)
-    split = std.var_minus >= 0
-    if np.any(split):
-        x = x.copy()
-        x[split] -= w[std.var_minus[split]]
-
-    duals = np.zeros(lp.n_rows)
-    # row_pos maps original rows to pre-elimination std rows; keep_rows
-    # maps the surviving std rows to dual positions.
-    surviving = {int(r): k for k, r in enumerate(keep_rows)}
-    for i in range(lp.n_rows):
-        pos = std.row_pos[i]
-        if pos >= 0 and int(pos) in surviving:
-            duals[i] = std.row_flip[pos] * y_std[surviving[int(pos)]]
-
+def _finish(lp: LinearProgram, x, duals, iterations, tol: Tolerances) -> LpResult:
     slacks = np.zeros(lp.n_rows)
     if lp.n_rows:
         ax = lp.rows @ x
@@ -544,12 +463,7 @@ def certify(lp: LinearProgram, result: LpResult,
 
 def feasible(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Phase-1 feasibility test (no objective)."""
-    std = _standardize(lp, tol)
-    if std.infeasible_zero_row >= 0:
-        return False
-    if std.a.shape[0] == 0:
-        return True
-    return _phase1(std, tol) is not None
+    return _phase1(lp, tol)[0] is not None
 
 
 def irreducible_infeasible_rows(lp: LinearProgram,

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import heconet
 from heconet.cli import main
 from heconet.io import read_incidence_json
 
@@ -260,6 +264,16 @@ def test_bad_tolerance_config(runner, tmp_path):
     assert "bad tolerance config" in result.stderr
 
 
+@pytest.mark.parametrize("text", ['{"lp_pivot": NaN}', '{"lp_max_iter": -5}'])
+def test_out_of_range_tolerance_config_exits_two(runner, tmp_path, text):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["--tolerance-config", str(cfg), "rcot",
+                                  ECONOMY, SCENARIO])
+    assert result.exit_code == 2
+    assert "bad tolerance config" in result.stderr
+
+
 def test_malformed_xml_exits_two(runner, tmp_path):
     bad = tmp_path / "bad.xml"
     bad.write_text("<system><operand id='a'>")
@@ -276,3 +290,14 @@ def test_infeasible_program_exits_three(runner, tmp_path):
     result = runner.invoke(main, ["rcot", ECONOMY, str(path)])
     assert result.exit_code == 3
     assert "program is infeasible" in result.stderr
+
+
+def test_cli_import_does_not_pull_in_scipy():
+    # scipy is a test-only reference solver; the runtime stays numpy-only.
+    package_root = os.path.dirname(os.path.dirname(heconet.__file__))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, heconet.cli; print('scipy' in sys.modules)"],
+                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
+                              "HECONET_DISABLE_NUMBA": "1"},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]

@@ -48,3 +48,34 @@ def test_from_json_rejects_non_numeric():
         Tolerances.from_json('{"lp_pivot": "tight"}')
     with pytest.raises(ValueError):
         Tolerances.from_json('["lp_pivot"]')
+
+
+@pytest.mark.parametrize("changes", [
+    {"lp_pivot": float("nan")},
+    {"lp_feasibility": float("inf")},
+    {"lp_ratio_tie": 0.0},
+    {"demand_slack": -1e-6},
+    {"lp_max_iter": -5},
+    {"lp_refactor_every": 0},
+    {"spectral_max_iter": 2.5},
+    {"lp_pivot": True},
+    {"lp_max_iter": True},
+])
+def test_out_of_range_values_rejected(changes):
+    with pytest.raises(ValueError, match=next(iter(changes))):
+        DEFAULT_TOLERANCES.replace(**changes)
+
+
+@pytest.mark.parametrize("text", [
+    '{"lp_pivot": NaN}', '{"lp_pivot": Infinity}', '{"lp_max_iter": -5}',
+    '{"lp_max_iter": 1.5}', '{"lp_feasibility": false}',
+])
+def test_from_json_rejects_out_of_range(text):
+    with pytest.raises(ValueError):
+        Tolerances.from_json(text)
+
+
+def test_integer_valued_float_fields_accepted():
+    t = Tolerances.from_json('{"lp_pivot": 1, "lp_max_iter": 3}')
+    assert t.lp_pivot == 1
+    assert t.lp_max_iter == 3

@@ -7,6 +7,7 @@ import pytest
 
 import heconet
 from heconet import kernels
+from heconet.config import DEFAULT_TOLERANCES
 
 from oracles import eig_radius
 
@@ -14,24 +15,27 @@ needs_numba = pytest.mark.skipif(not kernels.USING_NUMBA,
                                  reason="numba path disabled")
 
 
+def run_simplex(dense, b, c, lower, upper, x, basis, max_iter=1000):
+    """Run the kernel from ``basis``; returns (status, iterations, x, basis)."""
+    dense = np.asarray(dense, dtype=float)
+    x = np.array(x, dtype=float)
+    basis = np.array(basis, dtype=np.int64)
+    binv = np.linalg.inv(dense[:, basis])
+    status, iters = kernels.simplex_iterate(
+        kernels.SparseColumns.from_dense(dense), np.asarray(b, dtype=float), np.asarray(c, dtype=float),
+        np.asarray(lower, dtype=float), np.asarray(upper, dtype=float),
+        x, basis, binv, DEFAULT_TOLERANCES, 50, max_iter)
+    return status, iters, x, basis
+
+
 def slack_form(rng, m=4, n=6):
-    """min c'w s.t. [G I] w = b, w >= 0 with the slack basis feasible."""
+    """[G I] w = b, w >= 0 with the slack basis feasible."""
     g = np.round(rng.standard_normal((m, n)), 3)
     a = np.hstack([g, np.eye(m)])
     b = np.abs(np.round(rng.standard_normal(m), 3)) + 0.5
     c = np.concatenate([np.round(rng.standard_normal(n), 3), np.zeros(m)])
-    basis = np.arange(n, n + m, dtype=np.int64)
-    in_basis = np.zeros(n + m, dtype=np.bool_)
-    in_basis[basis] = True
-    binv = np.eye(m)
-    return a, b, c, basis, in_basis, binv
-
-
-def run_simplex(fn, parts):
-    a, b, c, basis, in_basis, binv = [np.copy(p) for p in parts]
-    status, iters = fn(a, b, c, basis, in_basis, binv,
-                       1e-9, 1e-9, 1e-9, 50, 10_000)
-    return status, iters, basis, binv
+    x = np.concatenate([np.zeros(n), b])
+    return a, b, c, np.zeros(n + m), np.full(n + m, np.inf), x, np.arange(n, n + m)
 
 
 def test_simplex_solves_a_known_problem():
@@ -41,62 +45,58 @@ def test_simplex_solves_a_known_problem():
                   [1.0, 1.0, 0.0, 0.0, 1.0]])
     b = np.array([1.0, 1.0, 1.5])
     c = np.array([-1.0, -2.0, 0.0, 0.0, 0.0])
-    basis = np.array([2, 3, 4], dtype=np.int64)
-    in_basis = np.array([False, False, True, True, True])
-    binv = np.eye(3)
-    status, iters = kernels.simplex_iterate_py(
-        a, b, c, basis, in_basis, binv, 1e-9, 1e-9, 1e-9, 50, 1000)
+    status, _, w, _ = run_simplex(a, b, c, np.zeros(5), np.full(5, np.inf),
+                                  [0.0, 0.0, 1.0, 1.0, 1.5], [2, 3, 4])
     assert status == kernels.OPTIMAL
-    xb = binv @ b
-    w = np.zeros(5)
-    w[basis] = xb
     assert np.allclose(w[:2], [0.5, 1.0], atol=1e-9)
     assert c @ w == pytest.approx(-2.5, abs=1e-9)
 
 
 def test_simplex_detects_unboundedness():
     # w0 - w1 = 0 with cost -w0: both can grow together
-    a = np.array([[1.0, -1.0]])
-    b = np.array([0.0])
-    c = np.array([-1.0, 0.0])
-    basis = np.array([1], dtype=np.int64)
-    in_basis = np.array([False, True])
-    binv = np.linalg.inv(a[:, basis])
-    status, _ = kernels.simplex_iterate_py(
-        a, b, c, basis, in_basis, binv, 1e-9, 1e-9, 1e-9, 50, 100)
+    status, _, _, _ = run_simplex([[1.0, -1.0]], [0.0], [-1.0, 0.0], [0.0, 0.0],
+                                  [np.inf, np.inf], [0.0, 0.0], [1], max_iter=100)
     assert status == kernels.UNBOUNDED
 
 
 def test_simplex_iteration_limit():
-    rng = np.random.default_rng(7)
-    parts = slack_form(rng)
-    a, b, c, basis, in_basis, binv = parts
-    status, iters = kernels.simplex_iterate_py(
-        a, b, c - 10.0, basis, in_basis, binv, 1e-9, 1e-9, 1e-9, 50, 0)
+    a, b, c, lower, upper, x, basis = slack_form(np.random.default_rng(7))
+    status, iters, _, _ = run_simplex(a, b, c - 10.0, lower, upper, x, basis, max_iter=0)
     assert status == kernels.ITERATION_LIMIT
     assert iters == 0
 
 
 def test_simplex_immediate_optimum_when_costs_nonnegative():
-    rng = np.random.default_rng(11)
-    a, b, c, basis, in_basis, binv = slack_form(rng)
-    status, iters = kernels.simplex_iterate_py(
-        a, b, np.abs(c), basis, in_basis, binv, 1e-9, 1e-9, 1e-9, 50, 100)
+    a, b, c, lower, upper, x, basis = slack_form(np.random.default_rng(11))
+    status, iters, _, _ = run_simplex(a, b, np.abs(c), lower, upper, x, basis, max_iter=100)
     assert status == kernels.OPTIMAL
     assert iters == 0
 
 
-@needs_numba
-@pytest.mark.parametrize("seed", range(8))
-def test_jit_and_python_simplex_agree(seed, warm_kernels):
-    rng = np.random.default_rng(seed)
-    parts = slack_form(rng)
-    s_py, it_py, basis_py, binv_py = run_simplex(kernels.simplex_iterate_py, parts)
-    s_jit, it_jit, basis_jit, binv_jit = run_simplex(kernels.simplex_iterate_jit, parts)
-    assert s_py == s_jit
-    assert it_py == it_jit
-    assert np.array_equal(basis_py, basis_jit)
-    assert np.allclose(binv_py, binv_jit, atol=1e-10)
+def test_simplex_bound_flip_keeps_the_basis():
+    # min w0 s.t. w0 + s = 10, 1.57 <= w0 <= 4.25, from w0 at its upper
+    # bound: nothing blocks the decrease, so w0 flips to its lower bound
+    # and s stays basic.  4.25 - (4.25 - 1.57) is not 1.57 in floating
+    # point, so the flip must land on the bound itself.
+    status, iters, w, basis = run_simplex([[1.0, 1.0]], [10.0], [1.0, 0.0], [1.57, 0.0],
+                                          [4.25, np.inf], [4.25, 5.75], [1])
+    assert status == kernels.OPTIMAL
+    assert iters == 1
+    assert list(basis) == [1]
+    assert w[0] == 1.57
+    assert w[1] == pytest.approx(8.43, abs=1e-12)
+
+
+def test_simplex_free_column_enters_downwards():
+    # min w0 (free, nonbasic at 0) s.t. w0 - s = -3, s >= 0: w0 decreases
+    # until s hits zero, then stays basic at -3.
+    status, iters, w, basis = run_simplex([[1.0, -1.0]], [-3.0], [1.0, 0.0],
+                                          [-np.inf, 0.0], [np.inf, np.inf], [0.0, 3.0], [1])
+    assert status == kernels.OPTIMAL
+    assert iters == 1
+    assert list(basis) == [0]
+    assert w[0] == pytest.approx(-3.0, abs=1e-12)
+    assert w[1] == 0.0
 
 
 def test_trajectory_recurrence_by_hand():
@@ -168,8 +168,8 @@ def test_jit_and_python_radius_agree(seed, warm_kernels):
 
 def test_env_flag_forces_pure_numpy_path():
     code = ("import heconet.kernels as k; "
-            "print(k.USING_NUMBA, k.simplex_iterate is k.simplex_iterate_py, "
-            "k.simplex_iterate_jit is None)")
+            "print(k.USING_NUMBA, k.esn_trajectory is k.esn_trajectory_py, "
+            "k.esn_trajectory_jit is None)")
     # The child must import the same heconet as this process, whether it
     # comes from a source checkout or an install.
     package_root = os.path.dirname(os.path.dirname(heconet.__file__))
@@ -184,7 +184,8 @@ def test_env_flag_forces_pure_numpy_path():
 
 def test_module_exposes_selected_path():
     if kernels.USING_NUMBA:
-        assert kernels.simplex_iterate is kernels.simplex_iterate_jit
         assert kernels.esn_trajectory is kernels.esn_trajectory_jit
+        assert kernels.nonneg_power_radius is kernels.nonneg_power_radius_jit
     else:
-        assert kernels.simplex_iterate is kernels.simplex_iterate_py
+        assert kernels.esn_trajectory is kernels.esn_trajectory_py
+        assert kernels.nonneg_power_radius is kernels.nonneg_power_radius_py
