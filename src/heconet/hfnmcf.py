@@ -614,7 +614,15 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
                tol: Tolerances = DEFAULT_TOLERANCES,
                diagnose_infeasibility: bool = True) -> FullSolution:
     """Build and solve; on infeasibility, optionally report an
-    irreducible infeasible subset of equality rows."""
+    irreducible infeasible subset of the program's rows.
+
+    The subset names rows of the program: its equality rows (state
+    transitions, duration coupling, synchronization, pins and boundary
+    values) and any ``extra_rows``, which may be inequalities.  Variable bounds are not rows and hold throughout.  It
+    is found by :func:`heconet.lp.irreducible_infeasible_rows`; the
+    infeasible result itself carries a certified Farkas ray in
+    ``lp_result.duals``.
+    """
     program = build_full(problem, extra_rows)
     result = lp_mod.solve_lp(program, tol)
     layout = problem.layout

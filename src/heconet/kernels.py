@@ -91,7 +91,7 @@ class SparseColumns:
         return out
 
 
-def _refactor(a, b, x, basis, binv):
+def refactor(a, b, x, basis, binv):
     """Invert the basis afresh and recompute the basic values from it."""
     binv[:, :] = np.linalg.inv(a.dense(basis))
     _recompute_basics(a, b, x, basis, binv)
@@ -202,7 +202,7 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
         basis[leave] = q
         since_refactor += 1
         if since_refactor >= refactor_every:
-            _refactor(a, b, x, basis, binv)
+            refactor(a, b, x, basis, binv)
             since_refactor = 0
 
 

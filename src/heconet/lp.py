@@ -12,13 +12,18 @@ the removal of redundant rows.  Pricing is Dantzig's rule with a
 fall-back to Bland's after a run of degenerate pivots, the ratio test
 is a two-pass Harris test, and the explicit basis inverse is eta-updated
 and periodically refactorized (see :func:`heconet.kernels.simplex_iterate`).
-Every optimal answer is re-checked against the KKT conditions before it
-is returned.
+Every optimal answer is re-checked against the KKT conditions, and every
+infeasible answer against its Farkas ray, before it is returned.
 
 Sign conventions for a minimization problem: duals are >= 0 on ">="
 rows, <= 0 on "<=" rows, free on "=" rows; slacks are reported so that
 feasible rows have nonnegative slack (equality rows report their signed
-residual).
+residual).  An infeasible result carries a Farkas ray y in ``duals``
+with the same signs per row sense, and y'rhs exceeds the largest value
+of (y'rows) x over the variable bounds: every x within the bounds has
+y'(rows x) <= max (y'rows) x < y'rhs, while the signs make
+y'(rows x) >= y'rhs for any x that meets the rows.  The ray is the
+phase-1 dual c1_B B^-1, where c1 prices the artificials at 1.
 """
 
 import io
@@ -61,7 +66,7 @@ class IterationLimitError(LpNumericError):
 
 
 class CertificationError(LpNumericError):
-    """An optimal answer failed its own KKT certificate."""
+    """An optimal or infeasible answer failed its own certificate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +194,9 @@ class _Simplex:
     The columns of ``a`` are the structural variables, one slack per
     inequality row (bounds [0, inf) on "<=" rows, (-inf, 0] on ">="
     rows) and the artificials of the crash basis, which occupy the
-    column range ``artificial``.  ``w``, ``basis`` and ``binv`` are the
-    simplex state the kernel updates in place.
+    column range ``artificial``; the deletion filter appends one
+    relaxation column per row after them.  ``w``, ``basis`` and ``binv``
+    are the simplex state the kernel updates in place.
     """
 
     a: kernels.SparseColumns
@@ -307,15 +313,15 @@ def _run_kernel(sx: _Simplex, c, tol: Tolerances, phase: str):
     return status, iters
 
 
-def _phase1(lp: LinearProgram, tol: Tolerances):
-    """Minimize the artificials' sum from the crash basis.
+def _phase1(sx: _Simplex, tol: Tolerances):
+    """Minimize the artificials' sum from the current basis of ``sx``.
 
-    Returns (simplex state, iterations); the state is None when the
-    artificials cannot reach zero, i.e. the LP is infeasible.  The
-    kernel runs even when the crash needed no artificial (it then
-    prices once and stops), so every solve makes one call per phase.
+    Returns (iterations, infeasible): the LP is infeasible when the
+    artificials cannot reach zero, and :func:`_farkas_ray` then holds
+    the proof.  The kernel runs even when the crash needed no
+    artificial (it then prices once and stops), so every solve makes
+    one call per phase.
     """
-    sx = _start(lp)
     c1 = np.zeros(sx.w.size)
     c1[sx.artificial] = 1.0
     status, iters = _run_kernel(sx, c1, tol, "phase 1")
@@ -324,24 +330,39 @@ def _phase1(lp: LinearProgram, tol: Tolerances):
         raise PivotBreakdownError("phase 1 did not reach an optimum", sx.basis)
     load = float(np.sum(sx.w[sx.artificial]))
     scale = 1.0 + (float(np.max(np.abs(sx.b))) if sx.b.size else 0.0)
-    if load > tol.lp_feasibility * scale:
-        return None, iters
-    return sx, iters
+    return iters, load > tol.lp_feasibility * scale
+
+
+def _farkas_ray(sx: _Simplex) -> np.ndarray:
+    """The phase-1 duals c1_B B^-1, with c1 = 1 on the artificials.
+
+    At a phase-1 optimum with a positive artificial load this is a
+    Farkas ray of the rows: the reduced costs -(y'A)_j of the other
+    columns have the signs their bounds allow, so y'b exceeds the
+    largest y'A w over the bounds by exactly the load.
+    """
+    art = sx.artificial
+    priced = (sx.basis >= art.start) & (sx.basis < art.stop)
+    return np.sum(sx.binv[priced], axis=0)
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResult:
-    """Solve an LP; optimal results are certified before being returned.
+    """Solve an LP; optimal and infeasible results are certified before
+    being returned.
 
     Raises :class:`PivotBreakdownError` / :class:`IterationLimitError`
     on numeric failure and :class:`CertificationError` when an optimal
-    answer fails its own KKT certificate.  Infeasible and unbounded
-    problems are reported through ``status``.
+    answer fails its own KKT certificate or an infeasible one its Farkas
+    ray (see :func:`certify`).  Unbounded problems are reported through
+    ``status``.
     """
     nan_vec = np.full(lp.n_vars, np.nan)
     nan_rows = np.full(lp.n_rows, np.nan)
-    sx, iters1 = _phase1(lp, tol)
-    if sx is None:
-        return LpResult(LpStatus.INFEASIBLE, nan_vec, np.nan, nan_rows, nan_rows, iters1)
+    sx = _start(lp)
+    iters1, infeasible = _phase1(sx, tol)
+    if infeasible:
+        return _certified(lp, LpResult(LpStatus.INFEASIBLE, nan_vec, np.nan,
+                                       _farkas_ray(sx), nan_rows, iters1), tol)
 
     # Artificials left in the basis stay there at zero; this replaces
     # the removal of redundant rows.
@@ -356,22 +377,26 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResul
     return _finish(lp, sx.w[:lp.n_vars].copy(), duals, iters1 + iters2, tol)
 
 
-def _finish(lp: LinearProgram, x, duals, iterations, tol: Tolerances) -> LpResult:
-    slacks = np.zeros(lp.n_rows)
-    if lp.n_rows:
-        ax = lp.rows @ x
-        for i, sense in enumerate(lp.senses):
-            if sense == GREATER_EQUAL:
-                slacks[i] = ax[i] - lp.rhs[i]
-            else:
-                slacks[i] = lp.rhs[i] - ax[i]
+def _sense_masks(lp: LinearProgram):
+    """Boolean masks of the ">=" and of the "<=" rows."""
+    senses = np.array(lp.senses, dtype="<U2")
+    return senses == GREATER_EQUAL, senses == LESS_EQUAL
 
+
+def _finish(lp: LinearProgram, x, duals, iterations, tol: Tolerances) -> LpResult:
+    ax = lp.rows @ x
+    slacks = np.where(_sense_masks(lp)[0], ax - lp.rhs, lp.rhs - ax)
     objective = float(lp.cost @ x) if lp.n_vars else 0.0
-    result = LpResult(LpStatus.OPTIMAL, x, objective, duals, slacks, int(iterations))
+    return _certified(lp, LpResult(LpStatus.OPTIMAL, x, objective, duals, slacks,
+                                   int(iterations)), tol)
+
+
+def _certified(lp: LinearProgram, result: LpResult, tol: Tolerances) -> LpResult:
     cert = certify(lp, result, tol)
     if not cert.passed:
         failed = ", ".join(f"{c.name} ({c.value:.3e} > {c.bound:.3e})" for c in cert.failures())
-        raise CertificationError(f"optimal result failed certification: {failed}")
+        raise CertificationError(
+            f"{result.status.value} result failed certification: {failed}")
     return result
 
 
@@ -383,114 +408,172 @@ def _check(name: str, value, bound) -> CheckResult:
 
 def certify(lp: LinearProgram, result: LpResult,
             tol: Tolerances = DEFAULT_TOLERANCES) -> Certificate:
-    """Recompute the KKT conditions for a claimed-optimal result.
+    """Recompute the certificate of a claimed-optimal or claimed-infeasible
+    result.
 
-    Checks primal feasibility (rows and bounds), dual sign conditions,
-    dual feasibility via reduced costs, complementary slackness, the
-    duality gap, and objective consistency.
+    Optimal results are checked against the KKT conditions: primal
+    feasibility (rows and bounds), dual sign conditions, dual
+    feasibility via reduced costs, complementary slackness, the duality
+    gap, and objective consistency.  Infeasible results are checked
+    through the Farkas ray in ``duals``; see :func:`_farkas_checks`.
     """
+    if result.status is LpStatus.INFEASIBLE:
+        return Certificate(_farkas_checks(lp, np.asarray(result.duals, dtype=float), tol))
     if result.status is not LpStatus.OPTIMAL:
-        raise ValueError(f"can only certify optimal results, got {result.status}")
+        raise ValueError(f"can only certify optimal or infeasible results, got {result.status}")
     x = np.asarray(result.x, dtype=float)
     lam = np.asarray(result.duals, dtype=float)
-    checks = []
+    ge, le = _sense_masks(lp)
+    feas = tol.lp_feasibility
 
-    ax = lp.rows @ x if lp.n_rows else np.zeros(0)
-    primal = 0.0
-    for i, sense in enumerate(lp.senses):
-        r = ax[i] - lp.rhs[i]
-        if sense == LESS_EQUAL:
-            primal = max(primal, r)
-        elif sense == GREATER_EQUAL:
-            primal = max(primal, -r)
-        else:
-            primal = max(primal, abs(r))
-    checks.append(_check("primal row feasibility", primal, tol.lp_feasibility))
+    r = lp.rows @ x - lp.rhs
+    primal = np.max(np.where(le, r, np.where(ge, -r, np.abs(r))), initial=0.0)
+    bound_viol = max(np.max(lp.lower - x, initial=0.0), np.max(x - lp.upper, initial=0.0))
+    sign_viol = np.max(np.where(ge, -lam, np.where(le, lam, 0.0)), initial=0.0)
 
-    bound_viol = 0.0
-    for j in range(lp.n_vars):
-        if np.isfinite(lp.lower[j]):
-            bound_viol = max(bound_viol, lp.lower[j] - x[j])
-        if np.isfinite(lp.upper[j]):
-            bound_viol = max(bound_viol, x[j] - lp.upper[j])
-    checks.append(_check("bound feasibility", bound_viol, tol.lp_feasibility))
+    reduced = lp.cost - lp.rows.T @ lam
+    lo_finite, hi_finite = np.isfinite(lp.lower), np.isfinite(lp.upper)
+    at_lo = lo_finite & (x - lp.lower <= feas * (1.0 + np.abs(lp.lower)))
+    at_hi = hi_finite & (lp.upper - x <= feas * (1.0 + np.abs(lp.upper)))
+    dual = np.where(at_lo, -reduced, np.where(at_hi, reduced, np.abs(reduced)))
+    dual[at_lo & at_hi] = 0.0
+    dual_viol = np.max(dual, initial=0.0)
 
-    sign_viol = 0.0
-    for i, sense in enumerate(lp.senses):
-        if sense == GREATER_EQUAL:
-            sign_viol = max(sign_viol, -lam[i])
-        elif sense == LESS_EQUAL:
-            sign_viol = max(sign_viol, lam[i])
-    checks.append(_check("dual sign conditions", sign_viol, tol.lp_feasibility))
-
-    reduced = lp.cost - (lp.rows.T @ lam if lp.n_rows else 0.0)
-    dual_viol = 0.0
-    for j in range(lp.n_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        at_lo = np.isfinite(lo) and x[j] - lo <= tol.lp_feasibility * (1.0 + abs(lo))
-        at_hi = np.isfinite(hi) and hi - x[j] <= tol.lp_feasibility * (1.0 + abs(hi))
-        if at_lo and at_hi:
-            continue
-        if at_lo:
-            dual_viol = max(dual_viol, -reduced[j])
-        elif at_hi:
-            dual_viol = max(dual_viol, reduced[j])
-        else:
-            dual_viol = max(dual_viol, abs(reduced[j]))
-    checks.append(_check("dual feasibility (reduced costs)", dual_viol, tol.lp_feasibility))
-
-    comp = 0.0
-    for i in range(lp.n_rows):
-        comp = max(comp, abs(lam[i] * result.slacks[i]))
-    checks.append(_check("complementary slackness", comp, tol.lp_complementarity))
+    comp = np.max(np.abs(lam * result.slacks), initial=0.0)
 
     obj = float(lp.cost @ x) if lp.n_vars else 0.0
     dual_obj = float(lam @ lp.rhs) if lp.n_rows else 0.0
-    for j in range(lp.n_vars):
-        if np.isfinite(lp.lower[j]) and reduced[j] > 0:
-            dual_obj += reduced[j] * lp.lower[j]
-        elif np.isfinite(lp.upper[j]) and reduced[j] < 0:
-            dual_obj += reduced[j] * lp.upper[j]
+    bound_terms = np.zeros(lp.n_vars)
+    low = lo_finite & (reduced > 0)
+    high = hi_finite & (reduced < 0)
+    bound_terms[low] = reduced[low] * lp.lower[low]
+    bound_terms[high] = reduced[high] * lp.upper[high]
+    # A running total in index order: the gap does not depend on
+    # numpy's pairwise summation.
+    dual_obj = float(np.cumsum(np.concatenate([[dual_obj], bound_terms]))[-1])
     gap = abs(obj - dual_obj)
-    checks.append(_check("duality gap", gap, tol.lp_duality_gap * (1.0 + abs(obj))))
-
     obj_err = abs(result.objective - obj)
-    checks.append(_check("objective consistency", obj_err,
-                         tol.lp_duality_gap * (1.0 + abs(obj))))
 
-    return Certificate(tuple(checks))
+    return Certificate((
+        _check("primal row feasibility", primal, feas),
+        _check("bound feasibility", bound_viol, feas),
+        _check("dual sign conditions", sign_viol, feas),
+        _check("dual feasibility (reduced costs)", dual_viol, feas),
+        _check("complementary slackness", comp, tol.lp_complementarity),
+        _check("duality gap", gap, tol.lp_duality_gap * (1.0 + abs(obj))),
+        _check("objective consistency", obj_err, tol.lp_duality_gap * (1.0 + abs(obj))),
+    ))
+
+
+def _farkas_checks(lp: LinearProgram, ray, tol: Tolerances) -> tuple:
+    """Checks of a Farkas ray y of the rows of ``lp``, scaled to |y|_1 = 1.
+
+    * ray sign conditions: y >= 0 on ">=" rows and y <= 0 on "<=" rows;
+    * ray bound compatibility: g = y'rows is <= 0 on columns without an
+      upper bound and >= 0 on columns without a lower bound (so 0 on
+      free columns);
+    * ray separation: the largest g x over the bounds, minus y'rhs, is
+      at most -lp_feasibility.  Then no x within the bounds meets every
+      row to within lp_feasibility, the bound of the primal row check of
+      an optimal result.
+
+    Every bound is ``lp_feasibility``.  A zero or non-finite ray fails.
+    """
+    norm = float(np.sum(np.abs(ray)))
+    y = ray / norm if 0.0 < norm < np.inf else np.full(lp.n_rows, np.nan)
+    ge, le = _sense_masks(lp)
+    sign = np.max(np.where(ge, -y, np.where(le, y, 0.0)), initial=0.0)
+    g = lp.rows.T @ y
+    compat = max(np.max(g[np.isinf(lp.upper)], initial=0.0),
+                 np.max(-g[np.isinf(lp.lower)], initial=0.0))
+    # Sides without a bound are left out: compatibility bounds g there.
+    top = np.where(np.isfinite(lp.upper), lp.upper, 0.0)
+    bottom = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
+    reach = np.maximum(g, 0.0) @ top + np.minimum(g, 0.0) @ bottom
+    feas = tol.lp_feasibility
+    return (_check("ray sign conditions", sign, feas),
+            _check("ray bound compatibility", compat, feas),
+            _check("ray separation", reach - y @ lp.rhs, -feas))
 
 
 def feasible(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Phase-1 feasibility test (no objective)."""
-    return _phase1(lp, tol)[0] is not None
+    return not _phase1(_start(lp), tol)[1]
 
 
 def irreducible_infeasible_rows(lp: LinearProgram,
                                 tol: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """Greedy deletion filter: labels of an irreducible infeasible row set.
+    """Deletion filter: labels of an irreducible infeasible set of rows.
 
-    Repeatedly drops any row whose removal keeps the system infeasible;
-    the surviving rows form an irreducible witness.  Intended for small
-    diagnostic problems; each trial is one phase-1 solve.
+    The rows may have any sense.  The filter works on one computational
+    form of ``lp``: every row r gets a unit relaxation column e_r, fixed
+    at [0, 0], and deleting r frees that column, after which the row
+    constrains nothing.  Phase 1 runs once from the crash basis and then
+    once per trial deletion, in row order, warm-started from the basis
+    the last infeasible trial left:
+
+    * the trial stays infeasible: r is dropped for good, and so is every
+      remaining row outside the support of the trial's Farkas ray, once
+      the ray cut down to its support passes :func:`_farkas_checks`;
+    * the trial turns feasible: r is necessary, and the basis, point and
+      inverse before the trial are restored.
+
+    One pass is enough, because a row found necessary stays necessary:
+    the rows left without it are a subset of a feasible system.  So
+    every returned row is necessary and together they are infeasible
+    (Chinneck & Dravnieks, "Locating minimal infeasible constraint sets
+    in linear programs", ORSA J. Computing 1991).  Returns [] when
+    ``lp`` is feasible.
     """
-    if feasible(lp, tol):
+    m = lp.n_rows
+    sx = _start(lp)
+    a, k = sx.a, sx.a.shape[1]
+    sx.a = kernels.SparseColumns(
+        (m, k + m), np.concatenate([a.cols, k + np.arange(m)]),
+        np.concatenate([a.indices, np.arange(m)]), np.concatenate([a.data, np.ones(m)]))
+    sx.lower = np.concatenate([sx.lower, np.zeros(m)])
+    sx.upper = np.concatenate([sx.upper, np.zeros(m)])
+    sx.w = np.concatenate([sx.w, np.zeros(m)])
+    since_refactor, infeasible = _phase1(sx, tol)
+    if not infeasible:
         return []
-    active = list(range(lp.n_rows))
-    changed = True
-    while changed:
-        changed = False
-        for drop in list(active):
-            trial = [i for i in active if i != drop]
-            sub = LinearProgram(
-                cost=lp.cost,
-                rows=lp.rows[trial] if trial else np.zeros((0, lp.n_vars)),
-                senses=tuple(lp.senses[i] for i in trial),
-                rhs=lp.rhs[trial] if trial else np.zeros(0),
-                lower=lp.lower, upper=lp.upper,
-                var_labels=lp.var_labels,
-                row_labels=tuple(lp.row_labels[i] for i in trial))
-            if not feasible(sub, tol):
-                active = trial
-                changed = True
-    return [lp.row_labels[i] for i in active]
+    active = np.ones(m, dtype=bool)
+
+    def drop(rows):
+        active[rows] = False
+        sx.lower[k + rows] = -np.inf
+        sx.upper[k + rows] = np.inf
+
+    def drop_outside_support():
+        ray = _farkas_ray(sx)
+        ray[~active] = 0.0
+        support = np.abs(ray) > tol.lp_feasibility * np.max(np.abs(ray))
+        ray[~support] = 0.0
+        outside = np.flatnonzero(active & ~support)
+        if outside.size and all(c.passed for c in _farkas_checks(lp, ray, tol)):
+            drop(outside)
+
+    drop_outside_support()
+    for r in range(m):
+        if not active[r]:
+            continue
+        # The kernel refactorizes within one call only; eta updates kept
+        # from earlier trials count here.
+        if since_refactor >= tol.lp_refactor_every:
+            try:
+                kernels.refactor(sx.a, sx.b, sx.w, sx.basis, sx.binv)
+            except np.linalg.LinAlgError as exc:
+                raise PivotBreakdownError(
+                    f"singular basis during diagnosis refactorization: {exc}", sx.basis) from exc
+            since_refactor = 0
+        saved = sx.w.copy(), sx.basis.copy(), sx.binv.copy()
+        drop(r)
+        iters, infeasible = _phase1(sx, tol)
+        if infeasible:
+            since_refactor += iters
+            drop_outside_support()
+        else:
+            sx.w, sx.basis, sx.binv = saved
+            active[r] = True
+            sx.lower[k + r] = sx.upper[k + r] = 0.0
+    return [lp.row_labels[i] for i in np.flatnonzero(active)]

@@ -86,6 +86,55 @@ def economy_instance(economy_incidence):
                                    ECONOMY_F, ECONOMY_PI)
 
 
+def time_expanded(inc, durations, horizon, f=ECONOMY_F):
+    """The reference economy over ``horizon`` steps: initial place marking
+    [-y; f], nothing in flight at either end, final place markings >= 0
+    and the factor cost charged on every start firing.  Its optimum is
+    the static one for any horizon longer than the largest duration."""
+    from heconet import hfnmcf
+    from heconet.petri import EngineeringSystemNet
+    n = ECONOMY_Y.size
+    net = EngineeringSystemNet(incidence=inc, durations=np.asarray(durations))
+    layout = hfnmcf.variable_layout(net, (), horizon)
+    cost = np.zeros(layout.size)
+    for k in range(horizon):
+        cost[layout.u_minus(k)] = ECONOMY_PI @ inc.m_minus[n:]
+    lower, upper = hfnmcf.default_bounds(layout)
+    lower[layout.q_b(horizon)] = 0.0
+    boundary = hfnmcf.BoundaryConditions(
+        q_b_initial=np.concatenate([-ECONOMY_Y, f]),
+        q_e_initial=np.zeros(net.n_transitions),
+        q_e_final=np.zeros(net.n_transitions))
+    return hfnmcf.HfnmcfProblem(net=net, horizon=horizon, linear_cost=cost,
+                                boundary=boundary, lower=lower, upper=upper)
+
+
+def row_subset(program, keep):
+    """The rows ``keep`` of ``program``, with its bounds and no cost."""
+    from heconet.lp import LinearProgram
+    keep = list(keep)
+    return LinearProgram(cost=np.zeros(program.n_vars),
+                         rows=program.rows[keep].reshape(len(keep), program.n_vars),
+                         senses=tuple(program.senses[i] for i in keep),
+                         rhs=program.rhs[keep], lower=program.lower, upper=program.upper)
+
+
+@pytest.fixture(scope="session")
+def water_cut_problem(economy_incidence):
+    """The reference economy as a full program at K=8, with water
+    availability cut in 10 % steps until the static economy (rcot) is
+    infeasible; the full program is then infeasible too."""
+    from heconet import rcot
+    from heconet.lp import LpStatus
+    f = ECONOMY_F.copy()
+    while rcot.solve_rcot(rcot.instance_from_incidence(
+            economy_incidence, ECONOMY_Y.size, ECONOMY_Y, f, ECONOMY_PI)).status \
+            is LpStatus.OPTIMAL:
+        f[-1] *= 0.9
+    durations = np.random.default_rng(8).integers(1, 3, size=economy_incidence.m_plus.shape[1])
+    return time_expanded(economy_incidence, durations, 8, f)
+
+
 @pytest.fixture(scope="session")
 def warm_kernels():
     """Trigger jit compilation once so timed assertions measure solves."""

@@ -8,12 +8,12 @@ from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
                             default_bounds, embed_static, solve_full,
                             solve_static, static_lp, variable_layout)
 from heconet.incidence import IncidenceMatrices, matricize
-from heconet.lp import EQUAL, LpStatus
+from heconet.lp import EQUAL, LpStatus, certify, feasible
 from heconet.petri import EngineeringSystemNet, Marking, OperandNet
 
 from conftest import (ECONOMY_M_MINUS, ECONOMY_F, ECONOMY_PHI_CAPITAL,
                       ECONOMY_PHI_WATER, ECONOMY_PI, ECONOMY_X, ECONOMY_Y,
-                      ECONOMY_Z)
+                      ECONOMY_Z, row_subset)
 
 REFERENCE_UNIT_COST = np.array([3.18, 5.18, 3.07, 2.37, 1.79, 2.39])
 
@@ -468,3 +468,16 @@ def test_infeasible_program_reports_a_row_witness():
     quiet = solve_full(problem, diagnose_infeasibility=False)
     assert quiet.status is LpStatus.INFEASIBLE
     assert quiet.infeasible_rows == ()
+
+
+def test_water_cut_witness_is_irreducible(water_cut_problem):
+    with pytest.warns(RuntimeWarning, match="irreducible conflicting rows"):
+        sol = solve_full(water_cut_problem)
+    assert sol.status is LpStatus.INFEASIBLE
+    program = build_full(water_cut_problem)
+    assert certify(program, sol.lp_result).passed
+    witness = [program.row_labels.index(label) for label in sol.infeasible_rows]
+    assert 0 < len(witness) < program.n_rows
+    assert not feasible(row_subset(program, witness))
+    for i in witness:
+        assert feasible(row_subset(program, [k for k in witness if k != i]))

@@ -69,6 +69,56 @@ def test_certificate_rejects_tampered_solution():
     assert cert.failures()
 
 
+def boxed_lp() -> LinearProgram:
+    return LinearProgram(cost=[1.0, -2.0, 0.5],
+                         rows=[[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 1.0]],
+                         senses=(lp.GREATER_EQUAL, lp.LESS_EQUAL, lp.EQUAL),
+                         rhs=[1.0, 2.0, 3.0], lower=[-1.0, -np.inf, 0.5],
+                         upper=[4.0, 3.0, np.inf])
+
+
+# Check values of two tampered results, as computed by a plain loop
+# over the rows and variables of each check.
+TAMPERED_ECONOMY = (
+    ("primal row feasibility", False, 4.099999999999909, 1e-07),
+    ("bound feasibility", True, 0.0, 1e-07),
+    ("dual sign conditions", True, 0.0, 1e-07),
+    ("dual feasibility (reduced costs)", False, 1.876254268177747, 1e-07),
+    ("complementary slackness", True, 2.354181677022557e-13, 1e-06),
+    ("duality gap", False, 8.989999999999668, 0.0008157140840438233),
+    ("objective consistency", False, 8.989999999999895, 0.0008157140840438233),
+)
+TAMPERED_BOXED = (
+    ("primal row feasibility", False, 0.125, 1e-07),
+    ("bound feasibility", False, 0.5, 1e-07),
+    ("dual sign conditions", False, 0.3, 1e-07),
+    ("dual feasibility (reduced costs)", False, 0.2, 1e-07),
+    ("complementary slackness", False, 0.6400000000000001, 1e-06),
+    ("duality gap", False, 1.3875000000000002, 7.187499999999999e-06),
+    ("objective consistency", False, 1.2874999999999996, 7.187499999999999e-06),
+)
+
+
+@pytest.mark.parametrize("program, shift, expected", [
+    (economy_lp, lambda r: dict(x=r.x + 0.5), TAMPERED_ECONOMY),
+    (boxed_lp, lambda r: dict(x=r.x + np.array([-0.25, 0.5, 0.125]),
+                              objective=r.objective + 0.1,
+                              duals=r.duals + np.array([-0.3, 0.2, 0.0]),
+                              slacks=r.slacks + 0.2), TAMPERED_BOXED),
+], ids=["economy", "boxed"])
+def test_certificate_values_on_tampered_results(program, shift, expected):
+    program = program()
+    result = solve_lp(program)
+    fields = dict(status=result.status, x=result.x, objective=result.objective,
+                  duals=result.duals, slacks=result.slacks, iterations=result.iterations)
+    fields.update(shift(result))
+    cert = certify(program, LpResult(**fields))
+    assert len(cert.checks) == len(expected)
+    for check, (name, passed, value, bound) in zip(cert.checks, expected):
+        assert (check.name, check.passed, check.bound) == (name, passed, bound)
+        assert check.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
 def test_unbounded():
     program = LinearProgram(cost=[-1.0], rows=[[1.0]],
                             senses=(lp.GREATER_EQUAL,), rhs=[0.0])
@@ -82,6 +132,46 @@ def test_infeasible():
     result = solve_lp(program)
     assert result.status is LpStatus.INFEASIBLE
     assert np.all(np.isnan(result.x))
+    # The Farkas ray has the duals' signs: >= 0 on ">=", <= 0 on "<=".
+    assert result.duals[0] > 0 > result.duals[1]
+    assert certify(program, result).passed
+
+
+def infeasible_lp() -> LinearProgram:
+    # x1 + x2 >= 4 cannot hold with x1 <= 1 and x2 <= 2; every row is
+    # needed, so every ray entry is in its support.
+    return LinearProgram(cost=[1.0, 1.0], rows=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                         senses=(lp.GREATER_EQUAL, lp.LESS_EQUAL, lp.LESS_EQUAL),
+                         rhs=[4.0, 1.0, 2.0], lower=[-np.inf, 0.0])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda y: -y,
+    lambda y: np.where(np.arange(y.size) == 0, 0.0, y),
+    lambda y: np.where(np.arange(y.size) == 2, 0.0, y),
+    lambda y: np.zeros_like(y),
+    lambda y: np.full_like(y, np.nan),
+], ids=["sign-flipped", "first-entry-zeroed", "last-entry-zeroed", "zero", "nan"])
+def test_certificate_rejects_tampered_ray(tamper):
+    program = infeasible_lp()
+    result = solve_lp(program)
+    assert result.status is LpStatus.INFEASIBLE
+    assert np.all(result.duals != 0)
+    assert certify(program, result).passed
+    result.duals = tamper(result.duals)
+    assert not certify(program, result).passed
+
+
+def test_infeasible_result_failing_its_ray_raises(monkeypatch):
+    monkeypatch.setattr(lp, "_farkas_ray", lambda sx: np.zeros(sx.b.size))
+    with pytest.raises(CertificationError, match="infeasible result failed certification"):
+        solve_lp(infeasible_lp())
+
+
+def test_unbounded_results_are_not_certified():
+    program = LinearProgram(cost=[-1.0], rows=[[1.0]], senses=(lp.GREATER_EQUAL,), rhs=[0.0])
+    with pytest.raises(ValueError, match="optimal or infeasible"):
+        certify(program, solve_lp(program))
 
 
 def test_free_variable_via_negative_lower_bound():
@@ -222,6 +312,28 @@ def test_irreducible_infeasible_rows():
     assert set(witness) == {"needs-two", "caps-one"}
 
 
+def test_irreducible_infeasible_rows_of_a_feasible_program_is_empty():
+    assert irreducible_infeasible_rows(economy_lp()) == []
+
+
+@pytest.mark.parametrize("refactor_every", [1, DEFAULT_TOLERANCES.lp_refactor_every])
+def test_irreducible_infeasible_rows_keeps_each_needed_row_of_a_chain(refactor_every):
+    # x1 >= 3, x2 >= x1, x3 = x2 and x3 <= 2: every row is needed, but
+    # only one of the two equal caps, and the unrelated row is not.
+    program = LinearProgram(
+        cost=np.zeros(4),
+        rows=[[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, 1, 0],
+              [0, 0, 1, 0], [0, 0, 0, 1]],
+        senses=(lp.GREATER_EQUAL, lp.GREATER_EQUAL, lp.EQUAL, lp.LESS_EQUAL,
+                lp.LESS_EQUAL, lp.EQUAL),
+        rhs=[3.0, 0.0, 0.0, 2.0, 2.0, 7.0], lower=[-np.inf] * 4,
+        row_labels=("start", "step", "link", "cap", "cap-again", "other"))
+    tol = DEFAULT_TOLERANCES.replace(lp_refactor_every=refactor_every)
+    witness = irreducible_infeasible_rows(program, tol)
+    assert witness[:3] == ["start", "step", "link"]
+    assert witness[3:] in (["cap"], ["cap-again"])
+
+
 def test_duals_flip_with_row_sign():
     # multiplying a >= row by -1 yields a <= row with mirrored dual
     base = LinearProgram(cost=[1.0, 2.0], rows=[[1.0, 1.0]],
@@ -260,9 +372,10 @@ def random_box_lp(draw):
 @given(random_box_lp())
 @settings(max_examples=60, deadline=None)
 def test_optimal_results_always_certify(program):
+    # Infeasible results carry a Farkas ray that must certify too.
     result = solve_lp(program)
     assert result.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE)
+    assert certify(program, result).passed
     if result.status is LpStatus.OPTIMAL:
-        assert certify(program, result).passed
         assert np.all(result.x >= program.lower - 1e-9)
         assert np.all(result.x <= program.upper + 1e-9)

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 optimize = pytest.importorskip("scipy.optimize")
 
 from heconet import hfnmcf, lp, rcot
-from heconet.lp import LinearProgram, LpStatus, certify, solve_lp
-from heconet.petri import EngineeringSystemNet
+from heconet.lp import (LinearProgram, LpStatus, certify, irreducible_infeasible_rows,
+                        solve_lp)
 
-from conftest import ECONOMY_F, ECONOMY_PI, ECONOMY_Y, ECONOMY_Z
+from conftest import ECONOMY_F, ECONOMY_PI, ECONOMY_Y, ECONOMY_Z, row_subset, time_expanded
 
 OBJECTIVE_RTOL = 1e-9
 HIGHS_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
@@ -54,6 +54,7 @@ def assert_agrees(program: LinearProgram, expected_status, expected_objective):
     if expected_status is LpStatus.OPTIMAL:
         assert abs(result.objective - expected_objective) \
             <= OBJECTIVE_RTOL * max(1.0, abs(expected_objective))
+    if expected_status is not LpStatus.UNBOUNDED:
         assert certify(program, result).passed
 
 
@@ -122,6 +123,44 @@ def test_status_and_objective_agree_with_highs(program):
     assert_agrees(program, status, objective)
 
 
+@st.composite
+def infeasible_lp(draw):
+    """Random rows of every sense over free, boxed and one-sided columns,
+    with right-hand sides drawn apart from any point, so that most are
+    infeasible; the test keeps those that HiGHS calls infeasible."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.round(rng.normal(size=(m, n)), 2)
+    rows[rng.random((m, n)) < 0.35] = 0.0
+    senses = tuple(rng.choice(SENSES, size=m))
+    lower, upper = np.zeros(n), np.full(n, np.inf)
+    for j, kind in enumerate(rng.choice(("free", "boxed", "lower", "upper"), size=n)):
+        a, b = np.round(rng.normal(size=2) * 2, 2)
+        if kind == "free":
+            lower[j] = -np.inf
+        elif kind == "boxed":
+            lower[j], upper[j] = a, a + abs(b) + 0.1
+        elif kind == "lower":
+            lower[j] = a
+        else:
+            lower[j], upper[j] = -np.inf, a
+    return LinearProgram(cost=np.zeros(n), rows=rows, senses=senses,
+                         rhs=np.round(rng.normal(size=m) * 3, 2), lower=lower, upper=upper)
+
+
+@given(infeasible_lp())
+@settings(max_examples=150, deadline=None)
+def test_infeasibility_witness_is_irreducible_by_highs(program):
+    assume(highs(program)[0] is LpStatus.INFEASIBLE)
+    assert_agrees(program, LpStatus.INFEASIBLE, np.nan)
+    witness = [program.row_labels.index(label)
+               for label in irreducible_infeasible_rows(program)]
+    assert highs(row_subset(program, witness))[0] is LpStatus.INFEASIBLE
+    for i in witness:
+        assert highs(row_subset(program, [k for k in witness if k != i]))[0] is LpStatus.OPTIMAL
+
+
 def test_phase_one_infeasibility_is_not_reported_unbounded():
     # Infeasible rows alongside a free column with a negative cost: the
     # phase-1 objective is bounded below, so the answer must be
@@ -131,27 +170,6 @@ def test_phase_one_infeasibility_is_not_reported_unbounded():
                             lower=[0.0, -np.inf])
     assert highs(program)[0] is LpStatus.INFEASIBLE
     assert_agrees(program, LpStatus.INFEASIBLE, np.nan)
-
-
-def time_expanded(inc, durations, horizon):
-    """The reference economy over ``horizon`` steps: initial place marking
-    [-y; f], nothing in flight at either end, final place markings >= 0
-    and the factor cost charged on every start firing.  Its optimum is
-    the static one for any horizon longer than the largest duration."""
-    n = ECONOMY_Y.size
-    net = EngineeringSystemNet(incidence=inc, durations=np.asarray(durations))
-    layout = hfnmcf.variable_layout(net, (), horizon)
-    cost = np.zeros(layout.size)
-    for k in range(horizon):
-        cost[layout.u_minus(k)] = ECONOMY_PI @ inc.m_minus[n:]
-    lower, upper = hfnmcf.default_bounds(layout)
-    lower[layout.q_b(horizon)] = 0.0
-    boundary = hfnmcf.BoundaryConditions(
-        q_b_initial=np.concatenate([-ECONOMY_Y, ECONOMY_F]),
-        q_e_initial=np.zeros(net.n_transitions),
-        q_e_final=np.zeros(net.n_transitions))
-    return hfnmcf.HfnmcfProblem(net=net, horizon=horizon, linear_cost=cost,
-                                boundary=boundary, lower=lower, upper=upper)
 
 
 @pytest.mark.parametrize("horizon", [8, 40])
