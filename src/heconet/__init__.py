@@ -12,9 +12,7 @@ The package connects three views of the same production system:
 
 All optimization is backed by a self-contained two-phase,
 bounded-variable simplex solver with solution certification
-(:mod:`heconet.lp`).  The trajectory and spectral-radius kernels are
-JIT compiled with numba when available; set
-``HECONET_DISABLE_NUMBA=1`` to force the pure-numpy fallback.
+(:mod:`heconet.lp`).
 """
 
 from heconet.config import Tolerances, DEFAULT_TOLERANCES

@@ -1,0 +1,114 @@
+"""Checks at the input boundary: outside data becomes checked, frozen arrays.
+
+:func:`checked_array` turns a value handed to a constructor into a
+read-only float copy of a known shape, and :func:`json_numbers` turns a
+parsed JSON value into a float array before any of it is used.  Both
+raise an error that names the field, so a bad entry is reported where
+it comes in and never turns into a wrong answer later.
+
+A shape is a tuple with one entry per axis: an int fixes the length, a
+string stands for a length that must be the same on every axis with the
+same string (``("n", "n")`` is a square matrix), and ``None`` accepts
+any length.
+"""
+
+import numpy as np
+
+_NUMBER = frozenset({int, float})
+_NUMBER_OR_NULL = _NUMBER | {type(None)}
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, with writing switched off."""
+    arr.setflags(write=False)
+    return arr
+
+
+def set_fields(obj, **values):
+    """Assign fields of a frozen dataclass instance (from ``__post_init__``)."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+def _fits(shape: tuple, spec: tuple) -> bool:
+    if len(shape) != len(spec):
+        return False
+    named = {}
+    for want, got in zip(spec, shape):
+        if isinstance(want, str):
+            want = named.setdefault(want, got)
+        if want is not None and want != got:
+            return False
+    return True
+
+
+def _spec_text(spec: tuple) -> str:
+    dims = ["*" if d is None else str(d) for d in spec]
+    return f"({dims[0]},)" if len(dims) == 1 else f"({', '.join(dims)})"
+
+
+def checked_array(value, name: str, shape: tuple, nonneg: bool = False,
+                  nan_ok: bool = False, inf_ok: bool = False) -> np.ndarray:
+    """Read-only float copy of ``value``, or ``ValueError`` naming ``name``.
+
+    Entries must be finite; ``nan_ok`` also admits NaN (an entry left
+    free), ``inf_ok`` also admits infinities (an absent bound).  With
+    ``nonneg`` every entry must be >= 0.
+    """
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if not _fits(arr.shape, shape):
+        raise ValueError(f"{name} must have shape {_spec_text(shape)}, got {arr.shape}")
+    if nan_ok:
+        bad, rule = np.isinf(arr), "entries must be finite or NaN"
+    elif inf_ok:
+        bad, rule = np.isnan(arr), "must not be NaN"
+    else:
+        bad, rule = ~np.isfinite(arr), "must be finite"
+    if bad.any():
+        raise ValueError(f"{name} {rule}")
+    if nonneg and (arr < 0).any():
+        raise ValueError(f"{name} must be nonnegative")
+    return read_only(arr)
+
+
+def _list_of(length) -> str:
+    return "a non-empty list of" if length is None else f"a list of {length}"
+
+
+def json_numbers(value, name: str, shape: tuple, error: type,
+                 null_ok: bool = False) -> np.ndarray:
+    """Float array of a parsed JSON number (``shape == ()``), list of
+    numbers (one axis) or list of rows (two axes), or ``error`` naming
+    ``name``.
+
+    Only JSON numbers are accepted: no booleans, strings, nested lists
+    or, unless ``null_ok`` (which reads ``null`` as NaN), nulls.  A
+    ``None`` axis accepts any length >= 1; rows must all have one length.
+    Every number must be finite.
+    """
+    allowed = _NUMBER_OR_NULL if null_ok else _NUMBER
+    if len(shape) == 2:
+        if not isinstance(value, list) or not value or shape[0] not in (None, len(value)):
+            raise error(f"{name} must be {_list_of(shape[0])} rows")
+        rows, width = value, shape[1]
+    else:
+        rows, width = [value if shape else [value]], shape[0] if shape else 1
+    for i, row in enumerate(rows):
+        label = f"{name} row {i}" if len(shape) == 2 else name
+        if not isinstance(row, list) or not row or width not in (None, len(row)):
+            raise error(f"{label} must be {_list_of(width)} numbers")
+        width = len(row)
+        if not allowed.issuperset(map(type, row)):
+            j = next(j for j, v in enumerate(row) if type(v) not in allowed)
+            index = {2: f"[{i}][{j}]", 1: f"[{j}]", 0: ""}[len(shape)]
+            raise error(f"{name}{index} is not a number")
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:
+        raise error(f"{name} holds a number too large for a float") from None
+    if (np.isinf(arr) if null_ok else ~np.isfinite(arr)).any():
+        raise error(f"{name} must be finite")
+    return arr

@@ -227,32 +227,9 @@ def _problem_from_scenario(model, inc, scenario, y, f, pi, f_star):
     unit_cost = pi @ f_star
     for k in range(horizon):
         cost[layout.u_minus(k)] = unit_cost
-
-    def _vec(block, key, width):
-        value = block.get(key)
-        if value is None:
-            return None
-        arr = np.array([np.nan if v is None else float(v) for v in value])
-        if arr.shape != (width,):
-            raise io.ScenarioError(f"boundary {key!r} must have {width} entries")
-        return arr
-
-    boundary = hfnmcf.BoundaryConditions(
-        q_b_initial=_vec(scenario.boundary, "q_b_initial", net.n_places),
-        q_e_initial=_vec(scenario.boundary, "q_e_initial", net.n_transitions),
-        q_b_final=_vec(scenario.boundary, "q_b_final", net.n_places),
-        q_e_final=_vec(scenario.boundary, "q_e_final", net.n_transitions))
-    pin_block = scenario.pins.get("u_minus")
-    pins = hfnmcf.FiringPins()
-    if pin_block is not None:
-        arr = np.array([[np.nan if v is None else float(v) for v in row]
-                        for row in pin_block])
-        if arr.shape != (horizon, net.n_transitions):
-            raise io.ScenarioError(
-                f"pins 'u_minus' must be {horizon} rows of {net.n_transitions}")
-        pins = hfnmcf.FiringPins(u_minus=arr)
     return hfnmcf.HfnmcfProblem(net=net, horizon=horizon, linear_cost=cost,
-                                boundary=boundary, pins=pins)
+                                boundary=hfnmcf.BoundaryConditions(**scenario.boundary),
+                                pins=hfnmcf.FiringPins(**scenario.pins))
 
 
 @main.command()

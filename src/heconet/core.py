@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from heconet.checks import set_fields
+
 
 class ResourceKind(str, Enum):
     TRANSFORMATION = "transformation"
@@ -63,9 +65,8 @@ class Process:
     outputs: tuple[Flow, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ProcessKind(self.kind))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        set_fields(self, kind=ProcessKind(self.kind), inputs=tuple(self.inputs),
+                   outputs=tuple(self.outputs))
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class Resource:
     kind: ResourceKind = ResourceKind.TRANSFORMATION
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ResourceKind(self.kind))
+        set_fields(self, kind=ResourceKind(self.kind))
 
     @property
     def is_buffer(self) -> bool:
@@ -103,8 +104,7 @@ class Capability:
     duration: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "pull", dict(self.pull))
-        object.__setattr__(self, "push", dict(self.push))
+        set_fields(self, pull=dict(self.pull), push=dict(self.push))
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,8 @@ class SystemModel:
     capabilities: tuple[Capability, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "operands", tuple(self.operands))
-        object.__setattr__(self, "resources", tuple(self.resources))
-        object.__setattr__(self, "processes", tuple(self.processes))
-        object.__setattr__(self, "capabilities", tuple(self.capabilities))
+        set_fields(self, operands=tuple(self.operands), resources=tuple(self.resources),
+                   processes=tuple(self.processes), capabilities=tuple(self.capabilities))
 
     def operand(self, operand_id: str) -> Operand:
         return _lookup(self.operands, operand_id, "operand")

@@ -16,9 +16,6 @@ step k+1):
 
     X = [Q_B (K+1 steps), Q_E (K+1), Q_SL (K+1), Q_EL (K+1),
          U+ (K), U- (K), UL+ (K), UL- (K)]
-
-Only linear objectives are supported; a nonzero quadratic term is
-rejected explicitly rather than ignored.
 """
 
 import functools
@@ -28,16 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from heconet import lp as lp_mod
+from heconet.checks import checked_array, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 from heconet.core import SystemModel
 from heconet.incidence import build_incidence
 from heconet.lp import LinearProgram, LpResult, LpStatus
 from heconet.petri import EngineeringSystemNet, OperandNet
 from heconet.rcot import RcotSolution
-
-
-class UnsupportedFeatureError(ValueError):
-    """A requested formulation feature is out of scope."""
 
 
 # --------------------------------------------------------------------------
@@ -57,34 +51,16 @@ class StaticEioReduction:
     factor_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float).copy()
-        c = np.asarray(self.c, dtype=float).copy()
-        cost = np.asarray(self.cost, dtype=float).copy()
-        if m.ndim != 2:
-            raise ValueError("m must be a matrix")
-        if c.shape != (m.shape[0],):
-            raise ValueError(f"c must have length {m.shape[0]}, got {c.shape}")
-        if cost.shape != (m.shape[1],):
-            raise ValueError(f"cost must have length {m.shape[1]}, got {cost.shape}")
-        f_star = self.f_star
-        if f_star is not None:
-            f_star = np.asarray(f_star, dtype=float).copy()
-            if f_star.ndim != 2 or f_star.shape[1] != m.shape[1]:
-                raise ValueError(f"f_star must have {m.shape[1]} columns")
-            f_star.setflags(write=False)
+        m = checked_array(self.m, "m", (None, None))
+        c = checked_array(self.c, "c", (m.shape[0],))
+        cost = checked_array(self.cost, "cost", (m.shape[1],))
+        f_star = _optional(self.f_star, "f_star", (None, m.shape[1]))
         caps = tuple(self.capability_labels) or tuple(f"u{j + 1}" for j in range(m.shape[1]))
         rows = tuple(self.row_labels) or tuple(f"c{i + 1}" for i in range(m.shape[0]))
         if len(caps) != m.shape[1] or len(rows) != m.shape[0]:
             raise ValueError("label lengths must match matrix dimensions")
-        for arr in (m, c, cost):
-            arr.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "f_star", f_star)
-        object.__setattr__(self, "capability_labels", caps)
-        object.__setattr__(self, "row_labels", rows)
-        object.__setattr__(self, "factor_labels", tuple(self.factor_labels))
+        set_fields(self, m=m, c=c, cost=cost, f_star=f_star, capability_labels=caps,
+                   row_labels=rows, factor_labels=tuple(self.factor_labels))
 
 
 def build_static(model: SystemModel, y, f, pi, f_star) -> StaticEioReduction:
@@ -334,84 +310,45 @@ class HfnmcfProblem:
     pins: FiringPins = field(default_factory=FiringPins)
     lower: np.ndarray = None
     upper: np.ndarray = None
-    quadratic_cost: np.ndarray = None
 
     def __post_init__(self):
         if int(self.horizon) < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "operand_nets", tuple(self.operand_nets))
+        set_fields(self, horizon=int(self.horizon), operand_nets=tuple(self.operand_nets))
         layout = self.layout
-        cost = np.asarray(self.linear_cost, dtype=float).copy()
-        if cost.shape != (layout.size,):
-            raise ValueError(
-                f"linear_cost must have length {layout.size} "
-                f"(stacked variable count), got {cost.shape}")
-        if not np.all(np.isfinite(cost)):
-            raise ValueError("linear_cost must be finite")
-        cost.setflags(write=False)
-        object.__setattr__(self, "linear_cost", cost)
+        n_ul, nt, size = layout.sum_transitions, layout.n_transitions, layout.size
+        set_fields(self, linear_cost=checked_array(self.linear_cost, "linear_cost", (size,)))
 
-        n_ul = layout.sum_transitions
         has_sync = self.sync_plus is not None or self.sync_minus is not None
         if self.operand_nets and not has_sync:
             raise ValueError("operand nets require sync_plus and sync_minus")
         if has_sync:
             if self.sync_plus is None or self.sync_minus is None:
                 raise ValueError("sync_plus and sync_minus must both be given")
-            for name in ("sync_plus", "sync_minus"):
-                mat = np.asarray(getattr(self, name), dtype=float).copy()
-                if mat.shape != (n_ul, layout.n_transitions):
-                    raise ValueError(
-                        f"{name} must have shape {(n_ul, layout.n_transitions)}, got {mat.shape}")
-                if not np.all(np.isfinite(mat)):
-                    raise ValueError(f"{name} must be finite")
-                mat.setflags(write=False)
-                object.__setattr__(self, name, mat)
+            set_fields(self, sync_plus=checked_array(self.sync_plus, "sync_plus", (n_ul, nt)),
+                       sync_minus=checked_array(self.sync_minus, "sync_minus", (n_ul, nt)))
+        set_fields(self, lower=_optional(self.lower, "lower", (size,), inf_ok=True),
+                   upper=_optional(self.upper, "upper", (size,), inf_ok=True))
 
-        for name, shape in (("lower", (layout.size,)), ("upper", (layout.size,))):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float).copy()
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have length {layout.size}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-        _check_boundary_shapes(self.boundary, layout)
-        _check_pin_shapes(self.pins, layout)
+        boundary, pins = {}, {}
+        for family, width in (("q_b", layout.n_places), ("q_e", nt),
+                              ("q_sl", layout.sum_places), ("q_el", n_ul)):
+            for end in ("initial", "final"):
+                name = f"{family}_{end}"
+                boundary[name] = _optional(getattr(self.boundary, name), name, (width,),
+                                           nan_ok=True)
+        for name, width in (("u_plus", nt), ("u_minus", nt), ("ul_plus", n_ul), ("ul_minus", n_ul)):
+            pins[name] = _optional(getattr(self.pins, name), f"pin {name}",
+                                   (self.horizon, width), nan_ok=True)
+        set_fields(self, boundary=BoundaryConditions(**boundary), pins=FiringPins(**pins))
 
     @property
     def layout(self) -> VariableLayout:
         return variable_layout(self.net, self.operand_nets, self.horizon)
 
 
-def _check_optional(arr, shape, name):
-    if arr is None:
-        return
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if np.any(np.isinf(arr)):
-        raise ValueError(f"{name} entries must be finite or NaN")
-
-
-def _check_boundary_shapes(boundary: BoundaryConditions, layout: VariableLayout):
-    np_, nt = layout.n_places, layout.n_transitions
-    ns, ne = layout.sum_places, layout.sum_transitions
-    for name, width in (("q_b", np_), ("q_e", nt), ("q_sl", ns), ("q_el", ne)):
-        _check_optional(getattr(boundary, f"{name}_initial"), (width,), f"{name}_initial")
-        _check_optional(getattr(boundary, f"{name}_final"), (width,), f"{name}_final")
-
-
-def _check_pin_shapes(pins: FiringPins, layout: VariableLayout):
-    k = layout.horizon
-    for name, width in (("u_plus", layout.n_transitions),
-                        ("u_minus", layout.n_transitions),
-                        ("ul_plus", layout.sum_transitions),
-                        ("ul_minus", layout.sum_transitions)):
-        _check_optional(getattr(pins, name), (k, width), f"pin {name}")
+def _optional(value, name, shape, **flags):
+    return None if value is None else checked_array(value, name, shape, **flags)
 
 
 class _RowBuilder:
@@ -457,12 +394,7 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
 
     ``extra_rows`` is the extension point for additional *linear* rows:
     a tuple (matrix, senses, rhs, labels) over the stacked variables.
-    Quadratic objectives are rejected.
     """
-    if problem.quadratic_cost is not None and np.any(np.asarray(problem.quadratic_cost) != 0):
-        raise UnsupportedFeatureError(
-            "quadratic objective terms are not supported; provide a linear cost only")
-
     net = problem.net
     layout = problem.layout
     horizon = problem.horizon
@@ -552,7 +484,6 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
         pins = getattr(problem.pins, name)
         if pins is None:
             continue
-        pins = np.asarray(pins, dtype=float)
         for k in range(horizon):
             for j in range(width):
                 if not np.isnan(pins[k, j]):
@@ -569,7 +500,6 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
             vec = getattr(problem.boundary, f"{fam}_{tag}")
             if vec is None:
                 continue
-            vec = np.asarray(vec, dtype=float)
             for j, value in enumerate(vec):
                 if not np.isnan(value):
                     label = names[j] if names else str(j)
@@ -618,10 +548,10 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
 
     The subset names rows of the program: its equality rows (state
     transitions, duration coupling, synchronization, pins and boundary
-    values) and any ``extra_rows``, which may be inequalities.  Variable bounds are not rows and hold throughout.  It
-    is found by :func:`heconet.lp.irreducible_infeasible_rows`; the
-    infeasible result itself carries a certified Farkas ray in
-    ``lp_result.duals``.
+    values) and any ``extra_rows``, which may be inequalities.  Variable
+    bounds are not rows and hold throughout.  It is found by
+    :func:`heconet.lp.irreducible_infeasible_rows`; the infeasible result
+    itself carries a certified Farkas ray in ``lp_result.duals``.
     """
     program = build_full(problem, extra_rows)
     result = lp_mod.solve_lp(program, tol)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from heconet.checks import checked_array, set_fields
 from heconet.core import SystemModel, buffer_set, require_valid
 
 
@@ -32,26 +33,15 @@ class IncidenceMatrices:
     capabilities: tuple[str, ...]
 
     def __post_init__(self):
-        n_rows = len(self.operands) * len(self.buffers)
-        n_cols = len(self.capabilities)
-        for name in ("m_plus", "m_minus", "m"):
-            mat = np.asarray(getattr(self, name), dtype=float)
-            if mat.shape != (n_rows, n_cols):
-                raise ValueError(f"{name} must have shape {(n_rows, n_cols)}, got {mat.shape}")
-            mat = mat.copy()
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
-        for name in ("m_plus", "m_minus"):
-            mat = getattr(self, name)
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"{name} must be finite")
-            if np.any(mat < 0):
-                raise ValueError(f"{name} must be nonnegative")
-        if not np.array_equal(self.m, self.m_plus - self.m_minus):
+        shape = (len(self.operands) * len(self.buffers), len(self.capabilities))
+        m_plus = checked_array(self.m_plus, "m_plus", shape, nonneg=True)
+        m_minus = checked_array(self.m_minus, "m_minus", shape, nonneg=True)
+        m = checked_array(self.m, "m", shape)
+        if not np.array_equal(m, m_plus - m_minus):
             raise ValueError("m must equal m_plus - m_minus exactly")
-        object.__setattr__(self, "operands", tuple(self.operands))
-        object.__setattr__(self, "buffers", tuple(self.buffers))
-        object.__setattr__(self, "capabilities", tuple(self.capabilities))
+        set_fields(self, m_plus=m_plus, m_minus=m_minus, m=m,
+                   operands=tuple(self.operands), buffers=tuple(self.buffers),
+                   capabilities=tuple(self.capabilities))
 
     @property
     def n_places(self) -> int:

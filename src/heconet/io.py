@@ -30,6 +30,7 @@ decimal point, ',' as the separator, and '\\n' line endings.
 import csv
 import io as _io
 import json
+import math
 import warnings
 import xml.parsers.expat
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
+from heconet.checks import json_numbers
 from heconet.core import (Capability, Flow, Operand, Process, ProcessKind,
                           Resource, ResourceKind, SystemModel, require_valid)
 from heconet.incidence import IncidenceMatrices, matricize
@@ -338,13 +340,36 @@ def write_incidence_json(inc: IncidenceMatrices) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
+def _nonfinite_path(node, path=""):
+    """Path of the first non-finite number in a parsed document, or None."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return path
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        found = _nonfinite_path(child, f"{path}[{key!r}]" if path else repr(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _load_json(data, what: str) -> dict:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    constants = []
+
+    def constant(name):
+        constants.append(name)
+        return float(name)
+
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, parse_constant=constant)
     except json.JSONDecodeError as exc:
         raise JsonFormatError(f"invalid {what} JSON: {exc}") from None
+    if constants:
+        raise JsonFormatError(
+            f"{what} field {_nonfinite_path(doc) or '(the whole document)'} "
+            f"is not a finite number: {constants[0]}")
     if not isinstance(doc, dict):
         raise JsonFormatError(f"{what} document must be a JSON object")
     return doc
@@ -362,22 +387,6 @@ def _string_list(doc: dict, key: str, what: str) -> list:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise JsonFormatError(f"{what} field {key!r} must be a list of strings")
     return value
-
-
-def _number_rows(doc: dict, key: str, shape, what: str) -> np.ndarray:
-    value = doc.get(key)
-    if not isinstance(value, list) or len(value) != shape[0]:
-        raise JsonFormatError(f"{what} field {key!r} must be a list of {shape[0]} rows")
-    out = np.zeros(shape)
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != shape[1]:
-            raise JsonFormatError(
-                f"{what} field {key!r} row {i} must have {shape[1]} entries")
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise JsonFormatError(f"{what} field {key!r}[{i}][{j}] is not a number")
-            out[i, j] = v
-    return out
 
 
 def read_incidence_json(data) -> IncidenceMatrices:
@@ -398,8 +407,8 @@ def read_incidence_json(data) -> IncidenceMatrices:
             f"shape {shape} disagrees with {len(operands)} operands x {len(buffers)} buffers")
     if cols != len(capabilities):
         raise JsonFormatError(f"shape {shape} disagrees with {len(capabilities)} capabilities")
-    m_plus = _number_rows(doc, "m_plus", (rows, cols), "incidence")
-    m_minus = _number_rows(doc, "m_minus", (rows, cols), "incidence")
+    m_plus, m_minus = (json_numbers(doc.get(key), f"incidence field {key!r}", (rows, cols),
+                                    JsonFormatError) for key in ("m_plus", "m_minus"))
     return IncidenceMatrices(
         m_plus=m_plus, m_minus=m_minus, m=matricize(m_plus, m_minus),
         operands=tuple(operands), buffers=tuple(buffers),
@@ -412,7 +421,8 @@ def read_incidence_json(data) -> IncidenceMatrices:
 @dataclass(frozen=True)
 class Scenario:
     """Economic data for one solve: named demand, factor availability and
-    prices, plus optional horizon/boundary/pin data for time-domain runs."""
+    prices, plus optional horizon/boundary/pin data for time-domain runs
+    (``boundary`` and ``pins`` map names to float arrays, NaN = free)."""
 
     demand: dict
     availability: dict
@@ -423,30 +433,55 @@ class Scenario:
     pins: dict = field(default_factory=dict)
 
 
-def _named_numbers(doc: dict, key: str, required: bool) -> dict:
+def _named_numbers(doc: dict, key: str) -> dict:
     value = doc.get(key)
     if value is None:
-        if required:
-            raise ScenarioError(f"scenario is missing required field {key!r}")
-        return {}
+        raise ScenarioError(f"scenario is missing required field {key!r}")
     if not isinstance(value, dict):
         raise ScenarioError(f"scenario field {key!r} must be an object")
     out = {}
     for name, v in value.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(f"scenario field {key!r}[{name!r}] is not a number")
-        if v < 0:
-            raise ScenarioError(f"scenario field {key!r}[{name!r}] must be >= 0")
-        out[name] = float(v)
+        field_name = f"scenario field {key!r}[{name!r}]"
+        out[name] = float(json_numbers(v, field_name, (), ScenarioError))
+        if out[name] < 0:
+            raise ScenarioError(f"{field_name} must be >= 0")
     return out
 
 
+def _positive(value, name: str, error: type) -> float:
+    value = float(json_numbers(value, name, (), error))
+    if value <= 0:
+        raise error(f"{name} must be a positive number")
+    return value
+
+
+def _time_domain(doc: dict, key: str, shapes: dict) -> dict:
+    """The arrays of the optional ``boundary`` or ``pins`` object; null
+    entries are read as NaN (left free)."""
+    block = doc.get(key, {})
+    if not isinstance(block, dict):
+        raise ScenarioError(f"scenario field {key!r} must be an object")
+    unknown = sorted(set(block) - set(shapes))
+    if unknown:
+        raise ScenarioError(f"scenario field {key!r} has unknown keys: {', '.join(unknown)}")
+    return {name: json_numbers(value, f"scenario field {key!r}[{name!r}]", shapes[name],
+                               ScenarioError, null_ok=True)
+            for name, value in block.items()}
+
+
 def load_scenario(data) -> Scenario:
+    """Read a scenario document.
+
+    ``boundary`` may hold the vectors ``q_b_initial``, ``q_e_initial``,
+    ``q_b_final`` and ``q_e_final``, and ``pins`` the matrix ``u_minus``
+    with ``horizon`` rows; a null entry is free.  Their widths are
+    checked against the model when the time-domain problem is built.
+    """
     doc = _load_json(data, "scenario")
     _expect_schema(doc, SCENARIO_SCHEMA, "scenario")
-    demand = _named_numbers(doc, "demand", required=True)
-    availability = _named_numbers(doc, "availability", required=True)
-    prices = _named_numbers(doc, "prices", required=True)
+    demand = _named_numbers(doc, "demand")
+    availability = _named_numbers(doc, "availability")
+    prices = _named_numbers(doc, "prices")
     if set(availability) != set(prices):
         raise ScenarioError(
             "scenario 'availability' and 'prices' must name the same factors")
@@ -457,15 +492,12 @@ def load_scenario(data) -> Scenario:
     horizon = doc.get("horizon", 1)
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ScenarioError("scenario 'horizon' must be a positive integer")
-    dt = doc.get("dt", 1.0)
-    if isinstance(dt, bool) or not isinstance(dt, (int, float)) or dt <= 0:
-        raise ScenarioError("scenario 'dt' must be a positive number")
-    boundary = doc.get("boundary", {})
-    pins = doc.get("pins", {})
-    if not isinstance(boundary, dict) or not isinstance(pins, dict):
-        raise ScenarioError("scenario 'boundary' and 'pins' must be objects")
+    dt = _positive(doc.get("dt", 1.0), "scenario 'dt'", ScenarioError)
+    boundary = _time_domain(doc, "boundary", dict.fromkeys(
+        ("q_b_initial", "q_e_initial", "q_b_final", "q_e_final"), (None,)))
+    pins = _time_domain(doc, "pins", {"u_minus": (horizon, None)})
     return Scenario(demand=demand, availability=availability, prices=prices,
-                    horizon=horizon, dt=float(dt), boundary=boundary, pins=pins)
+                    horizon=horizon, dt=dt, boundary=boundary, pins=pins)
 
 
 def vectors_from_scenario(model: SystemModel, scenario: Scenario):
@@ -502,31 +534,15 @@ def load_schedule(data):
     """
     doc = _load_json(data, "schedule")
     _expect_schema(doc, SCHEDULE_SCHEMA, "schedule")
-    u = doc.get("u_minus")
-    if not isinstance(u, list) or not u or not all(isinstance(r, list) for r in u):
-        raise JsonFormatError("schedule 'u_minus' must be a non-empty list of rows")
-    width = len(u[0])
-    arr = np.zeros((len(u), width))
-    for k, row in enumerate(u):
-        if len(row) != width:
-            raise JsonFormatError(f"schedule 'u_minus' row {k} has ragged length")
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise JsonFormatError(f"schedule 'u_minus'[{k}][{j}] is not a number")
-            arr[k, j] = v
-
-    def _vector(key):
-        value = doc.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, list):
-            raise JsonFormatError(f"schedule {key!r} must be a list of numbers")
-        return np.array([float(v) for v in value])
-
+    u_minus = json_numbers(doc.get("u_minus"), "schedule 'u_minus'", (None, None),
+                           JsonFormatError)
+    q_b, q_e = (None if doc.get(key) is None
+                else json_numbers(doc[key], f"schedule {key!r}", (None,), JsonFormatError)
+                for key in ("q_b", "q_e"))
     dt = doc.get("dt")
-    if dt is not None and (isinstance(dt, bool) or not isinstance(dt, (int, float)) or dt <= 0):
-        raise JsonFormatError("schedule 'dt' must be a positive number")
-    return arr, _vector("q_b"), _vector("q_e"), None if dt is None else float(dt)
+    if dt is not None:
+        dt = _positive(dt, "schedule 'dt'", JsonFormatError)
+    return u_minus, q_b, q_e, dt
 
 
 # --------------------------------------------------------------------------

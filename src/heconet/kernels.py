@@ -1,31 +1,15 @@
-"""Hot numeric loops.
+"""Hot numeric loops, in plain numpy.
 
-The trajectory roll and the power iteration are written once in
-numpy-compatible form; at import time the module selects between the
-plain function and its ``numba.njit`` compilation.  Set
-``HECONET_DISABLE_NUMBA=1`` (or uninstall numba) to force the
-pure-numpy path.  The undecorated functions stay reachable under a
-``_py`` suffix and the compiled ones under ``_jit`` so the two paths
-can be compared directly.  The simplex kernel works on sparse columns
-with numpy array operations and has no compiled twin.
+The trajectory roll is one cumulative sum over the schedule, the
+spectral radius a shifted power iteration, and the simplex kernel works
+on sparse columns with numpy array operations.
 """
-
-import os
-import warnings
 
 import numpy as np
 
-_DISABLE = os.environ.get("HECONET_DISABLE_NUMBA", "").strip().lower() not in ("", "0", "false", "no")
-
+# The kernels are never compiled; the benchmark's environment stamp
+# records this flag.
 USING_NUMBA = False
-if not _DISABLE:
-    try:
-        import numba
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        warnings.warn("numba is not importable; falling back to pure-numpy kernels",
-                      RuntimeWarning, stacklevel=2)
 
 # Simplex iteration outcomes.
 OPTIMAL = 0
@@ -206,27 +190,34 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
             since_refactor = 0
 
 
-def esn_trajectory_py(m_plus, m_minus, qb0, qe0, u_plus, u_minus, dt):
+def esn_trajectory(m_plus, m_minus, qb0, qe0, u_plus, u_minus, dt):
     """Roll a timed-net state forward over a firing schedule.
 
     qb[k+1] = qb[k] + (m_plus u_plus[k] - m_minus u_minus[k]) dt
     qe[k+1] = qe[k] + (u_minus[k] - u_plus[k]) dt
 
     Returns the (K+1, n_places) and (K+1, n_transitions) trajectories
-    including the initial state.
+    including the initial state.  Each trajectory is the cumulative sum
+    of its initial state and the per-step changes, added in step order.
     """
     horizon = u_minus.shape[0]
     qb = np.empty((horizon + 1, qb0.shape[0]))
     qe = np.empty((horizon + 1, qe0.shape[0]))
     qb[0] = qb0
     qe[0] = qe0
-    for k in range(horizon):
-        qb[k + 1] = qb[k] + dt * (np.dot(m_plus, u_plus[k]) - np.dot(m_minus, u_minus[k]))
-        qe[k + 1] = qe[k] + dt * (u_minus[k] - u_plus[k])
+    # einsum rather than a BLAS matrix product: on a long schedule the
+    # product starts BLAS's thread pool, whose buffers raise peak memory.
+    np.einsum("kt,pt->kp", u_plus, m_plus, out=qb[1:])
+    qb[1:] -= np.einsum("kt,pt->kp", u_minus, m_minus)
+    qb[1:] *= dt
+    np.subtract(u_minus, u_plus, out=qe[1:])
+    qe[1:] *= dt
+    np.cumsum(qb, axis=0, out=qb)
+    np.cumsum(qe, axis=0, out=qe)
     return qb, qe
 
 
-def nonneg_power_radius_py(a, tol, max_iter):
+def nonneg_power_radius(a, tol, max_iter):
     """Spectral radius of a nonnegative square matrix by power iteration.
 
     Iterates on ``a + I`` instead of ``a``: the shift leaves the
@@ -250,14 +241,3 @@ def nonneg_power_radius_py(a, tol, max_iter):
         est = norm
     return est - 1.0, max_iter, False
 
-
-if USING_NUMBA:
-    esn_trajectory_jit = numba.njit(cache=True)(esn_trajectory_py)
-    nonneg_power_radius_jit = numba.njit(cache=True)(nonneg_power_radius_py)
-    esn_trajectory = esn_trajectory_jit
-    nonneg_power_radius = nonneg_power_radius_jit
-else:
-    esn_trajectory_jit = None
-    nonneg_power_radius_jit = None
-    esn_trajectory = esn_trajectory_py
-    nonneg_power_radius = nonneg_power_radius_py

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from heconet import kernels
+from heconet.checks import checked_array, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -30,17 +31,6 @@ class SingularSystemError(RuntimeError):
     """The Leontief system could not be solved to the required residual."""
 
 
-def _as_square_coefficients(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("coefficient matrix must be finite")
-    if np.any(a < 0):
-        raise ValueError("coefficient matrix must be nonnegative")
-    return a
-
-
 @dataclass(frozen=True)
 class SquareEio:
     """One-technology-per-sector economy: coefficients plus factor rows."""
@@ -51,26 +41,15 @@ class SquareEio:
     factor_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        a = _as_square_coefficients(self.a).copy()
-        f = np.asarray(self.f, dtype=float)
-        if f.ndim != 2 or f.shape[1] != a.shape[0]:
-            raise ValueError(
-                f"factor matrix must have {a.shape[0]} columns, got shape {f.shape}")
-        if not np.all(np.isfinite(f)) or np.any(f < 0):
-            raise ValueError("factor matrix must be finite and nonnegative")
+        a = checked_array(self.a, "coefficient matrix", ("n", "n"), nonneg=True)
+        f = checked_array(self.f, "factor matrix", (None, a.shape[0]), nonneg=True)
         labels = tuple(self.labels) or tuple(f"s{i + 1}" for i in range(a.shape[0]))
         factor_labels = tuple(self.factor_labels) or tuple(f"f{i + 1}" for i in range(f.shape[0]))
         if len(labels) != a.shape[0]:
             raise ValueError("labels must match the number of sectors")
         if len(factor_labels) != f.shape[0]:
             raise ValueError("factor_labels must match the number of factor rows")
-        a.setflags(write=False)
-        f = f.copy()
-        f.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "factor_labels", factor_labels)
+        set_fields(self, a=a, f=f, labels=labels, factor_labels=factor_labels)
 
     @property
     def n_sectors(self) -> int:
@@ -83,16 +62,10 @@ def coefficients_from_flows(z, x) -> np.ndarray:
     ``z`` is the inter-industry flow matrix, ``x`` the gross output
     vector; every sector must have strictly positive output.
     """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise ValueError(f"flow matrix must be square, got shape {z.shape}")
-    if x.shape != (z.shape[0],):
-        raise ValueError(f"output vector must have length {z.shape[0]}")
-    if not np.all(np.isfinite(z)) or np.any(z < 0):
-        raise ValueError("flow matrix must be finite and nonnegative")
+    z = checked_array(z, "flow matrix", ("n", "n"), nonneg=True)
+    x = checked_array(x, "output vector", (z.shape[0],))
     for j, xj in enumerate(x):
-        if not np.isfinite(xj) or xj <= 0:
+        if xj <= 0:
             raise ValueError(
                 f"gross output of sector {j} must be strictly positive, got {xj!r}")
     return z / x[np.newaxis, :]
@@ -100,7 +73,7 @@ def coefficients_from_flows(z, x) -> np.ndarray:
 
 def spectral_radius(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Power-iteration estimate of the spectral radius of nonnegative a."""
-    a = _as_square_coefficients(a)
+    a = checked_array(a, "coefficient matrix", ("n", "n"), nonneg=True)
     radius, _, converged = kernels.nonneg_power_radius(
         a, tol.spectral_tol, tol.spectral_max_iter)
     if not converged:
@@ -119,7 +92,7 @@ def _require_productive(a, tol: Tolerances) -> None:
 
 def leontief_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Total-requirements matrix (I - a)^-1 for a productive economy."""
-    a = _as_square_coefficients(a)
+    a = checked_array(a, "coefficient matrix", ("n", "n"), nonneg=True)
     _require_productive(a, tol)
     n = a.shape[0]
     eye = np.eye(n)
@@ -141,11 +114,7 @@ def solve(eio: SquareEio, y, tol: Tolerances = DEFAULT_TOLERANCES):
     nonnegative; a negative computed output (possible only through
     numeric degeneracy) is reported as a warning, not silently clipped.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (eio.n_sectors,):
-        raise ValueError(f"demand must have length {eio.n_sectors}")
-    if not np.all(np.isfinite(y)) or np.any(y < 0):
-        raise ValueError("demand must be finite and nonnegative")
+    y = checked_array(y, "demand", (eio.n_sectors,), nonneg=True)
     _require_productive(eio.a, tol)
     eye = np.eye(eio.n_sectors)
     try:

@@ -33,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from heconet import kernels
+from heconet.checks import checked_array, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 
 LESS_EQUAL = "<="
@@ -83,53 +84,35 @@ class LinearProgram:
     row_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        cost = np.atleast_1d(np.asarray(self.cost, dtype=float)).copy()
-        rows = np.asarray(self.rows, dtype=float).copy()
-        if rows.size == 0:
-            rows = rows.reshape(0, cost.shape[0])
-        if rows.ndim != 2 or rows.shape[1] != cost.shape[0]:
-            raise ValueError(
-                f"rows must be a matrix with {cost.shape[0]} columns, got shape {rows.shape}")
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float)).copy()
-        if rhs.shape != (rows.shape[0],):
-            raise ValueError(f"rhs must have length {rows.shape[0]}")
+        cost = checked_array(self.cost, "cost", (None,))
+        n = cost.shape[0]
+        rows = self.rows if np.size(self.rows) else np.zeros((0, n))
+        rows = checked_array(rows, "rows", (None, n))
+        m = rows.shape[0]
+        rhs = checked_array(self.rhs, "rhs", (m,))
         senses = tuple(self.senses)
-        if len(senses) != rows.shape[0]:
-            raise ValueError(f"senses must have length {rows.shape[0]}")
+        if len(senses) != m:
+            raise ValueError(f"senses must have length {m}")
         for s in senses:
             if s not in _SENSES:
                 raise ValueError(f"unknown sense {s!r}; expected one of {_SENSES}")
-        n = cost.shape[0]
-        lower = np.zeros(n) if self.lower is None else np.atleast_1d(np.asarray(self.lower, dtype=float)).copy()
-        upper = np.full(n, np.inf) if self.upper is None else np.atleast_1d(np.asarray(self.upper, dtype=float)).copy()
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError(f"bounds must have length {n}")
-        for name, arr in (("cost", cost), ("rows", rows), ("rhs", rhs)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-            raise ValueError("bounds must not be NaN")
+        lower = checked_array(np.zeros(n) if self.lower is None else self.lower,
+                              "lower", (n,), inf_ok=True)
+        upper = checked_array(np.full(n, np.inf) if self.upper is None else self.upper,
+                              "upper", (n,), inf_ok=True)
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValueError("lower bounds must be < +inf and upper bounds > -inf")
         if np.any(lower > upper):
             bad = int(np.argmax(lower > upper))
             raise ValueError(f"lower bound exceeds upper bound for variable {bad}")
         var_labels = tuple(self.var_labels) or tuple(f"x{j + 1}" for j in range(n))
-        row_labels = tuple(self.row_labels) or tuple(f"r{i + 1}" for i in range(rows.shape[0]))
+        row_labels = tuple(self.row_labels) or tuple(f"r{i + 1}" for i in range(m))
         if len(var_labels) != n:
             raise ValueError("var_labels must match the number of variables")
-        if len(row_labels) != rows.shape[0]:
+        if len(row_labels) != m:
             raise ValueError("row_labels must match the number of rows")
-        for arr in (cost, rows, rhs, lower, upper):
-            arr.setflags(write=False)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "senses", senses)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "var_labels", var_labels)
-        object.__setattr__(self, "row_labels", row_labels)
+        set_fields(self, cost=cost, rows=rows, senses=senses, rhs=rhs, lower=lower,
+                   upper=upper, var_labels=var_labels, row_labels=row_labels)
 
     @property
     def n_vars(self) -> int:

@@ -19,21 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from heconet import kernels
+from heconet.checks import checked_array, read_only, set_fields
 from heconet.incidence import IncidenceMatrices
 
 # Tokens in flight must stay nonnegative up to roundoff.
 QE_FLOOR = -1e-9
-
-
-def _as_vector(value, length: int, name: str, nonneg: bool = False) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (length,):
-        raise ValueError(f"{name} must have shape ({length},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    if nonneg and np.any(arr < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,19 +34,12 @@ class Marking:
     q_e: np.ndarray
 
     def __post_init__(self):
-        q_b = np.asarray(self.q_b, dtype=float).copy()
-        q_e = np.asarray(self.q_e, dtype=float).copy()
-        if q_b.ndim != 1 or q_e.ndim != 1:
-            raise ValueError("markings must be vectors")
-        if not (np.all(np.isfinite(q_b)) and np.all(np.isfinite(q_e))):
-            raise ValueError("markings must be finite")
-        if np.any(q_e < QE_FLOOR):
+        q_b = checked_array(self.q_b, "q_b", (None,))
+        q_e = checked_array(self.q_e, "q_e", (None,))
+        if (q_e < QE_FLOOR).any():
             raise ValueError(
                 f"tokens in flight must be nonnegative, got min {q_e.min():g}")
-        q_b.setflags(write=False)
-        q_e.setflags(write=False)
-        object.__setattr__(self, "q_b", q_b)
-        object.__setattr__(self, "q_e", q_e)
+        set_fields(self, q_b=q_b, q_e=q_e)
 
 
 def _check_durations(durations, n: int) -> np.ndarray:
@@ -71,8 +54,7 @@ def _check_durations(durations, n: int) -> np.ndarray:
     arr = arr.astype(np.int64)
     if np.any(arr < 0):
         raise ValueError("durations must be nonnegative")
-    arr.setflags(write=False)
-    return arr
+    return read_only(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +73,7 @@ class EngineeringSystemNet:
         dt = float(self.dt)
         if not np.isfinite(dt) or dt <= 0:
             raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-        object.__setattr__(self, "durations", durations)
-        object.__setattr__(self, "dt", dt)
+        set_fields(self, durations=durations, dt=dt)
 
     @property
     def n_places(self) -> int:
@@ -128,14 +109,8 @@ class OperandNet:
         places = tuple(self.places)
         transitions = tuple(self.transitions)
         shape = (len(places), len(transitions))
-        m_plus = np.asarray(self.m_plus, dtype=float).copy()
-        m_minus = np.asarray(self.m_minus, dtype=float).copy()
-        for name, mat in (("m_plus", m_plus), ("m_minus", m_minus)):
-            if mat.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {mat.shape}")
-            if not np.all(np.isfinite(mat)) or np.any(mat < 0):
-                raise ValueError(f"{name} must be finite and nonnegative")
-            mat.setflags(write=False)
+        m_plus = checked_array(self.m_plus, "m_plus", shape, nonneg=True)
+        m_minus = checked_array(self.m_minus, "m_minus", shape, nonneg=True)
         if self.marking.q_b.shape != (len(places),) or self.marking.q_e.shape != (len(transitions),):
             raise ValueError("marking shapes do not match places/transitions")
         durations = self.durations
@@ -145,12 +120,8 @@ class OperandNet:
         dt = float(self.dt)
         if not np.isfinite(dt) or dt <= 0:
             raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-        object.__setattr__(self, "places", places)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "m_plus", m_plus)
-        object.__setattr__(self, "m_minus", m_minus)
-        object.__setattr__(self, "durations", durations)
-        object.__setattr__(self, "dt", dt)
+        set_fields(self, places=places, transitions=transitions, m_plus=m_plus,
+                   m_minus=m_minus, durations=durations, dt=dt)
 
     @property
     def n_places(self) -> int:
@@ -164,8 +135,8 @@ class OperandNet:
 def step_esn(net: EngineeringSystemNet, marking: Marking, u_minus, u_plus) -> Marking:
     """Apply one state-transition step; the input marking is untouched."""
     n = net.n_transitions
-    u_minus = _as_vector(u_minus, n, "u_minus", nonneg=True)
-    u_plus = _as_vector(u_plus, n, "u_plus", nonneg=True)
+    u_minus = checked_array(u_minus, "u_minus", (n,), nonneg=True)
+    u_plus = checked_array(u_plus, "u_plus", (n,), nonneg=True)
     if marking.q_b.shape != (net.n_places,) or marking.q_e.shape != (n,):
         raise ValueError("marking shapes do not match the net")
     q_b = marking.q_b + net.dt * (net.incidence.m_plus @ u_plus - net.incidence.m_minus @ u_minus)
@@ -176,8 +147,8 @@ def step_esn(net: EngineeringSystemNet, marking: Marking, u_minus, u_plus) -> Ma
 def step_operand_net(onet: OperandNet, u_minus, u_plus) -> Marking:
     """One step of an operand net from its stored marking."""
     n = onet.n_transitions
-    u_minus = _as_vector(u_minus, n, "u_minus", nonneg=True)
-    u_plus = _as_vector(u_plus, n, "u_plus", nonneg=True)
+    u_minus = checked_array(u_minus, "u_minus", (n,), nonneg=True)
+    u_plus = checked_array(u_plus, "u_plus", (n,), nonneg=True)
     q_b = onet.marking.q_b + onet.dt * (onet.m_plus @ u_plus - onet.m_minus @ u_minus)
     q_e = onet.marking.q_e + onet.dt * (u_minus - u_plus)
     return Marking(q_b, q_e)
@@ -255,6 +226,8 @@ def simulate(net: EngineeringSystemNet, initial: Marking, schedule) -> Simulatio
     would complete beyond the horizon are dropped with a warning and
     reported in the result.
     """
+    # Checked in place, not copied: a copy of a long schedule would add
+    # its whole size to peak memory.
     schedule = np.asarray(schedule, dtype=float)
     if schedule.ndim != 2 or schedule.shape[1] != net.n_transitions:
         raise ValueError(

@@ -12,17 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from heconet import lp
+from heconet.checks import checked_array, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 from heconet.incidence import IncidenceMatrices
 from heconet.leontief import SquareEio
 from heconet.lp import LinearProgram, LpStatus
-
-
-def _finite_nonneg(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +39,7 @@ class RcotInstance:
     factor_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        i_star = np.asarray(self.i_star, dtype=float).copy()
-        if i_star.ndim != 2:
-            raise ValueError("i_star must be a matrix")
+        i_star = checked_array(self.i_star, "i_star", (None, None))
         n, t = i_star.shape
         if t < n:
             raise ValueError(f"need at least as many technologies as sectors, got {t} < {n}")
@@ -62,41 +54,21 @@ class RcotInstance:
             bad = int(np.argmax(row_sums < 1.0))
             raise ValueError(f"sector row {bad} has no technology")
 
-        a_star = np.asarray(self.a_star, dtype=float).copy()
-        f_star = np.asarray(self.f_star, dtype=float).copy()
-        y = np.asarray(self.y, dtype=float).copy()
-        f = np.asarray(self.f, dtype=float).copy()
-        pi = np.asarray(self.pi, dtype=float).copy()
-        k = f_star.shape[0] if f_star.ndim == 2 else -1
-        if a_star.shape != (n, t):
-            raise ValueError(f"a_star must have shape {(n, t)}, got {a_star.shape}")
-        if f_star.ndim != 2 or f_star.shape[1] != t:
-            raise ValueError(f"f_star must have {t} columns, got shape {f_star.shape}")
-        if y.shape != (n,):
-            raise ValueError(f"y must have length {n}")
-        if f.shape != (k,) or pi.shape != (k,):
-            raise ValueError(f"f and pi must have length {k}")
-        for name, arr in (("a_star", a_star), ("f_star", f_star),
-                          ("y", y), ("f", f), ("pi", pi)):
-            _finite_nonneg(name, arr)
+        a_star = checked_array(self.a_star, "a_star", (n, t), nonneg=True)
+        f_star = checked_array(self.f_star, "f_star", (None, t), nonneg=True)
+        k = f_star.shape[0]
+        y = checked_array(self.y, "y", (n,), nonneg=True)
+        f = checked_array(self.f, "f", (k,), nonneg=True)
+        pi = checked_array(self.pi, "pi", (k,), nonneg=True)
 
         tech_labels = tuple(self.tech_labels) or tuple(f"t{j + 1}" for j in range(t))
         sector_labels = tuple(self.sector_labels) or tuple(f"s{i + 1}" for i in range(n))
         factor_labels = tuple(self.factor_labels) or tuple(f"f{i + 1}" for i in range(k))
         if len(tech_labels) != t or len(sector_labels) != n or len(factor_labels) != k:
             raise ValueError("label lengths must match matrix dimensions")
-
-        for arr in (i_star, a_star, f_star, y, f, pi):
-            arr.setflags(write=False)
-        object.__setattr__(self, "i_star", i_star)
-        object.__setattr__(self, "a_star", a_star)
-        object.__setattr__(self, "f_star", f_star)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "tech_labels", tech_labels)
-        object.__setattr__(self, "sector_labels", sector_labels)
-        object.__setattr__(self, "factor_labels", factor_labels)
+        set_fields(self, i_star=i_star, a_star=a_star, f_star=f_star, y=y, f=f, pi=pi,
+                   tech_labels=tech_labels, sector_labels=sector_labels,
+                   factor_labels=factor_labels)
 
     @property
     def n_sectors(self) -> int:

@@ -137,7 +137,8 @@ def water_cut_problem(economy_incidence):
 
 @pytest.fixture(scope="session")
 def warm_kernels():
-    """Trigger jit compilation once so timed assertions measure solves."""
+    """Run the solver and kernels once so timed assertions measure
+    solves, not first calls."""
     from heconet import kernels, lp
     from heconet.lp import LinearProgram, solve_lp
     program = LinearProgram(cost=[1.0], rows=[[1.0]], senses=(lp.GREATER_EQUAL,),
@@ -146,7 +147,6 @@ def warm_kernels():
     kernels.esn_trajectory(np.ones((1, 1)), np.ones((1, 1)), np.zeros(1),
                            np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
     kernels.nonneg_power_radius(np.array([[0.5]]), 1e-10, 100)
-    return kernels.USING_NUMBA
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -282,6 +283,55 @@ def test_malformed_xml_exits_two(runner, tmp_path):
     assert "error:" in result.stderr
 
 
+def changed_copy(tmp_path, source, edit) -> str:
+    """Path of a copy of the JSON document ``source`` after ``edit(doc)``;
+    "@@...@@" strings are written as the bare literal between the markers."""
+    doc = json.loads(open(source).read())
+    edit(doc)
+    path = tmp_path / "changed.json"
+    path.write_text(re.sub(r'"@@(.*?)@@"', r"\1", json.dumps(doc)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["hfnmcf-full", "rcot", "leontief"])
+def test_nan_demand_exits_two(runner, tmp_path, square_files, command):
+    # hfnmcf-full once read a NaN demand as a free boundary entry and
+    # solved the program without that product's demand
+    model, scenario = square_files if command == "leontief" else (ECONOMY, SCENARIO)
+    product = "p1" if command == "leontief" else "man"
+    path = changed_copy(tmp_path, scenario,
+                        lambda doc: doc["demand"].update({product: float("nan")}))
+    result = runner.invoke(main, [command, model, path])
+    assert result.exit_code == 2, result.output
+    assert f"'demand'['{product}'] is not a finite number" in result.stderr
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "1e999"])
+def test_infinite_availability_exits_two(runner, tmp_path, literal):
+    path = changed_copy(tmp_path, SCENARIO,
+                        lambda doc: doc["availability"].update({"water": f"@@{literal}@@"}))
+    result = runner.invoke(main, ["rcot", ECONOMY, path])
+    assert result.exit_code == 2, result.output
+    assert "'availability'['water']" in result.stderr
+
+
+@pytest.mark.parametrize("command, model, source, changes, field", [
+    ("simulate", CHAIN, SCHEDULE, {"q_b": [None, 0, 0, 0]}, "schedule 'q_b'[0]"),
+    ("simulate", CHAIN, SCHEDULE, {"q_b": [[1]]}, "schedule 'q_b'[0]"),
+    ("simulate", CHAIN, SCHEDULE, {"q_b": [True, False, False, False]}, "schedule 'q_b'[0]"),
+    ("hfnmcf-full", ECONOMY, SCENARIO, {"horizon": 2, "boundary": {"q_b_initial": 5}},
+     "'boundary'['q_b_initial']"),
+    ("hfnmcf-full", ECONOMY, SCENARIO, {"horizon": 2, "pins": {"u_minus": 3}},
+     "'pins'['u_minus']"),
+], ids=["q_b-null", "q_b-nested", "q_b-bool", "boundary-scalar", "pins-scalar"])
+def test_malformed_documents_exit_two(runner, tmp_path, command, model, source, changes,
+                                      field):
+    path = changed_copy(tmp_path, source, lambda doc: doc.update(changes))
+    result = runner.invoke(main, [command, model, path])
+    assert result.exit_code == 2, result.output
+    assert field in result.stderr
+
+
 def test_infeasible_program_exits_three(runner, tmp_path):
     scenario = json.loads((DATA / "three_sector_scenario.json").read_text())
     scenario["availability"]["water"] = 1.0  # far too little to meet demand
@@ -297,7 +347,6 @@ def test_cli_import_does_not_pull_in_scipy():
     package_root = os.path.dirname(os.path.dirname(heconet.__file__))
     out = subprocess.run([sys.executable, "-c",
                           "import sys, heconet.cli; print('scipy' in sys.modules)"],
-                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
-                              "HECONET_DISABLE_NUMBA": "1"},
+                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False"]

@@ -1,0 +1,115 @@
+"""Fuzz test of the command line's exit-code contract.
+
+Each example takes one bundled input document (model XML, scenario,
+schedule or tolerance file), breaks one field of it (a wrong type, a
+null, a non-finite or overflowing number, a ragged row, a missing key)
+and runs a command on it.  Whatever the input, the command must exit
+0, 2, 3 or 4 through ``sys.exit``: never with a traceback, and never
+with 1, which means a failed golden-case comparison.
+"""
+
+import copy
+import json
+import re
+from importlib import resources
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from heconet.cli import main
+
+DATA = resources.files("heconet") / "data"
+ECONOMY = str(DATA / "three_sector_economy.xml")
+SCENARIO = str(DATA / "three_sector_scenario.json")
+CHAIN = str(DATA / "two_node_chain.xml")
+SCHEDULE = str(DATA / "two_node_schedule.json")
+
+SCENARIO_DOC = json.loads((DATA / "three_sector_scenario.json").read_text())
+TIMED_SCENARIO_DOC = dict(
+    SCENARIO_DOC, horizon=2,
+    boundary={"q_b_initial": [-20.0, -25.0, -22.0, 540.0, 342.0],
+              "q_e_initial": [0, 0, 0, 0, 0, 0],
+              "q_b_final": [0.0, 0.0, 0.0, None, None]},
+    pins={"u_minus": [[None] * 6, [0, 0, 0, 0, 0, 0]]})
+SCHEDULE_DOC = json.loads((DATA / "two_node_schedule.json").read_text())
+TOLERANCE_DOC = {"lp_pivot": 1e-11, "lp_max_iter": 50_000, "spectral_max_iter": 10_000}
+
+DELETE = object()
+# "@@...@@" strings are written as the bare literal between the markers:
+# json.dumps has no form for an overflowing number.
+BAD_JSON = [DELETE, None, True, "x", [], {}, [1.0, [2.0]], [[1.0], [1.0, 2.0]],
+            -1, 0, 1e300, "@@NaN@@", "@@Infinity@@", "@@-Infinity@@", "@@1e999@@"]
+BAD_XML = ["", "nan", "inf", "-1", "1e999", "abc", "0.5", "2"]
+
+JSON_CASES = [
+    (SCENARIO_DOC, lambda path: ["rcot", ECONOMY, path]),
+    (SCENARIO_DOC, lambda path: ["hfnmcf-static", ECONOMY, path]),
+    (SCENARIO_DOC, lambda path: ["hfnmcf-full", ECONOMY, path]),
+    (SCENARIO_DOC, lambda path: ["leontief", ECONOMY, path]),
+    (TIMED_SCENARIO_DOC, lambda path: ["hfnmcf-full", ECONOMY, path]),
+    (SCHEDULE_DOC, lambda path: ["simulate", CHAIN, path]),
+    (TOLERANCE_DOC, lambda path: ["--tolerance-config", path, "rcot", ECONOMY, SCENARIO]),
+]
+XML_CASES = [
+    (ECONOMY, lambda path: ["rcot", path, SCENARIO]),
+    (CHAIN, lambda path: ["simulate", path, SCHEDULE]),
+]
+
+
+def paths(node, prefix=()):
+    """Every key path into a parsed JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+def mutated(doc, path, value) -> str:
+    """``doc`` as JSON text, with the entry at ``path`` set to ``value``
+    or deleted."""
+    doc = copy.deepcopy(doc)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    elif value is not DELETE:
+        doc = value
+    return re.sub(r'"@@(.*?)@@"', r"\1", json.dumps(doc))
+
+
+@st.composite
+def broken_inputs(draw):
+    """(file text, function of the file's path giving the CLI arguments)."""
+    if draw(st.integers(0, 3)) == 0:
+        source, args = draw(st.sampled_from(XML_CASES))
+        text = open(source, encoding="utf-8").read()
+        if draw(st.booleans()):
+            lines = text.splitlines()
+            del lines[draw(st.integers(0, len(lines) - 1))]
+            return "\n".join(lines), args
+        spans = [m.span(1) for m in re.finditer(r'\w+="([^"]*)"', text)]
+        start, end = draw(st.sampled_from(spans))
+        return text[:start] + draw(st.sampled_from(BAD_XML)) + text[end:], args
+    doc, args = draw(st.sampled_from(JSON_CASES))
+    path = draw(st.sampled_from(list(paths(doc))))
+    return mutated(doc, path, draw(st.sampled_from(BAD_JSON))), args
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=broken_inputs())
+def test_broken_inputs_keep_the_exit_code_contract(tmp_path, case):
+    text, args = case
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, args(str(path)))
+    report = f"{args(str(path))}\n{text}\n{result.output}"
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        f"{result.exception!r}\n{report}"
+    assert result.exit_code in (0, 2, 3, 4), report

@@ -211,7 +211,7 @@ def test_incidence_json_errors():
         read_incidence_json(incidence_doc(shape=[2, 1]))
     with pytest.raises(JsonFormatError, match="disagrees with 1 capabilities"):
         read_incidence_json(incidence_doc(shape=[1, 2]))
-    with pytest.raises(JsonFormatError, match="row 0 must have 1 entries"):
+    with pytest.raises(JsonFormatError, match="row 0 must be a list of 1 numbers"):
         read_incidence_json(incidence_doc(m_plus=[[1.0, 2.0]]))
     with pytest.raises(JsonFormatError, match="is not a number"):
         read_incidence_json(incidence_doc(m_minus=[[True]]))
@@ -322,13 +322,13 @@ def test_schedule_defaults_and_errors():
 
     with pytest.raises(JsonFormatError, match="non-empty list of rows"):
         load_schedule(schedule_doc(u_minus=[]))
-    with pytest.raises(JsonFormatError, match="ragged length"):
+    with pytest.raises(JsonFormatError, match="row 1 must be a list of 2 numbers"):
         load_schedule(schedule_doc(u_minus=[[1.0, 2.0], [3.0]]))
     with pytest.raises(JsonFormatError, match="is not a number"):
         load_schedule(schedule_doc(u_minus=[[1.0, None]]))
     with pytest.raises(JsonFormatError, match="'dt' must be a positive number"):
         load_schedule(schedule_doc(dt=0))
-    with pytest.raises(JsonFormatError, match="'q_e' must be a list"):
+    with pytest.raises(JsonFormatError, match="'q_e' must be a non-empty list of numbers"):
         load_schedule(schedule_doc(q_e=7))
     with pytest.raises(JsonFormatError, match="schema mismatch"):
         load_schedule(json.dumps({"schema": "x", "u_minus": [[1.0]]}))
