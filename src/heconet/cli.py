@@ -8,6 +8,7 @@ failure.
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from functools import wraps
 from pathlib import Path
 
@@ -202,7 +203,10 @@ def hfnmcf_full(ctx, model_xml, scenario_json):
         problem = hfnmcf.embed_static(model, y, f, pi, f_star)
     else:
         problem = _problem_from_scenario(model, inc, scenario, y, f, pi, f_star)
-    sol = hfnmcf.solve_full(problem, tol=ctx.obj["tol"])
+    with warnings.catch_warnings():
+        # the conflicting rows are reported once, below
+        warnings.simplefilter("ignore", hfnmcf.InfeasibilityWarning)
+        sol = hfnmcf.solve_full(problem, tol=ctx.obj["tol"])
     if sol.status is not LpStatus.OPTIMAL:
         if sol.infeasible_rows:
             click.echo("conflicting rows: " + ", ".join(sol.infeasible_rows), err=True)
@@ -254,11 +258,8 @@ def simulate(ctx, model_xml, schedule_json):
     for w in caught:
         click.echo(f"warning: {w.message}", err=True)
     if ctx.obj["format"] == "json":
-        doc = {"q_b": [[float(v) for v in row] for row in result.q_b],
-               "q_e": [[float(v) for v in row] for row in result.q_e],
-               "dropped": [{"step": d.step, "transition": d.transition,
-                            "amount": d.amount, "completes_at": d.completes_at}
-                           for d in result.dropped]}
+        doc = {"q_b": result.q_b.tolist(), "q_e": result.q_e.tolist(),
+               "dropped": [asdict(d) for d in result.dropped]}
         _write(ctx, (json.dumps(doc, indent=2) + "\n").encode())
     else:
         _write(ctx, io.emit_trajectory_csv(

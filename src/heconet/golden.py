@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from heconet import hfnmcf, rcot
+from heconet.checks import json_numbers
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 from heconet.core import SystemModel, capability_label
 from heconet.incidence import build_incidence
@@ -78,14 +77,33 @@ class GoldenReport:
         return "\n".join([head] + [f"  {v}" for v in self.values])
 
 
+def _numbers(block, name: str, shapes: dict) -> dict:
+    """The entries of the object ``block`` named in ``shapes``, read as
+    JSON numbers: a float for shape (), a list of floats for (None,)."""
+    if not isinstance(block, dict):
+        raise JsonFormatError(f"{name} must be an object")
+    return {key: json_numbers(block.get(key), f"{name} {key!r}", shape,
+                              JsonFormatError).tolist()
+            for key, shape in shapes.items()}
+
+
 def _expected_block(doc: dict, case_name: str) -> dict:
+    """The expected values with every number checked: a mistyped entry is
+    a malformed case, never a failed comparison."""
     exp = doc.get("expected")
     if not isinstance(exp, dict):
         raise JsonFormatError(f"case {case_name!r} has no 'expected' object")
     for key in ("objective", "x", "factor_use"):
         if key not in exp:
             raise JsonFormatError(f"case {case_name!r} expected block lacks {key!r}")
-    return exp
+    uses = exp["factor_use"]
+    if not isinstance(uses, dict):
+        raise JsonFormatError("expected 'factor_use' must be an object")
+    pair = {"value": (), "tolerance": ()}
+    return {"objective": _numbers(exp["objective"], "expected 'objective'", pair),
+            "x": _numbers(exp["x"], "expected 'x'", {"values": (None,), "tolerance": ()}),
+            "factor_use": {name: _numbers(block, f"expected 'factor_use' {name!r}", pair)
+                           for name, block in uses.items()}}
 
 
 def load_case(path) -> GoldenCase:
@@ -94,11 +112,13 @@ def load_case(path) -> GoldenCase:
     path = Path(path)
     doc = _load_json(path.read_bytes(), "golden case")
     _expect_schema(doc, GOLDEN_SCHEMA, "golden case")
+    for key in ("model", "scenario"):
+        if not isinstance(doc.get(key), str):
+            raise JsonFormatError(f"golden case {key!r} must be a file path")
     name = doc.get("name", path.stem)
     base = path.parent
-    model = base / doc["model"]
-    scenario = base / doc["scenario"]
-    return GoldenCase(name=name, model_path=model, scenario_path=scenario,
+    return GoldenCase(name=name, model_path=base / doc["model"],
+                      scenario_path=base / doc["scenario"],
                       expected=_expected_block(doc, name))
 
 
@@ -138,17 +158,19 @@ def run_golden(case: GoldenCase, pipeline: str = "both",
     values = []
     exp = case.expected
     obj = exp["objective"]
-    values.append(GoldenValue("objective", float(obj["value"]), primary.z,
-                              float(obj["tolerance"])))
+    values.append(GoldenValue("objective", obj["value"], primary.z, obj["tolerance"]))
     ex_x = exp["x"]
-    x_tol = float(ex_x["tolerance"])
+    if len(ex_x["values"]) != len(primary.x_star):
+        raise JsonFormatError(
+            f"expected 'x' 'values' has {len(ex_x['values'])} entries for "
+            f"{len(primary.x_star)} capabilities")
     for j, expected in enumerate(ex_x["values"]):
-        values.append(GoldenValue(f"x[{j}]", float(expected),
-                                  float(primary.x_star[j]), x_tol))
+        values.append(GoldenValue(f"x[{j}]", expected, float(primary.x_star[j]),
+                                  ex_x["tolerance"]))
     for fname, block in exp["factor_use"].items():
-        idx = factors.index(fname)
-        values.append(GoldenValue(f"use:{fname}", float(block["value"]),
-                                  float(primary.phi[idx]), float(block["tolerance"])))
+        values.append(GoldenValue(f"use:{fname}", block["value"],
+                                  float(primary.phi[factors.index(fname)]),
+                                  block["tolerance"]))
     if pipeline == "both":
         for j in range(len(rcot_sol.x_star)):
             values.append(GoldenValue(f"agreement:x[{j}]", float(rcot_sol.x_star[j]),

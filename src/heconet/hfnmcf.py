@@ -34,6 +34,10 @@ from heconet.petri import EngineeringSystemNet, OperandNet
 from heconet.rcot import RcotSolution
 
 
+class InfeasibilityWarning(RuntimeWarning):
+    """An infeasible program's irreducible conflicting rows."""
+
+
 # --------------------------------------------------------------------------
 # Static reduction
 
@@ -582,7 +586,7 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
         if witness:
             warnings.warn(
                 "infeasible program; irreducible conflicting rows: "
-                + ", ".join(witness), RuntimeWarning, stacklevel=2)
+                + ", ".join(witness), InfeasibilityWarning, stacklevel=2)
     return sol
 
 

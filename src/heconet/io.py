@@ -334,8 +334,8 @@ def write_incidence_json(inc: IncidenceMatrices) -> bytes:
         "buffers": list(inc.buffers),
         "capabilities": list(inc.capabilities),
         "shape": [inc.n_places, len(inc.capabilities)],
-        "m_plus": [[float(v) for v in row] for row in inc.m_plus],
-        "m_minus": [[float(v) for v in row] for row in inc.m_minus],
+        "m_plus": inc.m_plus.tolist(),
+        "m_minus": inc.m_minus.tolist(),
     }
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
@@ -622,16 +622,16 @@ def emit_chord_csv(a_star, sector_labels=(), tech_labels=(),
 
 
 def emit_trajectory_csv(q_b, q_e, place_labels, transition_labels) -> bytes:
-    """Wide-format marking trajectory: one row per step k = 0..K."""
-    q_b = np.asarray(q_b, dtype=float)
-    q_e = np.asarray(q_e, dtype=float)
+    """Wide-format marking trajectory: one row per step k = 0..K; values
+    are ``repr`` of the float, the shortest text that reads back exactly."""
     header = ["step"] + [f"qB:{p}" for p in place_labels] \
         + [f"qE:{t}" for t in transition_labels]
-    rows = [header]
-    for k in range(q_b.shape[0]):
-        rows.append([str(k)] + [repr(float(v)) for v in q_b[k]]
-                    + [repr(float(v)) for v in q_e[k]])
-    return _csv_bytes(rows)
+    table = np.hstack([np.asarray(q_b, dtype=float), np.asarray(q_e, dtype=float)])
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    buf.writelines(",".join([str(k), *map(repr, row.tolist())]) + "\n"
+                   for k, row in enumerate(table))
+    return buf.getvalue().encode("utf-8")
 
 
 def emit_full_json(sol, objective_only: bool = False) -> bytes:
@@ -645,7 +645,7 @@ def emit_full_json(sol, objective_only: bool = False) -> bytes:
                      "u_plus", "u_minus", "ul_plus", "ul_minus"):
             arr = getattr(sol, name)
             if arr.size:
-                doc[name] = [[float(v) for v in row] for row in arr]
+                doc[name] = arr.tolist()
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 

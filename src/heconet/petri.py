@@ -36,14 +36,18 @@ class Marking:
     def __post_init__(self):
         q_b = checked_array(self.q_b, "q_b", (None,))
         q_e = checked_array(self.q_e, "q_e", (None,))
-        if (q_e < QE_FLOOR).any():
-            raise ValueError(
-                f"tokens in flight must be nonnegative, got min {q_e.min():g}")
+        _check_in_flight(q_e)
         set_fields(self, q_b=q_b, q_e=q_e)
 
 
+def _check_in_flight(q_e: np.ndarray):
+    if (q_e < QE_FLOOR).any():
+        raise ValueError(f"tokens in flight must be nonnegative, got min {q_e.min():g}")
+
+
 def _check_durations(durations, n: int) -> np.ndarray:
-    arr = np.asarray(durations)
+    """Nonnegative integer durations, all zero when ``durations`` is None."""
+    arr = np.zeros(n, dtype=np.int64) if durations is None else np.asarray(durations)
     if arr.shape != (n,):
         raise ValueError(f"durations must have shape ({n},), got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -57,6 +61,13 @@ def _check_durations(durations, n: int) -> np.ndarray:
     return read_only(arr)
 
 
+def _check_dt(dt) -> float:
+    dt = float(dt)
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+    return dt
+
+
 @dataclass(frozen=True, eq=False)
 class EngineeringSystemNet:
     """Incidence structure plus per-capability durations and step length."""
@@ -66,14 +77,8 @@ class EngineeringSystemNet:
     dt: float = 1.0
 
     def __post_init__(self):
-        durations = self.durations
-        if durations is None:
-            durations = np.zeros(len(self.incidence.capabilities), dtype=np.int64)
-        durations = _check_durations(durations, len(self.incidence.capabilities))
-        dt = float(self.dt)
-        if not np.isfinite(dt) or dt <= 0:
-            raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-        set_fields(self, durations=durations, dt=dt)
+        durations = _check_durations(self.durations, len(self.incidence.capabilities))
+        set_fields(self, durations=durations, dt=_check_dt(self.dt))
 
     @property
     def n_places(self) -> int:
@@ -113,15 +118,9 @@ class OperandNet:
         m_minus = checked_array(self.m_minus, "m_minus", shape, nonneg=True)
         if self.marking.q_b.shape != (len(places),) or self.marking.q_e.shape != (len(transitions),):
             raise ValueError("marking shapes do not match places/transitions")
-        durations = self.durations
-        if durations is None:
-            durations = np.zeros(len(transitions), dtype=np.int64)
-        durations = _check_durations(durations, len(transitions))
-        dt = float(self.dt)
-        if not np.isfinite(dt) or dt <= 0:
-            raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+        durations = _check_durations(self.durations, len(transitions))
         set_fields(self, places=places, transitions=transitions, m_plus=m_plus,
-                   m_minus=m_minus, durations=durations, dt=dt)
+                   m_minus=m_minus, durations=durations, dt=_check_dt(self.dt))
 
     @property
     def n_places(self) -> int:
@@ -170,8 +169,9 @@ def derive_completions(durations, schedule: np.ndarray):
     u_plus[k + d] = u_minus[k] per transition with duration d; starts
     whose completion index exceeds the horizon are left out and
     reported.  Returns (u_plus, dropped) where dropped is a list of
-    :class:`DroppedFiring` with transition *indices* (callers with
-    label context translate them).
+    (step, transition index, amount, completion index) tuples in step,
+    then transition order (callers with label context translate the
+    indices).
     """
     schedule = np.asarray(schedule, dtype=float)
     if schedule.ndim != 2:
@@ -179,44 +179,49 @@ def derive_completions(durations, schedule: np.ndarray):
     horizon, n = schedule.shape
     durations = _check_durations(durations, n)
     u_plus = np.zeros_like(schedule)
-    dropped = []
-    for k in range(horizon):
-        for j in range(n):
-            amount = schedule[k, j]
-            if amount == 0.0:
-                continue
-            completes = k + int(durations[j])
-            if completes < horizon:
-                u_plus[completes, j] += amount
-            else:
-                dropped.append((k, j, float(amount), completes))
+    for j, d in enumerate(durations.tolist()):
+        u_plus[d:, j] = schedule[:max(horizon - d, 0), j]
+    # a completion is 0.0 + its start, so a -0.0 start completes as 0.0
+    u_plus += 0.0
+    # a start at step k is dropped when k + d >= K; only the last max(d)
+    # steps can hold one, and np.nonzero walks them step, then transition
+    first = max(horizon - int(durations.max(initial=0)), 0)
+    steps_left = horizon - np.arange(first, horizon)
+    steps, cols = np.nonzero((durations >= steps_left[:, None])
+                             & (schedule[first:] != 0.0))
+    steps += first
+    dropped = [(k, j, amount, k + d) for k, j, amount, d in zip(
+        steps.tolist(), cols.tolist(), schedule[steps, cols].tolist(),
+        durations[cols].tolist())]
     return u_plus, dropped
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Trajectory of K+1 markings plus the derived completion schedule."""
+    """Trajectory of K+1 markings, held as the arrays ``q_b`` (K+1 x places)
+    and ``q_e`` (K+1 x transitions), plus the derived completion schedule.
+    Indexing or iterating builds the :class:`Marking` of a step on demand.
+    """
 
-    markings: tuple
+    q_b: np.ndarray
+    q_e: np.ndarray
     u_plus: np.ndarray
     dropped: tuple
 
-    @property
-    def q_b(self) -> np.ndarray:
-        return np.array([m.q_b for m in self.markings])
-
-    @property
-    def q_e(self) -> np.ndarray:
-        return np.array([m.q_e for m in self.markings])
+    def __post_init__(self):
+        q_b = checked_array(self.q_b, "q_b", (None, None))
+        q_e = checked_array(self.q_e, "q_e", (q_b.shape[0], None))
+        _check_in_flight(q_e)
+        set_fields(self, q_b=q_b, q_e=q_e)
 
     def __len__(self) -> int:
-        return len(self.markings)
+        return self.q_b.shape[0]
 
     def __iter__(self):
-        return iter(self.markings)
+        return (self[k] for k in range(len(self)))
 
-    def __getitem__(self, idx):
-        return self.markings[idx]
+    def __getitem__(self, k: int) -> Marking:
+        return Marking(self.q_b[k], self.q_e[k])
 
 
 def simulate(net: EngineeringSystemNet, initial: Marking, schedule) -> SimulationResult:
@@ -248,10 +253,6 @@ def simulate(net: EngineeringSystemNet, initial: Marking, schedule) -> Simulatio
             f"{len(dropped)} scheduled firing(s) complete beyond the horizon "
             f"and were dropped", RuntimeWarning, stacklevel=2)
 
-    qb_traj, qe_traj = kernels.esn_trajectory(
-        np.ascontiguousarray(net.incidence.m_plus),
-        np.ascontiguousarray(net.incidence.m_minus),
-        initial.q_b.copy(), initial.q_e.copy(),
-        u_plus, np.ascontiguousarray(schedule), float(net.dt))
-    markings = tuple(Marking(qb_traj[k], qe_traj[k]) for k in range(schedule.shape[0] + 1))
-    return SimulationResult(markings=markings, u_plus=u_plus, dropped=dropped)
+    q_b, q_e = kernels.esn_trajectory(net.incidence.m_plus, net.incidence.m_minus,
+                                      initial.q_b, initial.q_e, u_plus, schedule, net.dt)
+    return SimulationResult(q_b=q_b, q_e=q_e, u_plus=u_plus, dropped=dropped)

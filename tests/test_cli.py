@@ -193,6 +193,28 @@ def test_simulate_reports_dropped_firings(runner):
     assert doc["dropped"][0]["transition"] == "cap-ship"
 
 
+def test_simulate_json_matches_float_lists(runner):
+    # the document as it was once built, one float() per entry
+    from heconet import petri
+    from heconet.incidence import build_incidence
+    from heconet.io import load_schedule, parse_system_xml
+    model = parse_system_xml(open(CHAIN, "rb").read())
+    u_minus, q_b0, q_e0, dt = load_schedule(open(SCHEDULE, "rb").read())
+    net = petri.EngineeringSystemNet(
+        incidence=build_incidence(model), dt=dt,
+        durations=[cap.duration for cap in model.capabilities])
+    with pytest.warns(RuntimeWarning, match="dropped"):
+        run = petri.simulate(net, petri.Marking(q_b0, q_e0), u_minus)
+    doc = {"q_b": [[float(v) for v in row] for row in run.q_b],
+           "q_e": [[float(v) for v in row] for row in run.q_e],
+           "dropped": [{"step": d.step, "transition": d.transition,
+                        "amount": d.amount, "completes_at": d.completes_at}
+                       for d in run.dropped]}
+    result = runner.invoke(main, ["--format", "json", "simulate", CHAIN, SCHEDULE])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == json.dumps(doc, indent=2) + "\n"
+
+
 def test_simulate_csv_header(runner):
     result = runner.invoke(main, ["simulate", CHAIN, SCHEDULE])
     assert result.exit_code == 0, result.output
@@ -231,6 +253,44 @@ def test_golden_tampered_case_exits_one(runner, tmp_path):
     result = runner.invoke(main, ["golden", str(path)])
     assert result.exit_code == 1
     assert "FAIL" in result.stdout
+
+
+def _set(path, value):
+    """An edit of a JSON document: set the entry at ``path`` (a key list)."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (["expected", "objective"], 5, "expected 'objective' must be an object"),
+    (["expected", "objective", "value"], True, "expected 'objective' 'value' is not a number"),
+    (["expected", "objective", "tolerance"], "0.1",
+     "expected 'objective' 'tolerance' is not a number"),
+    (["expected", "x", "values"], 5, "expected 'x' 'values' must be a non-empty list"),
+    (["expected", "x", "values", 1], None, "expected 'x' 'values'[1] is not a number"),
+    (["expected", "x", "values"], [1.0] * 7,
+     "expected 'x' 'values' has 7 entries for 6 capabilities"),
+    (["expected", "x", "tolerance"], [0.1], "expected 'x' 'tolerance' is not a number"),
+    (["expected", "factor_use", "water"], 342.0,
+     "expected 'factor_use' 'water' must be an object"),
+    (["expected", "factor_use", "capital", "value"], True,
+     "expected 'factor_use' 'capital' 'value' is not a number"),
+    (["model"], 5, "golden case 'model' must be a file path"),
+], ids=["objective-int", "objective-bool", "objective-tol-str", "x-int", "x-null-entry",
+        "x-too-long", "x-tol-list", "factor-number", "factor-bool",
+        "model-int"])
+def test_golden_mistyped_case_exits_two(runner, tmp_path, path, value, field):
+    # a malformed case is an input error (2), never a failed comparison (1)
+    def edit(doc):
+        doc.update(model=ECONOMY, scenario=SCENARIO)
+        _set(path, value)(doc)
+    case = changed_copy(tmp_path, str(DATA / "three_sector_golden.json"), edit)
+    result = runner.invoke(main, ["golden", case])
+    assert result.exit_code == 2, result.output
+    assert field in result.stderr
 
 
 def test_golden_single_pipeline(runner):
@@ -340,6 +400,21 @@ def test_infeasible_program_exits_three(runner, tmp_path):
     result = runner.invoke(main, ["rcot", ECONOMY, str(path)])
     assert result.exit_code == 3
     assert "program is infeasible" in result.stderr
+
+
+def test_hfnmcf_full_prints_conflicting_rows_once(tmp_path):
+    # run as a process: pytest would otherwise record the library's
+    # warning before it reached stderr
+    path = changed_copy(tmp_path, SCENARIO,
+                        lambda doc: doc["availability"].update({"water": 1.0}))
+    package_root = os.path.dirname(os.path.dirname(heconet.__file__))
+    out = subprocess.run([sys.executable, "-m", "heconet.cli", "hfnmcf-full", ECONOMY, path],
+                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+                         capture_output=True, text=True)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.count("conflicting rows") == 1
+    assert out.stderr.startswith("conflicting rows: ")
+    assert "water@economy" in out.stderr
 
 
 def test_cli_import_does_not_pull_in_scipy():

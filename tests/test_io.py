@@ -1,5 +1,7 @@
+import csv
 import json
 from importlib import resources
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -428,6 +430,33 @@ def test_trajectory_csv_round_trippable_values():
     assert lines[0] == "step,qB:a@x,qB:b@x,qE:t1"
     assert lines[1] == "0,0.1,10.0,0.0"
     assert lines[2] == "1,0.2,9.5,0.30000000000000004"
+
+
+def trajectory_csv_by_writer(q_b, q_e, place_labels, transition_labels) -> bytes:
+    """Every row through csv.writer, one repr(float(v)) per cell: the
+    reference for emit_trajectory_csv."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["step"] + [f"qB:{p}" for p in place_labels]
+                    + [f"qE:{t}" for t in transition_labels])
+    for k in range(q_b.shape[0]):
+        writer.writerow([str(k)] + [repr(float(v)) for v in q_b[k]]
+                        + [repr(float(v)) for v in q_e[k]])
+    return buf.getvalue().encode("utf-8")
+
+
+AWKWARD = [-0.0, 5e-324, 0.1 + 0.2, 1e16, 3.0, 2.0 ** 53, -1e-300, 123456789.0]
+
+
+@pytest.mark.parametrize("steps, places, transitions", [
+    (4, 2, 3), (1, 1, 0), (3, 0, 2), (0, 2, 1), (2, 0, 0)])
+def test_trajectory_csv_matches_csv_writer(steps, places, transitions):
+    q_b = np.resize(AWKWARD, (steps, places))  # (4, 2) holds each value once
+    q_e = np.resize(AWKWARD[::-1], (steps, transitions))
+    place_labels = [f"p{i},x@\"b\"" for i in range(places)]  # quoted in the header
+    transition_labels = [f"t{j}" for j in range(transitions)]
+    assert emit_trajectory_csv(q_b, q_e, place_labels, transition_labels) \
+        == trajectory_csv_by_writer(q_b, q_e, place_labels, transition_labels)
 
 
 def test_full_json_keys(economy_model):

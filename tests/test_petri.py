@@ -120,6 +120,71 @@ def test_derive_completions_durations_and_drops():
     assert (step, transition, amount, completes) == (2, 1, 4.0, 4)
 
 
+def completions_by_loop(durations, schedule):
+    """The duration rule one schedule entry at a time: the reference for
+    derive_completions."""
+    horizon, n = schedule.shape
+    u_plus = np.zeros_like(schedule)
+    dropped = []
+    for k in range(horizon):
+        for j in range(n):
+            amount = schedule[k, j]
+            if amount == 0.0:
+                continue
+            completes = k + int(durations[j])
+            if completes < horizon:
+                u_plus[completes, j] += amount
+            else:
+                dropped.append((k, j, float(amount), completes))
+    return u_plus, dropped
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_derive_completions_matches_entry_loop(data):
+    horizon = data.draw(st.integers(0, 7), label="K")
+    n = data.draw(st.integers(0, 4), label="transitions")
+    durations = data.draw(st.lists(
+        st.sampled_from(sorted({0, 1, max(horizon - 1, 0), horizon, horizon + 1})),
+        min_size=n, max_size=n), label="durations")
+    entry = st.one_of(st.just(0.0), st.just(-0.0),
+                      st.floats(0.0, 1e6, allow_subnormal=True))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=horizon, max_size=horizon), label="schedule")
+    schedule = np.array(rows, dtype=float).reshape(horizon, n)
+    idle = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n), label="zero columns")
+    schedule[:, sorted(idle)] = 0.0
+
+    u_plus, dropped = derive_completions(np.array(durations, dtype=np.int64), schedule)
+    ref_u_plus, ref_dropped = completions_by_loop(durations, schedule)
+    assert u_plus.tobytes() == ref_u_plus.tobytes()  # signed zeros included
+    assert dropped == ref_dropped
+    assert [tuple(map(type, d)) for d in dropped] == [(int, int, float, int)] * len(dropped)
+
+
+def test_simulation_result_checks_the_trajectory():
+    fine = dict(q_b=np.zeros((3, 2)), q_e=np.zeros((3, 1)),
+                u_plus=np.zeros((2, 1)), dropped=())
+    result = SimulationResult(**fine)
+    assert not result.q_b.flags.writeable and not result.q_e.flags.writeable
+    q_e = np.zeros((3, 1))
+    q_e[2, 0] = -1e-8  # just below QE_FLOOR
+    with pytest.raises(ValueError,
+                       match=r"tokens in flight must be nonnegative, got min -1e-08$"):
+        SimulationResult(**dict(fine, q_e=q_e))
+    for name, bad in (("q_b", np.nan), ("q_e", np.inf)):
+        arr = np.zeros(fine[name].shape)
+        arr[2, 0] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimulationResult(**dict(fine, **{name: arr}))
+    with pytest.raises(ValueError, match="q_e must have shape"):
+        SimulationResult(**dict(fine, q_e=np.zeros((4, 1))))
+    # a trajectory that overflows is caught the same way
+    net = EngineeringSystemNet(incidence=chain_incidence())
+    with pytest.raises(ValueError, match="q_b must be finite"), np.errstate(over="ignore"):
+        simulate(net, Marking(np.zeros(3), np.zeros(2)), np.full((2, 2), 1e308))
+
+
 def test_simulate_hand_trace_and_reporting():
     net = EngineeringSystemNet(incidence=chain_incidence(), durations=[0, 2])
     initial = Marking(np.array([10.0, 0.0, 0.0]), np.zeros(2))
