@@ -175,7 +175,7 @@ def hfnmcf_static(ctx, model_xml, scenario_json, relaxation):
     y, f, pi, products, _ = io.vectors_from_scenario(model, scenario)
     inc = build_incidence(model)
     f_star = inc.m_minus[len(products):]
-    red = hfnmcf.build_static(model, y, f, pi, f_star)
+    red = hfnmcf.build_static(inc, y, f, pi, f_star)
     labels = tuple(capability_label(model, c) for c in model.capabilities)
     red = hfnmcf.StaticEioReduction(
         m=red.m, c=red.c, cost=red.cost, f_star=red.f_star,
@@ -200,7 +200,7 @@ def hfnmcf_full(ctx, model_xml, scenario_json):
     inc = build_incidence(model)
     f_star = inc.m_minus[len(products):]
     if not scenario.boundary and not scenario.pins and scenario.horizon == 1:
-        problem = hfnmcf.embed_static(model, y, f, pi, f_star)
+        problem = hfnmcf.embed_static(inc, y, f, pi, f_star)
     else:
         problem = _problem_from_scenario(model, inc, scenario, y, f, pi, f_star)
     with warnings.catch_warnings():
@@ -228,9 +228,7 @@ def _problem_from_scenario(model, inc, scenario, y, f, pi, f_star):
     horizon = scenario.horizon
     layout = hfnmcf.variable_layout(net, (), horizon)
     cost = np.zeros(layout.size)
-    unit_cost = pi @ f_star
-    for k in range(horizon):
-        cost[layout.u_minus(k)] = unit_cost
+    layout.family(cost, "u_minus")[:] = pi @ f_star
     return hfnmcf.HfnmcfProblem(net=net, horizon=horizon, linear_cost=cost,
                                 boundary=hfnmcf.BoundaryConditions(**scenario.boundary),
                                 pins=hfnmcf.FiringPins(**scenario.pins))

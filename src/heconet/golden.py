@@ -79,12 +79,16 @@ class GoldenReport:
 
 def _numbers(block, name: str, shapes: dict) -> dict:
     """The entries of the object ``block`` named in ``shapes``, read as
-    JSON numbers: a float for shape (), a list of floats for (None,)."""
+    JSON numbers: a float for shape (), a list of floats for (None,).
+    Every block has a ``tolerance``, which must be >= 0."""
     if not isinstance(block, dict):
         raise JsonFormatError(f"{name} must be an object")
-    return {key: json_numbers(block.get(key), f"{name} {key!r}", shape,
-                              JsonFormatError).tolist()
-            for key, shape in shapes.items()}
+    out = {key: json_numbers(block.get(key), f"{name} {key!r}", shape,
+                             JsonFormatError).tolist()
+           for key, shape in shapes.items()}
+    if out["tolerance"] < 0:
+        raise JsonFormatError(f"{name} 'tolerance' must be >= 0")
+    return out
 
 
 def _expected_block(doc: dict, case_name: str) -> dict:
@@ -135,7 +139,7 @@ def _solve_both(model, scenario, tol: Tolerances):
                                         tech_labels=labels)
     rcot_sol = rcot.solve_rcot(inst, tol)
     f_star = inc.m_minus[len(products):]
-    red = hfnmcf.build_static(model, y, f, pi, f_star)
+    red = hfnmcf.build_static(inc, y, f, pi, f_star)
     static_sol = hfnmcf.solve_static(red, tol=tol)
     return rcot_sol, static_sol, factors
 
@@ -168,6 +172,9 @@ def run_golden(case: GoldenCase, pipeline: str = "both",
         values.append(GoldenValue(f"x[{j}]", expected, float(primary.x_star[j]),
                                   ex_x["tolerance"]))
     for fname, block in exp["factor_use"].items():
+        if fname not in factors:
+            raise JsonFormatError(f"expected 'factor_use' {fname!r} is not a factor "
+                                  f"of the scenario ({', '.join(factors)})")
         values.append(GoldenValue(f"use:{fname}", block["value"],
                                   float(primary.phi[factors.index(fname)]),
                                   block["tolerance"]))

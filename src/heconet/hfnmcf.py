@@ -19,6 +19,7 @@ step k+1):
 """
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,8 +28,9 @@ import numpy as np
 from heconet import lp as lp_mod
 from heconet.checks import checked_array, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
-from heconet.core import SystemModel
-from heconet.incidence import build_incidence
+# build_incidence is unused here; perfbench's recorder test looks it up
+# under this module's name.
+from heconet.incidence import IncidenceMatrices, build_incidence  # noqa: F401
 from heconet.lp import LinearProgram, LpResult, LpStatus
 from heconet.petri import EngineeringSystemNet, OperandNet
 from heconet.rcot import RcotSolution
@@ -67,14 +69,13 @@ class StaticEioReduction:
                    row_labels=rows, factor_labels=tuple(self.factor_labels))
 
 
-def build_static(model: SystemModel, y, f, pi, f_star) -> StaticEioReduction:
-    """Static reduction of a validated model: M from the incidence
-    matrices, C = [y; -f], cost = pi'f_star.
+def build_static(inc: IncidenceMatrices, y, f, pi, f_star) -> StaticEioReduction:
+    """Static reduction of a model's incidence matrices: M, C = [y; -f],
+    cost = pi'f_star.
 
     The model's operands must be declared products first, then factors,
     matching the order of y and f.
     """
-    inc = build_incidence(model)
     y = np.asarray(y, dtype=float)
     f = np.asarray(f, dtype=float)
     pi = np.asarray(pi, dtype=float)
@@ -156,23 +157,35 @@ class VariableLayout:
         return sum(e for _, e in self.operand_shapes)
 
     @functools.cached_property
+    def families(self) -> dict:
+        """name -> (label prefix, axis, steps) of each family, in the
+        order of X.  The axis names what one step's entries run over."""
+        k1, k = self.horizon + 1, self.horizon
+        return {"q_b": ("qB", "places", k1),
+                "q_e": ("qE", "transitions", k1),
+                "q_sl": ("qSL", "operand places", k1),
+                "q_el": ("qEL", "operand transitions", k1),
+                "u_plus": ("uPlus", "transitions", k),
+                "u_minus": ("uMinus", "transitions", k),
+                "ul_plus": ("ulPlus", "operand transitions", k),
+                "ul_minus": ("ulMinus", "operand transitions", k)}
+
+    @functools.cached_property
+    def widths(self) -> dict:
+        """Entries per step of each family."""
+        axes = {"places": self.n_places, "transitions": self.n_transitions,
+                "operand places": self.sum_places,
+                "operand transitions": self.sum_transitions}
+        return {name: axes[axis] for name, (_, axis, _) in self.families.items()}
+
+    @functools.cached_property
     def offsets(self) -> dict:
         """Start of each family in X, and the total ``size``; computed
         once per layout, so callers must not modify it."""
-        k1 = self.horizon + 1
-        off = {}
-        pos = 0
-        for name, width, steps in (
-                ("q_b", self.n_places, k1),
-                ("q_e", self.n_transitions, k1),
-                ("q_sl", self.sum_places, k1),
-                ("q_el", self.sum_transitions, k1),
-                ("u_plus", self.n_transitions, self.horizon),
-                ("u_minus", self.n_transitions, self.horizon),
-                ("ul_plus", self.sum_transitions, self.horizon),
-                ("ul_minus", self.sum_transitions, self.horizon)):
+        off, pos = {}, 0
+        for name, (_, _, steps) in self.families.items():
             off[name] = pos
-            pos += width * steps
+            pos += self.widths[name] * steps
         off["size"] = pos
         return off
 
@@ -180,41 +193,49 @@ class VariableLayout:
     def size(self) -> int:
         return self.offsets["size"]
 
-    def _marking_slice(self, name: str, width: int, k: int) -> slice:
-        if not 0 <= k <= self.horizon:
-            raise IndexError(f"marking step must be in 0..{self.horizon}, got {k}")
-        start = self.offsets[name] + k * width
-        return slice(start, start + width)
+    def index(self, name: str, k, j):
+        """Position in X of entry j of family ``name`` at step k; k and j
+        may be arrays, which broadcast."""
+        return self.offsets[name] + k * self.widths[name] + j
 
-    def _firing_slice(self, name: str, width: int, k: int) -> slice:
-        if not 0 <= k < self.horizon:
-            raise IndexError(f"firing step must be in 0..{self.horizon - 1}, got {k}")
-        start = self.offsets[name] + k * width
-        return slice(start, start + width)
+    def family(self, x: np.ndarray, name: str) -> np.ndarray:
+        """Family ``name`` of x as a (steps, width) view."""
+        steps, width = self.families[name][2], self.widths[name]
+        start = self.offsets[name]
+        return x[start:start + steps * width].reshape(steps, width)
 
     def q_b(self, k: int) -> slice:
-        return self._marking_slice("q_b", self.n_places, k)
+        return self.slice("q_b", k)
 
     def q_e(self, k: int) -> slice:
-        return self._marking_slice("q_e", self.n_transitions, k)
+        return self.slice("q_e", k)
 
     def q_sl(self, k: int) -> slice:
-        return self._marking_slice("q_sl", self.sum_places, k)
+        return self.slice("q_sl", k)
 
     def q_el(self, k: int) -> slice:
-        return self._marking_slice("q_el", self.sum_transitions, k)
+        return self.slice("q_el", k)
 
     def u_plus(self, k: int) -> slice:
-        return self._firing_slice("u_plus", self.n_transitions, k)
+        return self.slice("u_plus", k)
 
     def u_minus(self, k: int) -> slice:
-        return self._firing_slice("u_minus", self.n_transitions, k)
+        return self.slice("u_minus", k)
 
     def ul_plus(self, k: int) -> slice:
-        return self._firing_slice("ul_plus", self.sum_transitions, k)
+        return self.slice("ul_plus", k)
 
     def ul_minus(self, k: int) -> slice:
-        return self._firing_slice("ul_minus", self.sum_transitions, k)
+        return self.slice("ul_minus", k)
+
+    def slice(self, name: str, k: int) -> slice:
+        """Entries of family ``name`` at step k."""
+        steps = self.families[name][2]
+        if not 0 <= k < steps:
+            kind = "marking" if steps > self.horizon else "firing"
+            raise IndexError(f"{kind} step must be in 0..{steps - 1}, got {k}")
+        start = self.index(name, k, 0)
+        return slice(start, start + self.widths[name])
 
     def operand_offset(self, i: int) -> tuple:
         """(place, transition) offsets of operand net i inside the
@@ -224,35 +245,17 @@ class VariableLayout:
         return s, e
 
     def names(self, net: EngineeringSystemNet, operand_nets=()) -> tuple:
-        """Human-readable label per stacked variable, for debugging."""
-        places = [f"{o}@{b}" for o, b in net.place_labels]
-        trans = list(net.transition_labels)
-        out = [""] * self.size
-        for k in range(self.horizon + 1):
-            for p, label in enumerate(places):
-                out[self.offsets["q_b"] + k * self.n_places + p] = f"qB[{k}]:{label}"
-            for t, label in enumerate(trans):
-                out[self.offsets["q_e"] + k * self.n_transitions + t] = f"qE[{k}]:{label}"
-            for i, onet in enumerate(operand_nets):
-                s_off, e_off = self.operand_offset(i)
-                for p, label in enumerate(onet.places):
-                    out[self.offsets["q_sl"] + k * self.sum_places + s_off + p] = \
-                        f"qSL[{k}]:{onet.operand}:{label}"
-                for t, label in enumerate(onet.transitions):
-                    out[self.offsets["q_el"] + k * self.sum_transitions + e_off + t] = \
-                        f"qEL[{k}]:{onet.operand}:{label}"
-        for k in range(self.horizon):
-            for t, label in enumerate(trans):
-                out[self.offsets["u_plus"] + k * self.n_transitions + t] = f"uPlus[{k}]:{label}"
-                out[self.offsets["u_minus"] + k * self.n_transitions + t] = f"uMinus[{k}]:{label}"
-            for i, onet in enumerate(operand_nets):
-                s_off, e_off = self.operand_offset(i)
-                for t, label in enumerate(onet.transitions):
-                    out[self.offsets["ul_plus"] + k * self.sum_transitions + e_off + t] = \
-                        f"ulPlus[{k}]:{onet.operand}:{label}"
-                    out[self.offsets["ul_minus"] + k * self.sum_transitions + e_off + t] = \
-                        f"ulMinus[{k}]:{onet.operand}:{label}"
-        return tuple(out)
+        """Label ``{prefix}[{k}]:{entry}`` per stacked variable; operand
+        entries read ``{operand}:{place or transition}``."""
+        entries = {
+            "places": [f"{o}@{b}" for o, b in net.place_labels],
+            "transitions": net.transition_labels,
+            "operand places": [f"{o.operand}:{p}" for o in operand_nets for p in o.places],
+            "operand transitions": [f"{o.operand}:{t}" for o in operand_nets
+                                    for t in o.transitions]}
+        return tuple(f"{prefix}[{k}]:{entry}"
+                     for prefix, axis, steps in self.families.values()
+                     for k in range(steps) for entry in entries[axis])
 
 
 def variable_layout(net: EngineeringSystemNet, operand_nets=(), horizon: int = 1) -> VariableLayout:
@@ -335,15 +338,16 @@ class HfnmcfProblem:
                    upper=_optional(self.upper, "upper", (size,), inf_ok=True))
 
         boundary, pins = {}, {}
-        for family, width in (("q_b", layout.n_places), ("q_e", nt),
-                              ("q_sl", layout.sum_places), ("q_el", n_ul)):
-            for end in ("initial", "final"):
-                name = f"{family}_{end}"
-                boundary[name] = _optional(getattr(self.boundary, name), name, (width,),
-                                           nan_ok=True)
-        for name, width in (("u_plus", nt), ("u_minus", nt), ("ul_plus", n_ul), ("ul_minus", n_ul)):
-            pins[name] = _optional(getattr(self.pins, name), f"pin {name}",
-                                   (self.horizon, width), nan_ok=True)
+        for name, (_, _, steps) in layout.families.items():
+            width = layout.widths[name]
+            if steps > self.horizon:          # a marking: pinned at k = 0 and k = K
+                for end in ("initial", "final"):
+                    key = f"{name}_{end}"
+                    boundary[key] = _optional(getattr(self.boundary, key), key, (width,),
+                                              nan_ok=True)
+            else:
+                pins[name] = _optional(getattr(self.pins, name), f"pin {name}",
+                                       (self.horizon, width), nan_ok=True)
         set_fields(self, boundary=BoundaryConditions(**boundary), pins=FiringPins(**pins))
 
     @property
@@ -355,168 +359,174 @@ def _optional(value, name, shape, **flags):
     return None if value is None else checked_array(value, name, shape, **flags)
 
 
-class _RowBuilder:
-    def __init__(self, size: int):
-        self.size = size
-        self.rows = []
-        self.rhs = []
-        self.labels = []
+def _nonzeros(matrix: np.ndarray) -> tuple:
+    """(row, column, value) of the nonzero entries of ``matrix``."""
+    r, c = np.nonzero(matrix)
+    return r, c, matrix[r, c]
 
-    def add(self, label: str) -> np.ndarray:
-        row = np.zeros(self.size)
-        self.rows.append(row)
-        self.rhs.append(0.0)
-        self.labels.append(label)
-        return row
 
-    def add_pin(self, label: str, index: int, value: float):
-        row = self.add(label)
-        row[index] = 1.0
-        self.rhs[-1] = float(value)
+def _stencil(layout: VariableLayout, n_rows: int, terms) -> tuple:
+    """Triplets of a block of ``n_rows`` equality rows repeated on every
+    step k = 0..K-1.
 
-    def build(self, cost, lower, upper, var_labels, extra_rows=None) -> LinearProgram:
-        rows = np.array(self.rows) if self.rows else np.zeros((0, self.size))
-        rhs = np.array(self.rhs)
-        senses = [lp_mod.EQUAL] * len(self.rows)
-        labels = list(self.labels)
-        if extra_rows is not None:
-            xr_rows, xr_senses, xr_rhs, xr_labels = extra_rows
-            xr_rows = np.asarray(xr_rows, dtype=float)
-            if xr_rows.ndim != 2 or xr_rows.shape[1] != self.size:
-                raise ValueError(f"extra rows must have {self.size} columns")
-            rows = np.vstack([rows, xr_rows])
-            rhs = np.concatenate([rhs, np.asarray(xr_rhs, dtype=float)])
-            senses.extend(xr_senses)
-            labels.extend(xr_labels)
-        return LinearProgram(cost=cost, rows=rows, senses=tuple(senses), rhs=rhs,
-                             lower=lower, upper=upper,
-                             var_labels=var_labels, row_labels=tuple(labels))
+    A term (family, shift, row, col, value) holds arrays of one length:
+    each puts ``value`` in row ``k * n_rows + row`` at entry ``col`` of
+    ``family`` at step ``k + shift``.
+    """
+    k = np.arange(layout.horizon)[:, None]
+    parts = [((k * n_rows + row).ravel(),
+              layout.index(family, k + shift, col).ravel(),
+              np.broadcast_to(value, (layout.horizon, len(value))).ravel())
+             for family, shift, row, col, value in terms]
+    return tuple(np.concatenate(axis) for axis in zip(*parts))
+
+
+def _net_rows(layout: VariableLayout, families, offset, m_plus, m_minus, durations,
+              dt: float, places, transitions, tags) -> list:
+    """Blocks of one net: its state rows over every step, then per
+    transition its duration and causality rows.  A block is (row, column,
+    value) triplets with rows counted from 0, its rhs and its labels.
+
+    ``families`` names the net's (place marking, flight marking,
+    completion, start) families, ``offset`` its (place, transition)
+    position inside them and ``tags`` the label heads of its state and
+    its duration rows.
+    """
+    q_place, q_flight, done, start = families
+    s_off, e_off = offset
+    state, timing = tags
+    horizon = layout.horizon
+    n_p, n_t = len(places), len(transitions)
+    p, t = np.arange(n_p), np.arange(n_t)
+    r_plus, c_plus, v_plus = _nonzeros(dt * m_plus)
+    r_minus, c_minus, v_minus = _nonzeros(-dt * m_minus)
+    flight, ones_t = n_p + t, np.ones(n_t)
+    rows = _stencil(layout, n_p + n_t, [
+        (q_place, 1, p, s_off + p, -np.ones(n_p)),
+        (q_place, 0, p, s_off + p, np.ones(n_p)),
+        (done, 0, r_plus, e_off + c_plus, v_plus),
+        (start, 0, r_minus, e_off + c_minus, v_minus),
+        (q_flight, 1, flight, e_off + t, -ones_t),
+        (q_flight, 0, flight, e_off + t, ones_t),
+        (start, 0, flight, e_off + t, dt * ones_t),
+        (done, 0, flight, e_off + t, -dt * ones_t)])
+    labels = [f"{state}{kind}[{k}]:{name}" for k in range(horizon)
+              for kind, names in (("place", places), ("flight", transitions))
+              for name in names]
+    blocks = [(*rows, np.zeros(len(labels)), labels)]
+
+    # Each transition owns K rows: a start at k completes at k + d for
+    # the K - d starts that complete within the horizon, then the
+    # min(d, K) completions before any possible start are pinned to zero.
+    tr = np.repeat(t, horizon)
+    j = np.tile(np.arange(horizon), n_t)
+    lead = np.maximum(horizon - durations, 0)[tr]
+    coupled = j < lead
+    k = np.where(coupled, j, j - lead)
+    row = np.arange(n_t * horizon)
+    blocks.append((
+        np.concatenate([row, row[coupled]]),
+        np.concatenate([layout.index(done, np.where(coupled, k + durations[tr], k), e_off + tr),
+                        layout.index(start, k[coupled], e_off + tr[coupled])]),
+        np.concatenate([np.where(coupled, -1.0, 1.0), np.ones(np.count_nonzero(coupled))]),
+        np.zeros(len(row)),
+        [f"{timing}duration{'' if c else '-causality'}[{s}]:{transitions[i]}"
+         for i, s, c in zip(tr.tolist(), k.tolist(), coupled.tolist())]))
+    return blocks
+
+
+def _pins(cols: np.ndarray, values: np.ndarray, label) -> tuple:
+    """Rows x_c = v, one per non-NaN entry of ``values`` in C order;
+    ``cols`` has the shape of ``values`` and ``label`` names a row from
+    its entry's index."""
+    keep = ~np.isnan(values)
+    n = int(np.count_nonzero(keep))
+    labels = [label(*idx) for idx in zip(*(a.tolist() for a in np.nonzero(keep)))]
+    return np.arange(n), cols[keep], np.ones(n), values[keep], labels
 
 
 def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
     """Assemble the discrete-time program as one equality system.
 
-    ``extra_rows`` is the extension point for additional *linear* rows:
-    a tuple (matrix, senses, rhs, labels) over the stacked variables.
+    Its rows are the system net's state rows, then its duration and
+    causality rows, the same for each operand net, synchronization,
+    pinned firings and boundary values; ``extra_rows``, a tuple
+    (matrix, senses, rhs, labels) of additional *linear* rows over the
+    stacked variables, comes last.
     """
     net = problem.net
     layout = problem.layout
     horizon = problem.horizon
-    dt = net.dt
-    rb = _RowBuilder(layout.size)
-
     place_names = [f"{o}@{b}" for o, b in net.place_labels]
-    trans_names = list(net.transition_labels)
+    trans_names = net.transition_labels
 
-    # System-net state transition: markings driven by firings.
-    for k in range(horizon):
-        for p in range(net.n_places):
-            row = rb.add(f"esn-place[{k}]:{place_names[p]}")
-            row[layout.q_b(k + 1).start + p] = -1.0
-            row[layout.q_b(k).start + p] = 1.0
-            row[layout.u_plus(k)] += dt * net.incidence.m_plus[p]
-            row[layout.u_minus(k)] -= dt * net.incidence.m_minus[p]
-        for t in range(net.n_transitions):
-            row = rb.add(f"esn-flight[{k}]:{trans_names[t]}")
-            row[layout.q_e(k + 1).start + t] = -1.0
-            row[layout.q_e(k).start + t] = 1.0
-            row[layout.u_minus(k).start + t] += dt
-            row[layout.u_plus(k).start + t] -= dt
-
-    # Duration coupling: a start at k completes at k + d; completions
-    # before any possible start are pinned to zero.
-    for t in range(net.n_transitions):
-        d = int(net.durations[t])
-        for k in range(horizon):
-            if k + d < horizon:
-                row = rb.add(f"duration[{k}]:{trans_names[t]}")
-                row[layout.u_minus(k).start + t] = 1.0
-                row[layout.u_plus(k + d).start + t] = -1.0
-        for k in range(min(d, horizon)):
-            rb.add_pin(f"duration-causality[{k}]:{trans_names[t]}",
-                       layout.u_plus(k).start + t, 0.0)
-
-    # Operand nets: their own state transitions and durations.
+    blocks = _net_rows(layout, ("q_b", "q_e", "u_plus", "u_minus"), (0, 0),
+                       net.incidence.m_plus, net.incidence.m_minus, net.durations,
+                       net.dt, place_names, trans_names, ("esn-", ""))
     for i, onet in enumerate(problem.operand_nets):
-        s_off, e_off = layout.operand_offset(i)
-        for k in range(horizon):
-            for p in range(onet.n_places):
-                row = rb.add(f"operand-place[{k}]:{onet.operand}:{onet.places[p]}")
-                row[layout.q_sl(k + 1).start + s_off + p] = -1.0
-                row[layout.q_sl(k).start + s_off + p] = 1.0
-                base_p = layout.ul_plus(k).start + e_off
-                base_m = layout.ul_minus(k).start + e_off
-                row[base_p:base_p + onet.n_transitions] += dt * onet.m_plus[p]
-                row[base_m:base_m + onet.n_transitions] -= dt * onet.m_minus[p]
-            for t in range(onet.n_transitions):
-                row = rb.add(f"operand-flight[{k}]:{onet.operand}:{onet.transitions[t]}")
-                row[layout.q_el(k + 1).start + e_off + t] = -1.0
-                row[layout.q_el(k).start + e_off + t] = 1.0
-                row[layout.ul_minus(k).start + e_off + t] += dt
-                row[layout.ul_plus(k).start + e_off + t] -= dt
-        for t in range(onet.n_transitions):
-            d = int(onet.durations[t])
-            for k in range(horizon):
-                if k + d < horizon:
-                    row = rb.add(f"operand-duration[{k}]:{onet.operand}:{onet.transitions[t]}")
-                    row[layout.ul_minus(k).start + e_off + t] = 1.0
-                    row[layout.ul_plus(k + d).start + e_off + t] = -1.0
-            for k in range(min(d, horizon)):
-                rb.add_pin(f"operand-duration-causality[{k}]:{onet.operand}:{onet.transitions[t]}",
-                           layout.ul_plus(k).start + e_off + t, 0.0)
+        blocks += _net_rows(layout, ("q_sl", "q_el", "ul_plus", "ul_minus"),
+                            layout.operand_offset(i), onet.m_plus, onet.m_minus,
+                            onet.durations, net.dt,
+                            [f"{onet.operand}:{p}" for p in onet.places],
+                            [f"{onet.operand}:{t}" for t in onet.transitions],
+                            ("operand-", "operand-"))
 
     # Synchronization: operand-net firings follow system-net firings.
     if problem.sync_plus is not None:
-        ul_names = []
-        for onet in problem.operand_nets:
-            ul_names.extend(f"{onet.operand}:{t}" for t in onet.transitions)
-        for k in range(horizon):
-            for r in range(layout.sum_transitions):
-                row = rb.add(f"sync-plus[{k}]:{ul_names[r]}")
-                row[layout.ul_plus(k).start + r] = 1.0
-                row[layout.u_plus(k)] -= problem.sync_plus[r]
-                row2 = rb.add(f"sync-minus[{k}]:{ul_names[r]}")
-                row2[layout.ul_minus(k).start + r] = 1.0
-                row2[layout.u_minus(k)] -= problem.sync_minus[r]
+        r = np.arange(layout.sum_transitions)
+        ones = np.ones(len(r))
+        p_r, p_c, p_v = _nonzeros(-problem.sync_plus)
+        m_r, m_c, m_v = _nonzeros(-problem.sync_minus)
+        rows = _stencil(layout, 2 * len(r), [
+            ("ul_plus", 0, 2 * r, r, ones), ("u_plus", 0, 2 * p_r, p_c, p_v),
+            ("ul_minus", 0, 2 * r + 1, r, ones), ("u_minus", 0, 2 * m_r + 1, m_c, m_v)])
+        labels = [f"sync-{sign}[{k}]:{o.operand}:{t}" for k in range(horizon)
+                  for o in problem.operand_nets for t in o.transitions
+                  for sign in ("plus", "minus")]
+        blocks.append((*rows, np.zeros(len(labels)), labels))
 
-    # Pinned firings.
-    for name, slicer, width, labels in (
-            ("u_plus", layout.u_plus, layout.n_transitions, trans_names),
-            ("u_minus", layout.u_minus, layout.n_transitions, trans_names),
-            ("ul_plus", layout.ul_plus, layout.sum_transitions, None),
-            ("ul_minus", layout.ul_minus, layout.sum_transitions, None)):
-        pins = getattr(problem.pins, name)
-        if pins is None:
-            continue
-        for k in range(horizon):
-            for j in range(width):
-                if not np.isnan(pins[k, j]):
-                    tag = labels[j] if labels else str(j)
-                    rb.add_pin(f"pin-{name}[{k}]:{tag}", slicer(k).start + j, pins[k, j])
+    # Pinned firings, then boundary values of the initial and final
+    # markings; operand entries are named by their index.
+    tags = {"places": place_names, "transitions": trans_names,
+            "operand places": range(layout.sum_places),
+            "operand transitions": range(layout.sum_transitions)}
+    for name, (_, axis, steps) in layout.families.items():
+        values = getattr(problem.pins, name, None)       # firing families only
+        if values is not None:
+            cols = layout.index(name, np.arange(steps)[:, None], np.arange(layout.widths[name]))
+            blocks.append(_pins(cols, values,
+                                lambda k, j: f"pin-{name}[{k}]:{tags[axis][j]}"))
+    for name, (_, axis, _) in layout.families.items():
+        for end, k in (("initial", 0), ("final", horizon)):
+            values = getattr(problem.boundary, f"{name}_{end}", None)   # markings only
+            if values is not None:
+                cols = layout.index(name, k, np.arange(layout.widths[name]))
+                blocks.append(_pins(cols, values,
+                                    lambda j: f"boundary-{end}:{name}:{tags[axis][j]}"))
 
-    # Boundary conditions on initial and final markings.
-    for fam, slicer, names in (
-            ("q_b", layout.q_b, place_names),
-            ("q_e", layout.q_e, trans_names),
-            ("q_sl", layout.q_sl, None),
-            ("q_el", layout.q_el, None)):
-        for tag, k in (("initial", 0), ("final", horizon)):
-            vec = getattr(problem.boundary, f"{fam}_{tag}")
-            if vec is None:
-                continue
-            for j, value in enumerate(vec):
-                if not np.isnan(value):
-                    label = names[j] if names else str(j)
-                    rb.add_pin(f"boundary-{tag}:{fam}:{label}", slicer(k).start + j, value)
+    xr_rows, xr_senses, xr_rhs, xr_labels = (
+        (np.zeros((0, layout.size)), (), (), ()) if extra_rows is None else extra_rows)
+    xr_rows = np.asarray(xr_rows, dtype=float)
+    if xr_rows.ndim != 2 or xr_rows.shape[1] != layout.size:
+        raise ValueError(f"extra rows must have {layout.size} columns")
 
+    row_ids, col_ids, values, rhs, labels = zip(*blocks)
+    starts = np.cumsum([0, *map(len, labels)]).tolist()
+    n = starts[-1]
+    rows = np.zeros((n + len(xr_rows), layout.size))
+    # no row names one variable twice, so each (row, column) pair is set once
+    rows[np.concatenate([r + s for r, s in zip(row_ids, starts)]),
+         np.concatenate(col_ids)] = np.concatenate(values)
+    rows[n:] = xr_rows
     lower, upper = default_bounds(layout)
-    if problem.lower is not None:
-        lower = problem.lower
-    if problem.upper is not None:
-        upper = problem.upper
-
-    return rb.build(problem.linear_cost, lower, upper,
-                    layout.names(net, problem.operand_nets), extra_rows)
+    return LinearProgram(
+        cost=problem.linear_cost, rows=rows,
+        senses=(lp_mod.EQUAL,) * n + tuple(xr_senses),
+        rhs=np.concatenate([*rhs, np.asarray(xr_rhs, dtype=float)]),
+        lower=lower if problem.lower is None else problem.lower,
+        upper=upper if problem.upper is None else problem.upper,
+        var_labels=layout.names(net, problem.operand_nets),
+        row_labels=tuple(itertools.chain(*labels, xr_labels)))
 
 
 @dataclass
@@ -539,11 +549,6 @@ class FullSolution:
     infeasible_rows: tuple = ()
 
 
-def _family(x, layout: VariableLayout, name: str, width: int, steps: int) -> np.ndarray:
-    start = layout.offsets[name]
-    return x[start:start + width * steps].reshape(steps, width)
-
-
 def solve_full(problem: HfnmcfProblem, extra_rows=None,
                tol: Tolerances = DEFAULT_TOLERANCES,
                diagnose_infeasibility: bool = True) -> FullSolution:
@@ -560,26 +565,10 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
     program = build_full(problem, extra_rows)
     result = lp_mod.solve_lp(program, tol)
     layout = problem.layout
-    k1 = problem.horizon + 1
-    k = problem.horizon
-    if result.status is LpStatus.OPTIMAL:
-        x = result.x
-    else:
-        x = np.full(layout.size, np.nan)
-    sol = FullSolution(
-        status=result.status,
-        objective=result.objective,
-        x=x,
-        layout=layout,
-        q_b=_family(x, layout, "q_b", layout.n_places, k1),
-        q_e=_family(x, layout, "q_e", layout.n_transitions, k1),
-        q_sl=_family(x, layout, "q_sl", layout.sum_places, k1),
-        q_el=_family(x, layout, "q_el", layout.sum_transitions, k1),
-        u_plus=_family(x, layout, "u_plus", layout.n_transitions, k),
-        u_minus=_family(x, layout, "u_minus", layout.n_transitions, k),
-        ul_plus=_family(x, layout, "ul_plus", layout.sum_transitions, k),
-        ul_minus=_family(x, layout, "ul_minus", layout.sum_transitions, k),
-        lp_result=result)
+    x = result.x if result.status is LpStatus.OPTIMAL else np.full(layout.size, np.nan)
+    sol = FullSolution(status=result.status, objective=result.objective, x=x,
+                       layout=layout, lp_result=result,
+                       **{name: layout.family(x, name) for name in layout.families})
     if result.status is LpStatus.INFEASIBLE and diagnose_infeasibility:
         witness = lp_mod.irreducible_infeasible_rows(program, tol)
         sol.infeasible_rows = tuple(witness)
@@ -590,7 +579,7 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
     return sol
 
 
-def embed_static(model: SystemModel, y, f, pi, f_star) -> HfnmcfProblem:
+def embed_static(inc: IncidenceMatrices, y, f, pi, f_star) -> HfnmcfProblem:
     """K = 1 embedding of the static reduction.
 
     The initial place marking is the deficit -C = [-y; f], tokens in
@@ -599,8 +588,7 @@ def embed_static(model: SystemModel, y, f, pi, f_star) -> HfnmcfProblem:
     firings U-.  Solving this problem reproduces the static optimum,
     with the surplus M U - C appearing in the final marking.
     """
-    red = build_static(model, y, f, pi, f_star)
-    inc = build_incidence(model)
+    red = build_static(inc, y, f, pi, f_star)
     net = EngineeringSystemNet(incidence=inc)
     layout = variable_layout(net, (), 1)
     cost = np.zeros(layout.size)

@@ -634,15 +634,14 @@ def emit_trajectory_csv(q_b, q_e, place_labels, transition_labels) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def emit_full_json(sol, objective_only: bool = False) -> bytes:
+def emit_full_json(sol) -> bytes:
     """Serialize a solved time-domain program (FullSolution)."""
     doc = {"status": sol.status.value,
            "objective": None if np.isnan(sol.objective) else float(sol.objective)}
     if sol.infeasible_rows:
         doc["infeasible_rows"] = list(sol.infeasible_rows)
-    if not objective_only and sol.status.value == "optimal":
-        for name in ("q_b", "q_e", "q_sl", "q_el",
-                     "u_plus", "u_minus", "ul_plus", "ul_minus"):
+    if sol.status.value == "optimal":
+        for name in sol.layout.families:
             arr = getattr(sol, name)
             if arr.size:
                 doc[name] = arr.tolist()

@@ -97,8 +97,7 @@ def time_expanded(inc, durations, horizon, f=ECONOMY_F):
     net = EngineeringSystemNet(incidence=inc, durations=np.asarray(durations))
     layout = hfnmcf.variable_layout(net, (), horizon)
     cost = np.zeros(layout.size)
-    for k in range(horizon):
-        cost[layout.u_minus(k)] = ECONOMY_PI @ inc.m_minus[n:]
+    layout.family(cost, "u_minus")[:] = ECONOMY_PI @ inc.m_minus[n:]
     lower, upper = hfnmcf.default_bounds(layout)
     lower[layout.q_b(horizon)] = 0.0
     boundary = hfnmcf.BoundaryConditions(

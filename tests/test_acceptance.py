@@ -277,11 +277,11 @@ def test_criterion_7_conservation_and_replay(warm_kernels):
     assert worst_replay <= 1e-8
 
 
-def test_criterion_8_surplus_identity(economy_model, warm_kernels):
+def test_criterion_8_surplus_identity(economy_incidence, warm_kernels):
     f_star = ECONOMY_M_MINUS[3:]
-    red = build_static(economy_model, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
     static = solve_static(red)
-    full = solve_full(embed_static(economy_model, ECONOMY_Y, ECONOMY_F,
+    full = solve_full(embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F,
                                    ECONOMY_PI, f_star))
     assert static.status is LpStatus.OPTIMAL
     assert full.status is LpStatus.OPTIMAL

@@ -279,9 +279,13 @@ def _set(path, value):
     (["expected", "factor_use", "capital", "value"], True,
      "expected 'factor_use' 'capital' 'value' is not a number"),
     (["model"], 5, "golden case 'model' must be a file path"),
+    (["expected", "objective", "tolerance"], -1,
+     "expected 'objective' 'tolerance' must be >= 0"),
+    (["expected", "factor_use", "steel"], {"value": 1.0, "tolerance": 0.1},
+     "expected 'factor_use' 'steel' is not a factor of the scenario (capital, water)"),
 ], ids=["objective-int", "objective-bool", "objective-tol-str", "x-int", "x-null-entry",
         "x-too-long", "x-tol-list", "factor-number", "factor-bool",
-        "model-int"])
+        "model-int", "objective-tol-negative", "factor-unknown"])
 def test_golden_mistyped_case_exits_two(runner, tmp_path, path, value, field):
     # a malformed case is an input error (2), never a failed comparison (1)
     def edit(doc):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heconet import hfnmcf
 from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
@@ -8,12 +10,12 @@ from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
                             solve_full, solve_static, static_lp,
                             variable_layout)
 from heconet.incidence import IncidenceMatrices, matricize
-from heconet.lp import EQUAL, LpStatus, certify, feasible
+from heconet.lp import EQUAL, LinearProgram, LpStatus, certify, feasible
 from heconet.petri import EngineeringSystemNet, Marking, OperandNet
 
 from conftest import (ECONOMY_M_MINUS, ECONOMY_F, ECONOMY_PHI_CAPITAL,
                       ECONOMY_PHI_WATER, ECONOMY_PI, ECONOMY_X, ECONOMY_Y,
-                      ECONOMY_Z, row_subset)
+                      ECONOMY_Z, row_subset, time_expanded)
 
 REFERENCE_UNIT_COST = np.array([3.18, 5.18, 3.07, 2.37, 1.79, 2.39])
 
@@ -139,9 +141,9 @@ def test_static_reduction_arrays_are_read_only():
     assert red.row_labels == ("c1", "c2")
 
 
-def test_build_static_reproduces_reference_data(economy_model):
+def test_build_static_reproduces_reference_data(economy_incidence):
     f_star = ECONOMY_M_MINUS[3:]
-    red = build_static(economy_model, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
     assert np.allclose(red.cost, REFERENCE_UNIT_COST, atol=1e-12)
     assert np.array_equal(red.c, np.concatenate([ECONOMY_Y, -ECONOMY_F]))
     assert red.row_labels == ("man@economy", "cons@economy", "ag@economy",
@@ -150,16 +152,16 @@ def test_build_static_reproduces_reference_data(economy_model):
     assert red.capability_labels == ("c1", "c2", "c3", "c4", "c5", "c6")
 
 
-def test_build_static_validation(economy_model):
+def test_build_static_validation(economy_incidence):
     f_star = ECONOMY_M_MINUS[3:]
     with pytest.raises(ValueError, match="cover 4 operand places"):
-        build_static(economy_model, ECONOMY_Y[:2], ECONOMY_F, ECONOMY_PI, f_star)
+        build_static(economy_incidence, ECONOMY_Y[:2], ECONOMY_F, ECONOMY_PI, f_star)
     with pytest.raises(ValueError, match="f_star must have shape"):
-        build_static(economy_model, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star.T)
+        build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star.T)
     with pytest.raises(ValueError, match="pi must have length 2"):
-        build_static(economy_model, ECONOMY_Y, ECONOMY_F, [1.0], f_star)
+        build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, [1.0], f_star)
     with pytest.raises(ValueError, match="y and f must be vectors"):
-        build_static(economy_model, np.zeros((3, 1)), ECONOMY_F, ECONOMY_PI, f_star)
+        build_static(economy_incidence, np.zeros((3, 1)), ECONOMY_F, ECONOMY_PI, f_star)
 
 
 def test_static_lp_relaxation_argument():
@@ -170,8 +172,8 @@ def test_static_lp_relaxation_argument():
     assert all(s == EQUAL for s in program.senses)
 
 
-def test_static_solution_matches_reference(economy_model):
-    red = build_static(economy_model, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
+def test_static_solution_matches_reference(economy_incidence):
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
                        ECONOMY_M_MINUS[3:])
     sol = solve_static(red)
     assert sol.status is LpStatus.OPTIMAL
@@ -185,8 +187,8 @@ def test_static_solution_matches_reference(economy_model):
                                            abs=1e-9)
 
 
-def test_equality_relaxation_is_infeasible_on_the_reference(economy_model):
-    red = build_static(economy_model, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
+def test_equality_relaxation_is_infeasible_on_the_reference(economy_incidence):
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
                        ECONOMY_M_MINUS[3:])
     sol = solve_static(red, relaxation="=")
     assert sol.status is LpStatus.INFEASIBLE
@@ -194,11 +196,11 @@ def test_equality_relaxation_is_infeasible_on_the_reference(economy_model):
     assert np.isnan(sol.z)
 
 
-def test_equality_relaxation_feasible_when_supply_matches_usage(economy_model):
+def test_equality_relaxation_feasible_when_supply_matches_usage(economy_incidence):
     # shrink factor supply to the quantity actually used at the optimum;
     # then zero slack is achievable and the equality form has solutions
     f_exact = np.array([ECONOMY_PHI_CAPITAL, ECONOMY_PHI_WATER])
-    red = build_static(economy_model, ECONOMY_Y, f_exact, ECONOMY_PI,
+    red = build_static(economy_incidence, ECONOMY_Y, f_exact, ECONOMY_PI,
                        ECONOMY_M_MINUS[3:])
     sol = solve_static(red, relaxation="=")
     assert sol.status is LpStatus.OPTIMAL
@@ -352,9 +354,9 @@ def test_extra_rows_extend_the_program():
 # Full program: solving
 
 
-def test_embed_static_reproduces_the_static_optimum(economy_model):
+def test_embed_static_reproduces_the_static_optimum(economy_incidence):
     f_star = ECONOMY_M_MINUS[3:]
-    problem = embed_static(economy_model, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
+    problem = embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
     sol = solve_full(problem)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(ECONOMY_Z, abs=1e-8)
@@ -365,14 +367,14 @@ def test_embed_static_reproduces_the_static_optimum(economy_model):
     # initial marking is the deficit, final marking the surplus
     c = np.concatenate([ECONOMY_Y, -ECONOMY_F])
     assert np.allclose(sol.q_b[0], -c, atol=1e-12)
-    red = build_static(economy_model, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
     assert np.allclose(sol.q_b[1], red.m @ sol.u_minus[0] - c, atol=1e-8)
     assert sol.q_b[1][3] == pytest.approx(ECONOMY_F[0] - ECONOMY_PHI_CAPITAL,
                                           abs=1e-6)
 
 
-def test_full_solution_family_shapes(economy_model):
-    problem = embed_static(economy_model, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
+def test_full_solution_family_shapes(economy_incidence):
+    problem = embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
                            ECONOMY_M_MINUS[3:])
     sol = solve_full(problem)
     assert sol.q_b.shape == (2, 5)
@@ -466,3 +468,277 @@ def test_water_cut_witness_is_irreducible(water_cut_problem):
     assert not feasible(row_subset(program, witness))
     for i in witness:
         assert feasible(row_subset(program, [k for k in witness if k != i]))
+
+
+# --------------------------------------------------------------------------
+# Full program: the row-at-a-time reference builder
+
+
+class _RowBuilder:
+    def __init__(self, size: int):
+        self.size = size
+        self.rows = []
+        self.rhs = []
+        self.labels = []
+
+    def add(self, label: str) -> np.ndarray:
+        row = np.zeros(self.size)
+        self.rows.append(row)
+        self.rhs.append(0.0)
+        self.labels.append(label)
+        return row
+
+    def add_pin(self, label: str, index: int, value: float):
+        row = self.add(label)
+        row[index] = 1.0
+        self.rhs[-1] = float(value)
+
+
+def names_by_loop(layout, net, operand_nets=()):
+    """One label per stacked variable, written entry by entry: the
+    reference for VariableLayout.names."""
+    places = [f"{o}@{b}" for o, b in net.place_labels]
+    trans = list(net.transition_labels)
+    out = [""] * layout.size
+    for k in range(layout.horizon + 1):
+        for p, label in enumerate(places):
+            out[layout.offsets["q_b"] + k * layout.n_places + p] = f"qB[{k}]:{label}"
+        for t, label in enumerate(trans):
+            out[layout.offsets["q_e"] + k * layout.n_transitions + t] = f"qE[{k}]:{label}"
+        for i, onet in enumerate(operand_nets):
+            s_off, e_off = layout.operand_offset(i)
+            for p, label in enumerate(onet.places):
+                out[layout.offsets["q_sl"] + k * layout.sum_places + s_off + p] = \
+                    f"qSL[{k}]:{onet.operand}:{label}"
+            for t, label in enumerate(onet.transitions):
+                out[layout.offsets["q_el"] + k * layout.sum_transitions + e_off + t] = \
+                    f"qEL[{k}]:{onet.operand}:{label}"
+    for k in range(layout.horizon):
+        for t, label in enumerate(trans):
+            out[layout.offsets["u_plus"] + k * layout.n_transitions + t] = f"uPlus[{k}]:{label}"
+            out[layout.offsets["u_minus"] + k * layout.n_transitions + t] = f"uMinus[{k}]:{label}"
+        for i, onet in enumerate(operand_nets):
+            s_off, e_off = layout.operand_offset(i)
+            for t, label in enumerate(onet.transitions):
+                out[layout.offsets["ul_plus"] + k * layout.sum_transitions + e_off + t] = \
+                    f"ulPlus[{k}]:{onet.operand}:{label}"
+                out[layout.offsets["ul_minus"] + k * layout.sum_transitions + e_off + t] = \
+                    f"ulMinus[{k}]:{onet.operand}:{label}"
+    return tuple(out)
+
+
+def build_full_by_rows(problem, extra_rows=None):
+    """The full program written one dense row at a time: the reference
+    for build_full."""
+    net = problem.net
+    layout = problem.layout
+    horizon = problem.horizon
+    dt = net.dt
+    rb = _RowBuilder(layout.size)
+
+    place_names = [f"{o}@{b}" for o, b in net.place_labels]
+    trans_names = list(net.transition_labels)
+
+    for k in range(horizon):
+        for p in range(net.n_places):
+            row = rb.add(f"esn-place[{k}]:{place_names[p]}")
+            row[layout.q_b(k + 1).start + p] = -1.0
+            row[layout.q_b(k).start + p] = 1.0
+            row[layout.u_plus(k)] += dt * net.incidence.m_plus[p]
+            row[layout.u_minus(k)] -= dt * net.incidence.m_minus[p]
+        for t in range(net.n_transitions):
+            row = rb.add(f"esn-flight[{k}]:{trans_names[t]}")
+            row[layout.q_e(k + 1).start + t] = -1.0
+            row[layout.q_e(k).start + t] = 1.0
+            row[layout.u_minus(k).start + t] += dt
+            row[layout.u_plus(k).start + t] -= dt
+
+    for t in range(net.n_transitions):
+        d = int(net.durations[t])
+        for k in range(horizon):
+            if k + d < horizon:
+                row = rb.add(f"duration[{k}]:{trans_names[t]}")
+                row[layout.u_minus(k).start + t] = 1.0
+                row[layout.u_plus(k + d).start + t] = -1.0
+        for k in range(min(d, horizon)):
+            rb.add_pin(f"duration-causality[{k}]:{trans_names[t]}",
+                       layout.u_plus(k).start + t, 0.0)
+
+    for i, onet in enumerate(problem.operand_nets):
+        s_off, e_off = layout.operand_offset(i)
+        for k in range(horizon):
+            for p in range(onet.n_places):
+                row = rb.add(f"operand-place[{k}]:{onet.operand}:{onet.places[p]}")
+                row[layout.q_sl(k + 1).start + s_off + p] = -1.0
+                row[layout.q_sl(k).start + s_off + p] = 1.0
+                base_p = layout.ul_plus(k).start + e_off
+                base_m = layout.ul_minus(k).start + e_off
+                row[base_p:base_p + onet.n_transitions] += dt * onet.m_plus[p]
+                row[base_m:base_m + onet.n_transitions] -= dt * onet.m_minus[p]
+            for t in range(onet.n_transitions):
+                row = rb.add(f"operand-flight[{k}]:{onet.operand}:{onet.transitions[t]}")
+                row[layout.q_el(k + 1).start + e_off + t] = -1.0
+                row[layout.q_el(k).start + e_off + t] = 1.0
+                row[layout.ul_minus(k).start + e_off + t] += dt
+                row[layout.ul_plus(k).start + e_off + t] -= dt
+        for t in range(onet.n_transitions):
+            d = int(onet.durations[t])
+            for k in range(horizon):
+                if k + d < horizon:
+                    row = rb.add(f"operand-duration[{k}]:{onet.operand}:{onet.transitions[t]}")
+                    row[layout.ul_minus(k).start + e_off + t] = 1.0
+                    row[layout.ul_plus(k + d).start + e_off + t] = -1.0
+            for k in range(min(d, horizon)):
+                rb.add_pin(f"operand-duration-causality[{k}]:{onet.operand}:{onet.transitions[t]}",
+                           layout.ul_plus(k).start + e_off + t, 0.0)
+
+    if problem.sync_plus is not None:
+        ul_names = []
+        for onet in problem.operand_nets:
+            ul_names.extend(f"{onet.operand}:{t}" for t in onet.transitions)
+        for k in range(horizon):
+            for r in range(layout.sum_transitions):
+                row = rb.add(f"sync-plus[{k}]:{ul_names[r]}")
+                row[layout.ul_plus(k).start + r] = 1.0
+                row[layout.u_plus(k)] -= problem.sync_plus[r]
+                row2 = rb.add(f"sync-minus[{k}]:{ul_names[r]}")
+                row2[layout.ul_minus(k).start + r] = 1.0
+                row2[layout.u_minus(k)] -= problem.sync_minus[r]
+
+    for name, slicer, width, labels in (
+            ("u_plus", layout.u_plus, layout.n_transitions, trans_names),
+            ("u_minus", layout.u_minus, layout.n_transitions, trans_names),
+            ("ul_plus", layout.ul_plus, layout.sum_transitions, None),
+            ("ul_minus", layout.ul_minus, layout.sum_transitions, None)):
+        pins = getattr(problem.pins, name)
+        if pins is None:
+            continue
+        for k in range(horizon):
+            for j in range(width):
+                if not np.isnan(pins[k, j]):
+                    tag = labels[j] if labels else str(j)
+                    rb.add_pin(f"pin-{name}[{k}]:{tag}", slicer(k).start + j, pins[k, j])
+
+    for fam, slicer, names in (
+            ("q_b", layout.q_b, place_names),
+            ("q_e", layout.q_e, trans_names),
+            ("q_sl", layout.q_sl, None),
+            ("q_el", layout.q_el, None)):
+        for tag, k in (("initial", 0), ("final", horizon)):
+            vec = getattr(problem.boundary, f"{fam}_{tag}")
+            if vec is None:
+                continue
+            for j, value in enumerate(vec):
+                if not np.isnan(value):
+                    label = names[j] if names else str(j)
+                    rb.add_pin(f"boundary-{tag}:{fam}:{label}", slicer(k).start + j, value)
+
+    lower, upper = default_bounds(layout)
+    if problem.lower is not None:
+        lower = problem.lower
+    if problem.upper is not None:
+        upper = problem.upper
+
+    rows = np.array(rb.rows) if rb.rows else np.zeros((0, layout.size))
+    rhs = np.array(rb.rhs)
+    senses = [EQUAL] * len(rb.rows)
+    labels = list(rb.labels)
+    if extra_rows is not None:
+        xr_rows, xr_senses, xr_rhs, xr_labels = extra_rows
+        xr_rows = np.asarray(xr_rows, dtype=float)
+        if xr_rows.ndim != 2 or xr_rows.shape[1] != layout.size:
+            raise ValueError(f"extra rows must have {layout.size} columns")
+        rows = np.vstack([rows, xr_rows])
+        rhs = np.concatenate([rhs, np.asarray(xr_rhs, dtype=float)])
+        senses.extend(xr_senses)
+        labels.extend(xr_labels)
+    return LinearProgram(cost=problem.linear_cost, rows=rows, senses=tuple(senses), rhs=rhs,
+                         lower=lower, upper=upper,
+                         var_labels=names_by_loop(layout, net, problem.operand_nets),
+                         row_labels=tuple(labels))
+
+
+def assert_same_program(program, reference):
+    for name in ("cost", "rows", "rhs", "lower", "upper"):
+        got, want = getattr(program, name), getattr(reference, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name  # signed zeros included
+    for name in ("senses", "var_labels", "row_labels"):
+        assert getattr(program, name) == getattr(reference, name), name
+
+
+# Coefficients: signed zeros, a subnormal that dt can round to zero, and
+# a large value.
+COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, 0.3, 5e-324, 1e300])
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+PINNED = st.sampled_from([np.nan, np.nan, 0.0, -0.0, 1.5, -3.0])
+
+
+def _matrix(data, shape, entries, label):
+    cells = data.draw(st.lists(entries, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]), label=label)
+    return np.array(cells, dtype=float).reshape(shape)
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_build_full_matches_row_reference(data):
+    horizon = data.draw(st.integers(1, 6), label="K")
+    lengths = st.sampled_from([0, 1, horizon, horizon + 1])
+    dt = data.draw(st.sampled_from([1.0, 0.5, 0.3, 2.0]), label="dt")
+    n_ops, n_bufs, n_caps = (data.draw(st.integers(1, hi), label=what) for hi, what in
+                             ((2, "operands"), (2, "buffers"), (3, "capabilities")))
+    shape = (n_ops * n_bufs, n_caps)
+    m_plus = _matrix(data, shape, COEFFICIENTS, "M+")
+    m_minus = _matrix(data, shape, COEFFICIENTS, "M-")
+    inc = IncidenceMatrices(m_plus, m_minus, matricize(m_plus, m_minus),
+                            operands=tuple(f"o{i}" for i in range(n_ops)),
+                            buffers=tuple(f"b{i}" for i in range(n_bufs)),
+                            capabilities=tuple(f"c{j}" for j in range(n_caps)))
+    net = EngineeringSystemNet(
+        incidence=inc, dt=dt,
+        durations=data.draw(st.lists(lengths, min_size=n_caps, max_size=n_caps)))
+    onets = []
+    for i in range(data.draw(st.integers(0, 2), label="operand nets")):
+        n_p, n_t = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        onets.append(OperandNet(
+            operand=f"o{i}", places=tuple(f"s{p}" for p in range(n_p)),
+            transitions=tuple(f"w{t}" for t in range(n_t)),
+            m_plus=_matrix(data, (n_p, n_t), COEFFICIENTS, "L+"),
+            m_minus=_matrix(data, (n_p, n_t), COEFFICIENTS, "L-"),
+            marking=Marking(np.zeros(n_p), np.zeros(n_t)),
+            durations=data.draw(st.lists(lengths, min_size=n_t, max_size=n_t))))
+    layout = variable_layout(net, onets, horizon)
+    sync = {}
+    if onets or data.draw(st.booleans(), label="sync without operand nets"):
+        sync = {name: _matrix(data, (layout.sum_transitions, n_caps), SIGNED, name)
+                for name in ("sync_plus", "sync_minus")}
+    pins = {name: _matrix(data, (horizon, layout.widths[name]), PINNED, f"pin {name}")
+            for name in ("u_plus", "u_minus", "ul_plus", "ul_minus")
+            if data.draw(st.booleans(), label=f"pin {name}?")}
+    boundary = {f"{name}_{end}": _matrix(data, (1, layout.widths[name]), PINNED, name)[0]
+                for name in ("q_b", "q_e", "q_sl", "q_el") for end in ("initial", "final")
+                if data.draw(st.booleans(), label=f"{name}_{end}?")}
+    extra = None
+    if data.draw(st.booleans(), label="extra rows?"):
+        n_extra = data.draw(st.integers(0, 2), label="extra rows")
+        extra = (_matrix(data, (n_extra, layout.size), SIGNED, "extra"),
+                 data.draw(st.lists(st.sampled_from(["<=", "=", ">="]),
+                                    min_size=n_extra, max_size=n_extra)),
+                 [float(r) for r in range(n_extra)], [f"x{r}" for r in range(n_extra)])
+    lower, upper = default_bounds(layout)
+    problem = HfnmcfProblem(
+        net=net, horizon=horizon, operand_nets=onets,
+        linear_cost=np.arange(layout.size, dtype=float),
+        lower=lower if data.draw(st.booleans(), label="lower?") else None,
+        upper=upper if data.draw(st.booleans(), label="upper?") else None,
+        boundary=BoundaryConditions(**boundary), pins=FiringPins(**pins), **sync)
+
+    assert_same_program(build_full(problem, extra), build_full_by_rows(problem, extra))
+    assert layout.names(net, onets) == names_by_loop(layout, net, onets)
+
+
+def test_build_full_matches_row_reference_on_the_economy(economy_incidence, water_cut_problem):
+    durations = np.random.default_rng(1).integers(1, 3, size=6)
+    for problem in (time_expanded(economy_incidence, durations, 40), water_cut_problem):
+        assert_same_program(build_full(problem), build_full_by_rows(problem))
