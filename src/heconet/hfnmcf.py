@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from heconet import lp as lp_mod
-from heconet.checks import checked_array, set_fields
+from heconet.checks import checked_array, read_only, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 # build_incidence is unused here; perfbench's recorder test looks it up
 # under this module's name.
@@ -520,7 +520,7 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
     rows[n:] = xr_rows
     lower, upper = default_bounds(layout)
     return LinearProgram(
-        cost=problem.linear_cost, rows=rows,
+        cost=problem.linear_cost, rows=read_only(rows),
         senses=(lp_mod.EQUAL,) * n + tuple(xr_senses),
         rhs=np.concatenate([*rhs, np.asarray(xr_rhs, dtype=float)]),
         lower=lower if problem.lower is None else problem.lower,

@@ -177,9 +177,10 @@ class _Simplex:
     The columns of ``a`` are the structural variables, one slack per
     inequality row (bounds [0, inf) on "<=" rows, (-inf, 0] on ">="
     rows) and the artificials of the crash basis, which occupy the
-    column range ``artificial``; the deletion filter appends one
-    relaxation column per row after them.  ``w``, ``basis`` and ``binv``
-    are the simplex state the kernel updates in place.
+    column range ``artificial``; the deletion filter appends two elastic
+    columns per row after them.  ``c1`` is the phase-1 cost, 1 on the
+    priced columns (the artificials) and 0 elsewhere.  ``w``, ``basis``
+    and ``binv`` are the simplex state the kernel updates in place.
     """
 
     a: kernels.SparseColumns
@@ -187,6 +188,7 @@ class _Simplex:
     lower: np.ndarray
     upper: np.ndarray
     artificial: slice
+    c1: np.ndarray
     w: np.ndarray
     basis: np.ndarray
     binv: np.ndarray
@@ -277,9 +279,11 @@ def _start(lp: LinearProgram) -> _Simplex:
     w = np.concatenate([w, np.zeros(n_slack + n_art)])
     w[slack_col[uncovered[slack_ok]]] = residual[slack_ok]
     w[art_cols] = np.abs(residual[~slack_ok])
+    c1 = np.zeros(w.size)
+    c1[art_cols] = 1.0
     return _Simplex(a=a, b=lp.rhs, lower=lower, upper=upper,
                     artificial=slice(n + n_slack, n + n_slack + n_art),
-                    w=w, basis=basis, binv=binv)
+                    c1=c1, w=w, basis=basis, binv=binv)
 
 
 def _run_kernel(sx: _Simplex, c, tol: Tolerances, phase: str):
@@ -297,36 +301,32 @@ def _run_kernel(sx: _Simplex, c, tol: Tolerances, phase: str):
 
 
 def _phase1(sx: _Simplex, tol: Tolerances):
-    """Minimize the artificials' sum from the current basis of ``sx``.
+    """Minimize the priced columns' sum c1'w from the current basis of ``sx``.
 
     Returns (iterations, infeasible): the LP is infeasible when the
-    artificials cannot reach zero, and :func:`_farkas_ray` then holds
+    priced columns cannot reach zero, and :func:`_farkas_ray` then holds
     the proof.  The kernel runs even when the crash needed no
     artificial (it then prices once and stops), so every solve makes
     one call per phase.
     """
-    c1 = np.zeros(sx.w.size)
-    c1[sx.artificial] = 1.0
-    status, iters = _run_kernel(sx, c1, tol, "phase 1")
+    status, iters = _run_kernel(sx, sx.c1, tol, "phase 1")
     if status != kernels.OPTIMAL:
         # The phase-1 objective is bounded below by 0: no ray exists.
         raise PivotBreakdownError("phase 1 did not reach an optimum", sx.basis)
-    load = float(np.sum(sx.w[sx.artificial]))
+    load = float(np.sum(sx.w[sx.c1 > 0.0]))
     scale = 1.0 + (float(np.max(np.abs(sx.b))) if sx.b.size else 0.0)
     return iters, load > tol.lp_feasibility * scale
 
 
 def _farkas_ray(sx: _Simplex) -> np.ndarray:
-    """The phase-1 duals c1_B B^-1, with c1 = 1 on the artificials.
+    """The phase-1 duals c1_B B^-1.
 
-    At a phase-1 optimum with a positive artificial load this is a
-    Farkas ray of the rows: the reduced costs -(y'A)_j of the other
-    columns have the signs their bounds allow, so y'b exceeds the
-    largest y'A w over the bounds by exactly the load.
+    At a phase-1 optimum with a positive load this is a Farkas ray of
+    the rows: the reduced costs -(y'A)_j of the unpriced columns have
+    the signs their bounds allow, so y'b exceeds the largest y'A w over
+    the bounds by exactly the load.
     """
-    art = sx.artificial
-    priced = (sx.basis >= art.start) & (sx.basis < art.stop)
-    return np.sum(sx.binv[priced], axis=0)
+    return np.sum(sx.binv[sx.c1[sx.basis] > 0.0], axis=0)
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResult:
@@ -488,18 +488,18 @@ def irreducible_infeasible_rows(lp: LinearProgram,
                                 tol: Tolerances = DEFAULT_TOLERANCES) -> list:
     """Deletion filter: labels of an irreducible infeasible set of rows.
 
-    The rows may have any sense.  The filter works on one computational
-    form of ``lp``: every row r gets a unit relaxation column e_r, fixed
-    at [0, 0], and deleting r frees that column, after which the row
-    constrains nothing.  Phase 1 runs once from the crash basis and then
-    once per trial deletion, in row order, warm-started from the basis
-    the last infeasible trial left:
+    The rows may have any sense.  The filter works on the elastic form
+    of ``lp`` (Chinneck, "Feasibility and Infeasibility in Optimization",
+    2008, ch. 6): every row r of its computational form gets elastic
+    columns +e_r and -e_r in [0, inf), and c1 prices them at 1 while r
+    is active.  Deleting r prices them at 0.  Only the cost changes, so
+    the basis stays feasible, and each trial deletion, in row order,
+    runs phase 1 from wherever the last one ended:
 
-    * the trial stays infeasible: r is dropped for good, and so is every
-      remaining row outside the support of the trial's Farkas ray, once
-      the ray cut down to its support passes :func:`_farkas_checks`;
-    * the trial turns feasible: r is necessary, and the basis, point and
-      inverse before the trial are restored.
+    * the trial stays infeasible: r is dropped, and so is every active
+      row outside the support of the trial's Farkas ray (0 on deleted
+      rows), once the ray passes :func:`_farkas_checks`;
+    * the trial turns feasible: r is necessary and is priced again.
 
     One pass is enough, because a row found necessary stays necessary:
     the rows left without it are a subset of a feasible system.  So
@@ -512,33 +512,33 @@ def irreducible_infeasible_rows(lp: LinearProgram,
     sx = _start(lp)
     a, k = sx.a, sx.a.shape[1]
     sx.a = kernels.SparseColumns(
-        (m, k + m), np.concatenate([a.cols, k + np.arange(m)]),
-        np.concatenate([a.indices, np.arange(m)]), np.concatenate([a.data, np.ones(m)]))
-    sx.lower = np.concatenate([sx.lower, np.zeros(m)])
-    sx.upper = np.concatenate([sx.upper, np.zeros(m)])
-    sx.w = np.concatenate([sx.w, np.zeros(m)])
+        (m, k + 2 * m), np.concatenate([a.cols, k + np.arange(2 * m)]),
+        np.concatenate([a.indices, np.arange(m), np.arange(m)]),
+        np.concatenate([a.data, np.ones(m), -np.ones(m)]))
+    sx.lower = np.concatenate([sx.lower, np.zeros(2 * m)])
+    sx.upper = np.concatenate([sx.upper, np.full(2 * m, np.inf)])
+    sx.w = np.concatenate([sx.w, np.zeros(2 * m)])
+    sx.c1 = np.concatenate([sx.c1, np.ones(2 * m)])
+    # A view of c1: row 0 prices the +e_r columns, row 1 the -e_r ones.
+    # Row r is active while they are priced.
+    elastic = sx.c1[k:].reshape(2, m)
     since_refactor, infeasible = _phase1(sx, tol)
     if not infeasible:
         return []
-    active = np.ones(m, dtype=bool)
-
-    def drop(rows):
-        active[rows] = False
-        sx.lower[k + rows] = -np.inf
-        sx.upper[k + rows] = np.inf
 
     def drop_outside_support():
+        active = elastic[0] > 0.0
         ray = _farkas_ray(sx)
         ray[~active] = 0.0
         support = np.abs(ray) > tol.lp_feasibility * np.max(np.abs(ray))
         ray[~support] = 0.0
         outside = np.flatnonzero(active & ~support)
         if outside.size and all(c.passed for c in _farkas_checks(lp, ray, tol)):
-            drop(outside)
+            elastic[:, outside] = 0.0
 
     drop_outside_support()
     for r in range(m):
-        if not active[r]:
+        if not elastic[0, r]:
             continue
         # The kernel refactorizes within one call only; eta updates kept
         # from earlier trials count here.
@@ -549,14 +549,11 @@ def irreducible_infeasible_rows(lp: LinearProgram,
                 raise PivotBreakdownError(
                     f"singular basis during diagnosis refactorization: {exc}", sx.basis) from exc
             since_refactor = 0
-        saved = sx.w.copy(), sx.basis.copy(), sx.binv.copy()
-        drop(r)
+        elastic[:, r] = 0.0
         iters, infeasible = _phase1(sx, tol)
+        since_refactor += iters
         if infeasible:
-            since_refactor += iters
             drop_outside_support()
         else:
-            sx.w, sx.basis, sx.binv = saved
-            active[r] = True
-            sx.lower[k + r] = sx.upper[k + r] = 0.0
-    return [lp.row_labels[i] for i in np.flatnonzero(active)]
+            elastic[:, r] = 1.0
+    return [lp.row_labels[i] for i in np.flatnonzero(elastic[0])]

@@ -118,20 +118,24 @@ def row_subset(program, keep):
                          rhs=program.rhs[keep], lower=program.lower, upper=program.upper)
 
 
-@pytest.fixture(scope="session")
-def water_cut_problem(economy_incidence):
-    """The reference economy as a full program at K=8, with water
-    availability cut in 10 % steps until the static economy (rcot) is
-    infeasible; the full program is then infeasible too."""
+def water_cut(inc, horizon):
+    """The reference economy as a full program over ``horizon`` steps,
+    with water availability cut in 10 % steps until the static economy
+    (rcot) is infeasible; the full program is then infeasible too."""
     from heconet import rcot
     from heconet.lp import LpStatus
     f = ECONOMY_F.copy()
     while rcot.solve_rcot(rcot.instance_from_incidence(
-            economy_incidence, ECONOMY_Y.size, ECONOMY_Y, f, ECONOMY_PI)).status \
-            is LpStatus.OPTIMAL:
+            inc, ECONOMY_Y.size, ECONOMY_Y, f, ECONOMY_PI)).status is LpStatus.OPTIMAL:
         f[-1] *= 0.9
-    durations = np.random.default_rng(8).integers(1, 3, size=economy_incidence.m_plus.shape[1])
-    return time_expanded(economy_incidence, durations, 8, f)
+    durations = np.random.default_rng(8).integers(1, 3, size=inc.m_plus.shape[1])
+    return time_expanded(inc, durations, horizon, f)
+
+
+@pytest.fixture(scope="session")
+def water_cut_problem(economy_incidence):
+    """:func:`water_cut` at K=8."""
+    return water_cut(economy_incidence, 8)
 
 
 @pytest.fixture(scope="session")

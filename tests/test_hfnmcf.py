@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -455,6 +457,20 @@ def test_infeasible_program_reports_a_row_witness():
     quiet = solve_full(problem, diagnose_infeasibility=False)
     assert quiet.status is LpStatus.INFEASIBLE
     assert quiet.infeasible_rows == ()
+
+
+def test_build_full_holds_its_rows_once(economy_incidence):
+    # The dense rows are handed to the LinearProgram, not copied: the
+    # build's peak is the rows and little else.
+    problem = time_expanded(economy_incidence, np.full(6, 2), 40)
+    tracemalloc.start()
+    try:
+        program = build_full(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not program.rows.flags.writeable
+    assert peak < 1.5 * program.rows.nbytes
 
 
 def test_water_cut_witness_is_irreducible(water_cut_problem):

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heconet import lp
+from heconet import hfnmcf, kernels, lp
+from heconet.checks import read_only
 from heconet.config import DEFAULT_TOLERANCES
 from heconet.lp import (CertificationError, IterationLimitError,
                         LinearProgram, LpResult, LpStatus, certify, dump_lp,
                         feasible, irreducible_infeasible_rows, solve_lp)
 
 from conftest import (ECONOMY_F, ECONOMY_M_MINUS, ECONOMY_M_PLUS, ECONOMY_PI,
-                      ECONOMY_X, ECONOMY_Y, ECONOMY_Z)
+                      ECONOMY_X, ECONOMY_Y, ECONOMY_Z, water_cut)
 
 
 def economy_lp() -> LinearProgram:
@@ -285,6 +286,34 @@ def test_validation_errors():
                       senses=(lp.LESS_EQUAL,), rhs=[1.0])
 
 
+def test_caller_writes_do_not_reach_the_program():
+    # A writable array, and a read-only view of one, are copied: writes
+    # through the caller's array after construction leave the LP as it was.
+    for frozen_view in (False, True):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        rhs = np.array([1.0, 2.0])
+        given = rows.view() if frozen_view else rows
+        given.setflags(write=not frozen_view)
+        program = LinearProgram(cost=np.ones(2), rows=given,
+                                senses=(lp.LESS_EQUAL,) * 2, rhs=rhs)
+        rows[:] = -7.0
+        rhs[:] = -7.0
+        assert program.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert program.rhs.tolist() == [1.0, 2.0]
+        assert not program.rows.flags.writeable
+
+
+def test_read_only_rows_are_handed_over_and_still_checked():
+    rows = read_only(np.array([[1.0, 2.0]]))
+    program = LinearProgram(cost=np.ones(2), rows=rows, senses=(lp.LESS_EQUAL,), rhs=[1.0])
+    assert program.rows is rows
+    with pytest.raises(ValueError, match="rows must be finite"):
+        LinearProgram(cost=np.ones(2), rows=read_only(np.array([[1.0, np.nan]])),
+                      senses=(lp.LESS_EQUAL,), rhs=[1.0])
+    with pytest.raises(ValueError, match="rows must have shape"):
+        LinearProgram(cost=np.ones(3), rows=rows, senses=(lp.LESS_EQUAL,), rhs=[1.0])
+
+
 def test_dump_echo():
     program = LinearProgram(cost=[1.0, 2.0], rows=[[1.0, 0.0]],
                             senses=(lp.GREATER_EQUAL,), rhs=[1.5],
@@ -332,6 +361,108 @@ def test_irreducible_infeasible_rows_keeps_each_needed_row_of_a_chain(refactor_e
     witness = irreducible_infeasible_rows(program, tol)
     assert witness[:3] == ["start", "step", "link"]
     assert witness[3:] in (["cap"], ["cap-again"])
+
+
+def irreducible_rows_by_restore(program, tol=DEFAULT_TOLERANCES) -> list:
+    """The deletion filter by save and restore: the reference for
+    irreducible_infeasible_rows.
+
+    Every row r gets one relaxation column e_r, fixed at [0, 0], and
+    deleting r frees it.  A trial that turns feasible restores the
+    basis, point and inverse saved before it, so the next trial drains
+    the artificial load again from there.
+    """
+    m = program.n_rows
+    sx = lp._start(program)
+    a, k = sx.a, sx.a.shape[1]
+    sx.a = kernels.SparseColumns(
+        (m, k + m), np.concatenate([a.cols, k + np.arange(m)]),
+        np.concatenate([a.indices, np.arange(m)]), np.concatenate([a.data, np.ones(m)]))
+    sx.lower = np.concatenate([sx.lower, np.zeros(m)])
+    sx.upper = np.concatenate([sx.upper, np.zeros(m)])
+    sx.w = np.concatenate([sx.w, np.zeros(m)])
+    sx.c1 = np.concatenate([sx.c1, np.zeros(m)])
+    since_refactor, infeasible = lp._phase1(sx, tol)
+    if not infeasible:
+        return []
+    active = np.ones(m, dtype=bool)
+
+    def drop(rows):
+        active[rows] = False
+        sx.lower[k + rows] = -np.inf
+        sx.upper[k + rows] = np.inf
+
+    def drop_outside_support():
+        ray = lp._farkas_ray(sx)
+        ray[~active] = 0.0
+        support = np.abs(ray) > tol.lp_feasibility * np.max(np.abs(ray))
+        ray[~support] = 0.0
+        outside = np.flatnonzero(active & ~support)
+        if outside.size and all(c.passed for c in lp._farkas_checks(program, ray, tol)):
+            drop(outside)
+
+    drop_outside_support()
+    for r in range(m):
+        if not active[r]:
+            continue
+        if since_refactor >= tol.lp_refactor_every:
+            kernels.refactor(sx.a, sx.b, sx.w, sx.basis, sx.binv)
+            since_refactor = 0
+        saved = sx.w.copy(), sx.basis.copy(), sx.binv.copy()
+        drop(r)
+        iters, infeasible = lp._phase1(sx, tol)
+        if infeasible:
+            since_refactor += iters
+            drop_outside_support()
+        else:
+            sx.w, sx.basis, sx.binv = saved
+            active[r] = True
+            sx.lower[k + r] = sx.upper[k + r] = 0.0
+    return [program.row_labels[i] for i in np.flatnonzero(active)]
+
+
+@pytest.fixture(scope="module")
+def water_cut_witness(economy_incidence):
+    """horizon -> (program, reference witness) of the water-cut program."""
+    cache = {}
+
+    def witness(horizon):
+        if horizon not in cache:
+            program = hfnmcf.build_full(water_cut(economy_incidence, horizon))
+            cache[horizon] = program, irreducible_rows_by_restore(program)
+        return cache[horizon]
+    return witness
+
+
+@pytest.mark.parametrize("horizon", [8, 20])
+@pytest.mark.parametrize("refactor_every", [1, 3, 50])
+def test_elastic_filter_matches_the_restore_reference(water_cut_witness, horizon,
+                                                       refactor_every):
+    # The reference runs once per horizon, at the default
+    # lp_refactor_every: at K=20 it takes 14,000 pivots, which at 1 or 3
+    # would take minutes.  Its witness is the same list at 1, 3 and 50
+    # wherever that was run (K=8; K=20 at 3 and 50).
+    program, expected = water_cut_witness(horizon)
+    tol = DEFAULT_TOLERANCES.replace(lp_refactor_every=refactor_every)
+    assert len(expected) == {8: 84, 20: 204}[horizon]
+    assert irreducible_infeasible_rows(program, tol) == expected
+
+
+def test_water_cut_diagnosis_pivots(water_cut_problem, monkeypatch):
+    # The restore filter takes 1,922 pivots here: each trial that turns
+    # feasible drains the artificial load again.  The elastic filter
+    # goes on from where the last trial ended.
+    pivots = []
+    iterate = kernels.simplex_iterate
+
+    def counted(*args):
+        status, iters = iterate(*args)
+        pivots.append(iters)
+        return status, iters
+    monkeypatch.setattr(kernels, "simplex_iterate", counted)
+    witness = irreducible_infeasible_rows(hfnmcf.build_full(water_cut_problem))
+    assert len(witness) == 84
+    assert sum(pivots) <= 400
 
 
 def test_duals_flip_with_row_sign():
