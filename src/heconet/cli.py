@@ -8,7 +8,7 @@ failure.
 import json
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import wraps
 from pathlib import Path
 
@@ -192,17 +192,21 @@ def hfnmcf_static(ctx, model_xml, scenario_json, relaxation):
 @click.pass_context
 @_guard
 def hfnmcf_full(ctx, model_xml, scenario_json):
-    """Solve the discrete-time program; without explicit boundary data
-    the scenario embeds the static reduction over one step."""
+    """Solve the discrete-time program over the scenario's horizon;
+    without boundary data it carries the static reduction over it."""
     model = _load_model(model_xml)
     scenario = _load_scenario(scenario_json)
     y, f, pi, products, _ = io.vectors_from_scenario(model, scenario)
     inc = build_incidence(model)
-    f_star = inc.m_minus[len(products):]
-    if not scenario.boundary and not scenario.pins and scenario.horizon == 1:
-        problem = hfnmcf.embed_static(inc, y, f, pi, f_star)
-    else:
-        problem = _problem_from_scenario(model, inc, scenario, y, f, pi, f_star)
+    durations = [cap.duration for cap in model.capabilities]
+    problem = hfnmcf.embed_static(inc, y, f, pi, inc.m_minus[len(products):],
+                                  scenario.horizon, durations, scenario.dt)
+    given = dict(pins=hfnmcf.FiringPins(**scenario.pins))
+    if scenario.boundary:
+        # explicit boundary data replace the deficit and the surplus bound
+        given.update(boundary=hfnmcf.BoundaryConditions(**scenario.boundary),
+                     lower=None, upper=None)
+    problem = replace(problem, **given)
     with warnings.catch_warnings():
         # the conflicting rows are reported once, below
         warnings.simplefilter("ignore", hfnmcf.InfeasibilityWarning)
@@ -217,21 +221,6 @@ def hfnmcf_full(ctx, model_xml, scenario_json):
         _write(ctx, io.emit_trajectory_csv(
             sol.q_b, sol.q_e,
             [f"{o}@{b}" for o, b in inc.place_labels], inc.capabilities))
-
-
-def _problem_from_scenario(model, inc, scenario, y, f, pi, f_star):
-    """Time-domain problem from explicit scenario boundary/pins; the
-    objective charges factor prices on every start firing."""
-    durations = [cap.duration for cap in model.capabilities]
-    net = petri.EngineeringSystemNet(incidence=inc, durations=durations,
-                                     dt=scenario.dt)
-    horizon = scenario.horizon
-    layout = hfnmcf.variable_layout(net, (), horizon)
-    cost = np.zeros(layout.size)
-    layout.family(cost, "u_minus")[:] = pi @ f_star
-    return hfnmcf.HfnmcfProblem(net=net, horizon=horizon, linear_cost=cost,
-                                boundary=hfnmcf.BoundaryConditions(**scenario.boundary),
-                                pins=hfnmcf.FiringPins(**scenario.pins))
 
 
 @main.command()

@@ -579,24 +579,27 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
     return sol
 
 
-def embed_static(inc: IncidenceMatrices, y, f, pi, f_star) -> HfnmcfProblem:
-    """K = 1 embedding of the static reduction.
+def embed_static(inc: IncidenceMatrices, y, f, pi, f_star, horizon: int = 1,
+                 durations=None, dt: float = 1.0) -> HfnmcfProblem:
+    """The static reduction carried over ``horizon`` steps of length dt.
 
-    The initial place marking is the deficit -C = [-y; f], tokens in
-    flight start at zero, the final place marking is free but bounded
-    below by zero (the surplus), and the cost is charged on the start
-    firings U-.  Solving this problem reproduces the static optimum,
-    with the surplus M U - C appearing in the final marking.
+    The initial place marking is the deficit -C = [-y; f], nothing is in
+    flight at the start or the end, the final place marking is free but
+    bounded below by zero (the surplus), and the start firings U- are
+    charged the factor cost pi'F* of the dt U- tokens they move.  Solving
+    this problem reproduces the static optimum, with the surplus M U - C
+    appearing in the final marking, whenever the horizon exceeds the
+    longest duration; a start that cannot complete within the horizon
+    must stay at zero.
     """
     red = build_static(inc, y, f, pi, f_star)
-    net = EngineeringSystemNet(incidence=inc)
-    layout = variable_layout(net, (), 1)
+    net = EngineeringSystemNet(incidence=inc, durations=durations, dt=dt)
+    layout = variable_layout(net, (), horizon)
     cost = np.zeros(layout.size)
-    cost[layout.u_minus(0)] = red.cost
+    layout.family(cost, "u_minus")[:] = net.dt * red.cost
     lower, upper = default_bounds(layout)
-    lower[layout.q_b(1)] = 0.0
-    boundary = BoundaryConditions(
-        q_b_initial=-red.c,
-        q_e_initial=np.zeros(net.n_transitions))
-    return HfnmcfProblem(net=net, horizon=1, linear_cost=cost,
+    lower[layout.q_b(layout.horizon)] = 0.0
+    idle = np.zeros(net.n_transitions)
+    boundary = BoundaryConditions(q_b_initial=-red.c, q_e_initial=idle, q_e_final=idle)
+    return HfnmcfProblem(net=net, horizon=horizon, linear_cost=cost,
                          boundary=boundary, lower=lower, upper=upper)

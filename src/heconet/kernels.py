@@ -42,10 +42,10 @@ class SparseColumns:
     @classmethod
     def from_dense(cls, dense):
         """The nonzeros of a dense 2-d array."""
-        rows, cols = np.nonzero(dense)
+        flat = np.flatnonzero(dense != 0)
+        rows, cols = np.divmod(flat, dense.shape[1])
         order = np.argsort(cols, kind="stable")
-        rows, cols = rows[order], cols[order]
-        return cls(dense.shape, cols, rows, dense[rows, cols])
+        return cls(dense.shape, cols[order], rows[order], dense.ravel()[flat[order]])
 
     @property
     def nbytes(self) -> int:
@@ -65,19 +65,99 @@ class SparseColumns:
         return np.bincount(self.cols, weights=self.data * y[self.indices],
                            minlength=self.shape[1])
 
-    def dense(self, columns):
-        """The listed (distinct) columns as a dense ``(rows, len(columns))`` matrix."""
-        position = np.full(self.shape[1], -1, dtype=np.int64)
-        position[columns] = np.arange(len(columns))
-        keep = position[self.cols] >= 0
-        out = np.zeros((self.shape[0], len(columns)))
-        out[self.indices[keep], position[self.cols[keep]]] = self.data[keep]
-        return out
+
+def basis_inverse(a, basis):
+    """The explicit inverse of the basis ``a[:, basis]``; its row ``p``
+    belongs to basis position ``p``.
+
+    The pivots are preassigned (Hellerman & Rarick, "Reinversion with
+    the preassigned pivot procedure", Math. Prog. 1971): row singletons
+    are peeled first, then column singletons of what is left.  In that
+    order the basis is block lower triangular around the remaining
+    "bump", so the rows of the inverse are substituted forward through
+    the row singletons, taken from a dense inverse of the bump alone,
+    and substituted backward through the column singletons.  Raises
+    ``np.linalg.LinAlgError`` when a row or column is left empty (the
+    basis is structurally singular) and when the bump is singular.
+    """
+    m = len(basis)
+    # The entries of the basis columns, in basis order.
+    starts, counts = a.indptr[basis], a.indptr[basis + 1] - a.indptr[basis]
+    ends = np.cumsum(counts)
+    take = np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
+    rows, data = a.indices[take].tolist(), a.data[take].tolist()
+    bounds = [0, *ends.tolist()]
+    col_rows = [rows[bounds[p]:bounds[p + 1]] for p in range(m)]
+    row_cols, row_vals = [[] for _ in range(m)], [[] for _ in range(m)]
+    for p in range(m):
+        for k in range(bounds[p], bounds[p + 1]):
+            row_cols[rows[k]].append(p)
+            row_vals[rows[k]].append(data[k])
+    # Per side (rows, then columns): the lines crossing each line, how
+    # many of them are left, and which lines are pivoted.
+    crossing = (row_cols, col_rows)
+    left = ([len(c) for c in row_cols], [len(r) for r in col_rows])
+    done = ([False] * m, [False] * m)
+
+    def peel(side):
+        # Pivot on each line with one crossing line left, which then
+        # leaves the lines it crosses; returns the (row, column) pivots.
+        other = 1 - side
+        empty = [i for i in range(m) if left[side][i] == 0 and not done[side][i]]
+        stack = [i for i in range(m) if left[side][i] == 1 and not done[side][i]]
+        pivots = []
+        while stack and not empty:
+            i = stack.pop()
+            j = next(j for j in crossing[side][i] if not done[other][j])
+            pivots.append((j, i) if side else (i, j))
+            done[side][i] = done[other][j] = True
+            for k in crossing[side][i]:
+                left[other][k] -= 1
+            for k in crossing[other][j]:
+                if not done[side][k]:
+                    left[side][k] -= 1
+                    if left[side][k] < 2:
+                        (stack if left[side][k] else empty).append(k)
+        if empty:
+            raise np.linalg.LinAlgError("structurally singular basis: "
+                                        f"{('row', 'column')[side]} {empty[0]} is empty")
+        return pivots
+
+    forward, backward = peel(0), peel(1)
+    binv = np.zeros((m, m))
+
+    def substitute(r, p):
+        # Row r of B B^-1 = I solved for row p of the inverse; the other
+        # rows it names are known, and row p itself is still zero.
+        cols, vals, row = row_cols[r], row_vals[r], binv[p]
+        pivot = vals[cols.index(p)]
+        for q, v in zip(cols, vals):
+            if q != p:
+                row -= binv[q] * (v / pivot)
+        row[r] += 1.0 / pivot
+
+    for r, p in forward:
+        substitute(r, p)
+    bump_rows = [r for r in range(m) if not done[0][r]]
+    if bump_rows:
+        # Bump rows meet only bump columns and row-singleton columns, and
+        # the rows of the inverse at the bump columns are still zero.
+        bump_cols = [p for p in range(m) if not done[1][p]]
+        block = np.zeros((len(bump_rows), m))
+        for i, r in enumerate(bump_rows):
+            block[i, row_cols[r]] = row_vals[r]
+        rhs = -(block @ binv)
+        rhs[np.arange(len(bump_rows)), bump_rows] += 1.0
+        binv[bump_cols] = np.linalg.inv(block[:, bump_cols]) @ rhs
+    for r, p in reversed(backward):
+        substitute(r, p)
+    return binv
 
 
 def refactor(a, b, x, basis, binv):
-    """Invert the basis afresh and recompute the basic values from it."""
-    binv[:, :] = np.linalg.inv(a.dense(basis))
+    """Invert the basis afresh (see :func:`basis_inverse`) and recompute
+    the basic values from it."""
+    binv[:, :] = basis_inverse(a, basis)
     _recompute_basics(a, b, x, basis, binv)
 
 

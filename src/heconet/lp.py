@@ -12,6 +12,10 @@ the removal of redundant rows.  Pricing is Dantzig's rule with a
 fall-back to Bland's after a run of degenerate pivots, the ratio test
 is a two-pass Harris test, and the explicit basis inverse is eta-updated
 and periodically refactorized (see :func:`heconet.kernels.simplex_iterate`).
+The crash basis and every refactorization are inverted from the sparse
+columns by :func:`heconet.kernels.basis_inverse`, which solves the
+triangular part by substitution and inverts only the remaining bump; the
+crash basis is triangular, so it has no bump.
 Every optimal answer is re-checked against the KKT conditions, and every
 infeasible answer against its Farkas ray, before it is returned.
 
@@ -205,18 +209,21 @@ def _crash(a: kernels.SparseColumns, free: np.ndarray, has_slack: np.ndarray) ->
     "Implementing the simplex method: the initial basis", ORSA J.
     Computing 1992).  Returns the owning column of each row, or -1.
     """
-    owner = np.full(a.shape[0], -1, dtype=np.int64)
-    touched = np.zeros(a.shape[0], dtype=bool)
-    for j in np.flatnonzero(free):
-        rows, vals = a.column(j)
-        pick = ~touched[rows]
-        if not pick.any():
-            continue
-        if (pick & ~has_slack[rows]).any():
-            pick &= ~has_slack[rows]
-        owner[rows[pick][np.argmax(np.abs(vals[pick]))]] = j
-        touched[rows] = True
-    return owner
+    indptr, indices, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    slackless = (~has_slack).tolist()
+    owner = [-1] * a.shape[0]
+    touched = [False] * a.shape[0]
+    for j in np.flatnonzero(free).tolist():
+        entries = range(indptr[j], indptr[j + 1])
+        # The first entry of the largest |value| on the most preferred
+        # untouched rows.
+        best = max((k for k in entries if not touched[indices[k]]), default=-1,
+                   key=lambda k: (slackless[indices[k]], abs(data[k])))
+        if best >= 0:
+            owner[indices[best]] = j
+            for k in entries:
+                touched[indices[k]] = True
+    return np.array(owner, dtype=np.int64)
 
 
 def _start(lp: LinearProgram) -> _Simplex:
@@ -226,7 +233,9 @@ def _start(lp: LinearProgram) -> _Simplex:
     upper bound, else (free) at 0.  Free columns stay feasible at any
     value, so they are placed first; a row they leave uncovered takes
     its slack when the slack's value is within its bounds, and an
-    artificial, signed to start >= 0, otherwise.
+    artificial, signed to start >= 0, otherwise.  The crash basis (the
+    crash columns and unit columns on the uncovered rows) is triangular
+    and is inverted by substitution from its sparse columns.
     """
     m, n = lp.n_rows, lp.n_vars
     structural = kernels.SparseColumns.from_dense(lp.rows)
@@ -238,17 +247,14 @@ def _start(lp: LinearProgram) -> _Simplex:
     w = np.where(np.isfinite(lp.lower), lp.lower,
                  np.where(np.isfinite(lp.upper), lp.upper, 0.0))
     # Invert the basis with unit columns on the uncovered rows; their
-    # values are then the row residuals left by the other columns.  In
-    # row blocks (covered R, uncovered S) the basis is [[F_R, 0], [F_S, I]],
-    # so only F_R needs a dense inverse.
+    # values are then the row residuals left by the other columns.
     covered = owner >= 0
-    owned, uncovered = np.flatnonzero(covered), np.flatnonzero(~covered)
-    f = structural.dense(owner[owned])
-    f_r_inv = np.linalg.inv(f[owned]) if owned.size else np.zeros((0, 0))
-    binv = np.zeros((m, m))
-    binv[np.ix_(owned, owned)] = f_r_inv
-    binv[np.ix_(uncovered, owned)] = -f[uncovered] @ f_r_inv
-    binv[uncovered, uncovered] = 1.0
+    uncovered = np.flatnonzero(~covered)
+    crash = kernels.SparseColumns(
+        (m, n + m), np.concatenate([structural.cols, n + uncovered]),
+        np.concatenate([structural.indices, uncovered]),
+        np.concatenate([structural.data, np.ones(uncovered.size)]))
+    binv = kernels.basis_inverse(crash, np.where(covered, owner, n + np.arange(m)))
     basic = binv @ (lp.rhs - structural.matvec(w))
     w[owner[covered]] = basic[covered]
 

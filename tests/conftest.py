@@ -87,25 +87,13 @@ def economy_instance(economy_incidence):
 
 
 def time_expanded(inc, durations, horizon, f=ECONOMY_F):
-    """The reference economy over ``horizon`` steps: initial place marking
-    [-y; f], nothing in flight at either end, final place markings >= 0
-    and the factor cost charged on every start firing.  Its optimum is
-    the static one for any horizon longer than the largest duration."""
+    """The reference economy over ``horizon`` steps (``hfnmcf.embed_static``
+    with unit steps).  Its optimum is the static one for any horizon
+    longer than the largest duration."""
     from heconet import hfnmcf
-    from heconet.petri import EngineeringSystemNet
     n = ECONOMY_Y.size
-    net = EngineeringSystemNet(incidence=inc, durations=np.asarray(durations))
-    layout = hfnmcf.variable_layout(net, (), horizon)
-    cost = np.zeros(layout.size)
-    layout.family(cost, "u_minus")[:] = ECONOMY_PI @ inc.m_minus[n:]
-    lower, upper = hfnmcf.default_bounds(layout)
-    lower[layout.q_b(horizon)] = 0.0
-    boundary = hfnmcf.BoundaryConditions(
-        q_b_initial=np.concatenate([-ECONOMY_Y, f]),
-        q_e_initial=np.zeros(net.n_transitions),
-        q_e_final=np.zeros(net.n_transitions))
-    return hfnmcf.HfnmcfProblem(net=net, horizon=horizon, linear_cost=cost,
-                                boundary=boundary, lower=lower, upper=upper)
+    return hfnmcf.embed_static(inc, ECONOMY_Y, f, ECONOMY_PI, inc.m_minus[n:],
+                               horizon, np.asarray(durations))
 
 
 def row_subset(program, keep):

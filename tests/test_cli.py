@@ -114,6 +114,49 @@ def test_hfnmcf_full_json_objective(runner):
     assert doc["q_b"][1][4] == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("horizon, dt", [(8, 1.0), (1, 0.5), (8, 0.5)])
+def test_hfnmcf_full_carries_the_economy_over_the_horizon(runner, tmp_path, horizon, dt):
+    # Without a boundary block the deficit [-y; f] starts the horizon and
+    # the demand must be met by its end, at the static optimum whatever
+    # the step length: a start firing u- moves, and is charged for,
+    # u- dt tokens.
+    path = changed_copy(tmp_path, SCENARIO,
+                        lambda doc: doc.update({"horizon": horizon, "dt": dt}))
+    result = runner.invoke(main, ["--format", "json", "hfnmcf-full", ECONOMY, path])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    assert doc["objective"] == pytest.approx(ECONOMY_Z, rel=1e-9)
+    assert len(doc["q_b"]) == horizon + 1
+    assert doc["q_b"][0] == pytest.approx([-20.0, -25.0, -22.0, 540.0, 342.0])
+    assert min(doc["q_b"][horizon]) >= -1e-9
+
+
+def test_hfnmcf_full_over_the_horizon_without_water_is_infeasible(runner, tmp_path):
+    # This once exited 0 with objective 0: demand and availability did
+    # not enter the program at horizon > 1.
+    path = changed_copy(tmp_path, SCENARIO, lambda doc: doc.update(
+        {"horizon": 8, "availability": {"capital": 540.0, "water": 1.0}}))
+    result = runner.invoke(main, ["hfnmcf-full", ECONOMY, path])
+    assert result.exit_code == 3, result.output
+    assert "conflicting rows: " in result.stderr
+    assert "water@economy" in result.stderr
+
+
+def test_hfnmcf_full_needs_a_horizon_longer_than_the_durations(runner, tmp_path):
+    # A one-step capability cannot complete within one step, so the
+    # demand cannot be met at horizon 1; at horizon 2 it can.
+    model = tmp_path / "timed.xml"
+    model.write_text(open(ECONOMY).read().replace(
+        'process="p1"/>', 'process="p1" duration="1"/>'))
+    result = runner.invoke(main, ["hfnmcf-full", str(model), SCENARIO])
+    assert result.exit_code == 3, result.output
+    assert "conflicting rows: " in result.stderr
+    path = changed_copy(tmp_path, SCENARIO, lambda doc: doc.update({"horizon": 2}))
+    result = runner.invoke(main, ["--format", "json", "hfnmcf-full", str(model), path])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["objective"] == pytest.approx(ECONOMY_Z, rel=1e-9)
+
+
 def test_hfnmcf_full_scenario_with_boundary_and_pins(runner, tmp_path):
     scenario = {
         "schema": "heconet-scenario/1",

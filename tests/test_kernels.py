@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heconet import kernels
+from heconet import kernels, lp
 from heconet.config import DEFAULT_TOLERANCES
 
 from oracles import eig_radius
@@ -88,6 +88,95 @@ def test_simplex_free_column_enters_downwards():
     assert list(basis) == [0]
     assert w[0] == pytest.approx(-3.0, abs=1e-12)
     assert w[1] == 0.0
+
+
+def planted_basis(rng, n_row, n_bump, n_col, extra=4):
+    """(a, basis, dense): a random sparse nonsingular basis, hidden among
+    ``extra`` other columns under random row and column permutations.
+
+    Permuted back it is block lower triangular, [[L, 0, 0], [X, D, 0],
+    [Y, Z, U]]: ``n_row`` rows of a lower triangle L that peel as row
+    singletons, a dense ``n_bump`` x ``n_bump`` bump D, and an upper
+    triangle U whose ``n_col`` columns peel as column singletons.
+    """
+    def sparse(shape):
+        return rng.normal(size=shape) * (rng.random(shape) < 0.3)
+
+    m = n_row + n_bump + n_col
+    b = np.tril(sparse((m, m)), -1)
+    tail = slice(n_row + n_bump, m)
+    b[tail, tail] = np.triu(sparse((n_col, n_col)), 1)
+    b[np.arange(m), np.arange(m)] = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
+    bump = slice(n_row, n_row + n_bump)
+    b[bump, bump] = rng.normal(size=(n_bump, n_bump)) + 3.0 * np.eye(n_bump)
+    b = b[rng.permutation(m)][:, rng.permutation(m)]
+    dense = np.hstack([b, sparse((m, extra))])
+    order = rng.permutation(m + extra)
+    dense = dense[:, order]
+    return kernels.SparseColumns.from_dense(dense), np.argsort(order)[:m], dense
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_basis_inverse_matches_the_dense_inverse(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n_row, n_bump, n_col = rng.integers(0, 12, size=3)
+    a, basis, dense = planted_basis(rng, n_row, n_bump, n_col)
+    expected = np.linalg.inv(dense[:, basis])
+    dense_inverse = np.linalg.inv
+    sizes = []
+
+    def recorded(matrix):
+        sizes.append(matrix.shape[0])
+        return dense_inverse(matrix)
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    binv = kernels.basis_inverse(a, basis)
+    # Only the bump, or less of it when it peels further, is inverted.
+    assert max(sizes, default=0) <= n_bump
+    scale = 1.0 + np.max(np.abs(expected), initial=0.0)
+    np.testing.assert_allclose(binv, expected, rtol=0, atol=1e-10 * scale)
+
+
+def test_basis_inverse_of_an_empty_basis():
+    a = kernels.SparseColumns.from_dense(np.zeros((0, 3)))
+    assert kernels.basis_inverse(a, np.zeros(0, dtype=np.int64)).shape == (0, 0)
+
+
+@pytest.mark.parametrize("dense, basis, message", [
+    ([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 3.0]], [0, 1, 2], "row 1 is empty"),
+    # rows 0 and 2 meet only column 0
+    ([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [4.0, 0.0, 0.0]], [0, 1, 1], "row [02] is empty"),
+    ([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0]], [0, 1, 2], "column 2 is empty"),
+    # the rows of the 3 x 3 bump are r, s and r + s
+    ([[1.0, 2.0, 3.0, 0.0], [2.0, 1.0, 1.0, 0.0], [3.0, 3.0, 4.0, 0.0],
+      [1.0, 0.0, 0.0, 1.0]], [0, 1, 2, 3], "Singular matrix"),
+], ids=["empty-row", "repeated-column", "empty-column", "singular-bump"])
+def test_basis_inverse_rejects_a_singular_basis(dense, basis, message):
+    a = kernels.SparseColumns.from_dense(np.array(dense))
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        kernels.basis_inverse(a, np.array(basis))
+
+
+def test_singular_refactorization_is_a_pivot_breakdown(monkeypatch):
+    # The first inverse is the crash basis; every later one is a
+    # refactorization, here after each pivot.
+    calls = []
+    inverse = kernels.basis_inverse
+
+    def singular_after_the_crash(a, basis):
+        calls.append(len(basis))
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inverse(a, basis)
+    monkeypatch.setattr(kernels, "basis_inverse", singular_after_the_crash)
+    program = lp.LinearProgram(cost=[1.0, 1.0], rows=[[1.0, 1.0], [1.0, -1.0]],
+                               senses=(lp.EQUAL, lp.EQUAL), rhs=[4.0, 2.0])
+    tol = DEFAULT_TOLERANCES.replace(lp_refactor_every=1)
+    with pytest.raises(lp.PivotBreakdownError,
+                       match="singular basis during phase 1 refactorization") as caught:
+        lp.solve_lp(program, tol)
+    assert len(calls) == 2
+    assert len(caught.value.basis) == 2
+    assert "basis columns: " in str(caught.value)
 
 
 def test_trajectory_recurrence_by_hand():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from heconet.lp import (CertificationError, IterationLimitError,
                         feasible, irreducible_infeasible_rows, solve_lp)
 
 from conftest import (ECONOMY_F, ECONOMY_M_MINUS, ECONOMY_M_PLUS, ECONOMY_PI,
-                      ECONOMY_X, ECONOMY_Y, ECONOMY_Z, water_cut)
+                      ECONOMY_X, ECONOMY_Y, ECONOMY_Z, time_expanded, water_cut)
 
 
 def economy_lp() -> LinearProgram:
@@ -463,6 +465,94 @@ def test_water_cut_diagnosis_pivots(water_cut_problem, monkeypatch):
     witness = irreducible_infeasible_rows(hfnmcf.build_full(water_cut_problem))
     assert len(witness) == 84
     assert sum(pivots) <= 400
+
+
+def crash_by_arrays(a, free, has_slack):
+    """The crash by numpy operations on each column: the reference for
+    lp._crash."""
+    owner = np.full(a.shape[0], -1, dtype=np.int64)
+    touched = np.zeros(a.shape[0], dtype=bool)
+    for j in np.flatnonzero(free):
+        rows, vals = a.column(j)
+        pick = ~touched[rows]
+        if not pick.any():
+            continue
+        if (pick & ~has_slack[rows]).any():
+            pick &= ~has_slack[rows]
+        owner[rows[pick][np.argmax(np.abs(vals[pick]))]] = j
+        touched[rows] = True
+    return owner
+
+
+def crash_inverse_by_lu(program):
+    """Crash owners and the unsigned crash basis inverse by a dense LU of
+    the crash block: the reference for the inverse lp._start substitutes.
+
+    In row blocks (covered R, uncovered S) the basis is
+    [[F_R, 0], [F_S, I]], so its inverse is [[F_R^-1, 0], [-F_S F_R^-1, I]].
+    """
+    m = program.n_rows
+    structural = kernels.SparseColumns.from_dense(program.rows)
+    free = np.isinf(program.lower) & np.isinf(program.upper)
+    owner = crash_by_arrays(structural, free, np.array(program.senses) != lp.EQUAL)
+    covered = owner >= 0
+    owned, uncovered = np.flatnonzero(covered), np.flatnonzero(~covered)
+    f = program.rows[:, owner[owned]]
+    f_r_inv = np.linalg.inv(f[owned]) if owned.size else np.zeros((0, 0))
+    binv = np.zeros((m, m))
+    binv[np.ix_(owned, owned)] = f_r_inv
+    binv[np.ix_(uncovered, owned)] = -f[uncovered] @ f_r_inv
+    binv[uncovered, uncovered] = 1.0
+    return owner, binv
+
+
+@pytest.mark.parametrize("horizon", [None, 2, 8, 40], ids=["water-cut", "K2", "K8", "K40"])
+def test_crash_and_its_inverse_match_the_lu_reference(economy_incidence, water_cut_problem,
+                                                      horizon):
+    # the water-cut program's durations, with water left as it is
+    durations = np.random.default_rng(8).integers(1, 3, size=6)
+    problem = water_cut_problem if horizon is None else time_expanded(
+        economy_incidence, durations, horizon)
+    program = hfnmcf.build_full(problem)
+    owner, expected = crash_inverse_by_lu(program)
+    structural = kernels.SparseColumns.from_dense(program.rows)
+    free = np.isinf(program.lower) & np.isinf(program.upper)
+    assert np.array_equal(lp._crash(structural, free, np.array(program.senses) != lp.EQUAL),
+                          owner)
+    sx = lp._start(program)
+    assert np.array_equal(sx.basis[owner >= 0], owner[owner >= 0])
+    # _start signs the rows of the artificials' inverse by their columns.
+    artificial = (sx.basis >= sx.artificial.start) & (sx.basis < sx.artificial.stop)
+    sign = np.where(artificial, sx.a.data[sx.a.indptr[sx.basis]], 1.0)
+    np.testing.assert_allclose(sx.binv * sign[:, None], expected, rtol=1e-12, atol=0)
+
+
+def test_time_expanded_solve_inverts_no_dense_matrix(economy_incidence, monkeypatch):
+    # The crash basis is triangular and 23 pivots stay below one
+    # refactorization, so no dense inverse runs.
+    program = hfnmcf.build_full(time_expanded(economy_incidence, np.ones(6, dtype=int), 40))
+
+    def refuse(matrix):
+        raise AssertionError(f"dense inverse of a {matrix.shape} matrix")
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    result = solve_lp(program)
+    assert result.status is LpStatus.OPTIMAL
+    assert result.iterations == 23
+    assert result.objective == pytest.approx(ECONOMY_Z, rel=1e-9)
+
+
+def test_start_memory_at_k160(economy_incidence):
+    # The m x m inverse (60 MB here) and little else: the dense block
+    # algebra it replaces peaked at about 151 MB.
+    program = hfnmcf.build_full(time_expanded(economy_incidence, np.ones(6, dtype=int), 160))
+    tracemalloc.start()
+    try:
+        lp._start(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert program.n_rows == 2737
+    assert peak <= 100e6
 
 
 def test_duals_flip_with_row_sign():
