@@ -80,8 +80,13 @@ def _load_model(path: str):
     return io.parse_system_xml(Path(path).read_bytes())
 
 
-def _load_scenario(path: str):
-    return io.load_scenario(Path(path).read_bytes())
+def _read_economy(model_xml: str, scenario_json: str) -> tuple:
+    """(model, scenario, y, f, pi, product ids, factor ids, incidence) of
+    a model file and a scenario file."""
+    model = _load_model(model_xml)
+    scenario = io.load_scenario(Path(scenario_json).read_bytes())
+    return (model, scenario, *io.vectors_from_scenario(model, scenario),
+            build_incidence(model))
 
 
 def _exit_on_status(status: LpStatus):
@@ -119,10 +124,7 @@ def convert(ctx, model_xml, emit):
 def leontief_cmd(ctx, model_xml, scenario_json):
     """Solve the square input-output system (one technology per
     product); errors out if the model is not square."""
-    model = _load_model(model_xml)
-    scenario = _load_scenario(scenario_json)
-    y, f, pi, products, factors = io.vectors_from_scenario(model, scenario)
-    inc = build_incidence(model)
+    _, _, y, f, pi, products, factors, inc = _read_economy(model_xml, scenario_json)
     inst = rcot.instance_from_incidence(inc, len(products), y, f, pi)
     if inst.n_technologies != inst.n_sectors:
         raise ValueError(
@@ -149,10 +151,7 @@ def leontief_cmd(ctx, model_xml, scenario_json):
 @_guard
 def rcot_cmd(ctx, model_xml, scenario_json):
     """Solve the technology-choice program."""
-    model = _load_model(model_xml)
-    scenario = _load_scenario(scenario_json)
-    y, f, pi, products, _ = io.vectors_from_scenario(model, scenario)
-    inc = build_incidence(model)
+    model, _, y, f, pi, products, _, inc = _read_economy(model_xml, scenario_json)
     labels = tuple(capability_label(model, c) for c in model.capabilities)
     inst = rcot.instance_from_incidence(inc, len(products), y, f, pi,
                                         tech_labels=labels)
@@ -170,17 +169,9 @@ def rcot_cmd(ctx, model_xml, scenario_json):
 @_guard
 def hfnmcf_static(ctx, model_xml, scenario_json, relaxation):
     """Solve the static network-flow reduction of the economy."""
-    model = _load_model(model_xml)
-    scenario = _load_scenario(scenario_json)
-    y, f, pi, products, _ = io.vectors_from_scenario(model, scenario)
-    inc = build_incidence(model)
-    f_star = inc.m_minus[len(products):]
-    red = hfnmcf.build_static(inc, y, f, pi, f_star)
+    model, _, y, f, pi, _, _, inc = _read_economy(model_xml, scenario_json)
     labels = tuple(capability_label(model, c) for c in model.capabilities)
-    red = hfnmcf.StaticEioReduction(
-        m=red.m, c=red.c, cost=red.cost, f_star=red.f_star,
-        capability_labels=labels, row_labels=red.row_labels,
-        factor_labels=red.factor_labels)
+    red = replace(hfnmcf.build_static(inc, y, f, pi), capability_labels=labels)
     sol = hfnmcf.solve_static(red, relaxation, ctx.obj["tol"])
     _exit_on_status(sol.status)
     _write(ctx, _solution_payload(ctx, sol))
@@ -194,13 +185,9 @@ def hfnmcf_static(ctx, model_xml, scenario_json, relaxation):
 def hfnmcf_full(ctx, model_xml, scenario_json):
     """Solve the discrete-time program over the scenario's horizon;
     without boundary data it carries the static reduction over it."""
-    model = _load_model(model_xml)
-    scenario = _load_scenario(scenario_json)
-    y, f, pi, products, _ = io.vectors_from_scenario(model, scenario)
-    inc = build_incidence(model)
+    model, scenario, y, f, pi, _, _, inc = _read_economy(model_xml, scenario_json)
     durations = [cap.duration for cap in model.capabilities]
-    problem = hfnmcf.embed_static(inc, y, f, pi, inc.m_minus[len(products):],
-                                  scenario.horizon, durations, scenario.dt)
+    problem = hfnmcf.embed_static(inc, y, f, pi, scenario.horizon, durations, scenario.dt)
     given = dict(pins=hfnmcf.FiringPins(**scenario.pins))
     if scenario.boundary:
         # explicit boundary data replace the deficit and the surplus bound
@@ -218,9 +205,8 @@ def hfnmcf_full(ctx, model_xml, scenario_json):
     if ctx.obj["format"] == "json":
         _write(ctx, io.emit_full_json(sol))
     else:
-        _write(ctx, io.emit_trajectory_csv(
-            sol.q_b, sol.q_e,
-            [f"{o}@{b}" for o, b in inc.place_labels], inc.capabilities))
+        _write(ctx, io.emit_trajectory_csv(sol.q_b, sol.q_e, inc.place_names,
+                                           inc.capabilities))
 
 
 @main.command()
@@ -249,9 +235,8 @@ def simulate(ctx, model_xml, schedule_json):
                "dropped": [asdict(d) for d in result.dropped]}
         _write(ctx, (json.dumps(doc, indent=2) + "\n").encode())
     else:
-        _write(ctx, io.emit_trajectory_csv(
-            result.q_b, result.q_e,
-            [f"{o}@{b}" for o, b in inc.place_labels], inc.capabilities))
+        _write(ctx, io.emit_trajectory_csv(result.q_b, result.q_e, inc.place_names,
+                                           inc.capabilities))
 
 
 @main.command()
@@ -262,10 +247,7 @@ def simulate(ctx, model_xml, schedule_json):
 @_guard
 def chord(ctx, model_xml, scenario_json, nonzero):
     """Emit the transaction matrix as a long-format edge list."""
-    model = _load_model(model_xml)
-    scenario = _load_scenario(scenario_json)
-    y, f, pi, products, _ = io.vectors_from_scenario(model, scenario)
-    inc = build_incidence(model)
+    _, _, y, f, pi, products, _, inc = _read_economy(model_xml, scenario_json)
     inst = rcot.instance_from_incidence(inc, len(products), y, f, pi)
     _write(ctx, io.emit_chord_csv(inst.a_star, products, inst.tech_labels,
                                   nonzero_only=nonzero))

@@ -138,9 +138,7 @@ def _solve_both(model, scenario, tol: Tolerances):
     inst = rcot.instance_from_incidence(inc, len(products), y, f, pi,
                                         tech_labels=labels)
     rcot_sol = rcot.solve_rcot(inst, tol)
-    f_star = inc.m_minus[len(products):]
-    red = hfnmcf.build_static(inc, y, f, pi, f_star)
-    static_sol = hfnmcf.solve_static(red, tol=tol)
+    static_sol = hfnmcf.solve_static(hfnmcf.build_static(inc, y, f, pi), tol=tol)
     return rcot_sol, static_sol, factors
 
 

@@ -69,36 +69,23 @@ class StaticEioReduction:
                    row_labels=rows, factor_labels=tuple(self.factor_labels))
 
 
-def build_static(inc: IncidenceMatrices, y, f, pi, f_star) -> StaticEioReduction:
+def build_static(inc: IncidenceMatrices, y, f, pi) -> StaticEioReduction:
     """Static reduction of a model's incidence matrices: M, C = [y; -f],
-    cost = pi'f_star.
+    cost = pi'F*, where F* is the factor rows of M-, those after the
+    len(y) product rows.
 
     The model's operands must be declared products first, then factors,
     matching the order of y and f.
     """
-    y = np.asarray(y, dtype=float)
-    f = np.asarray(f, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    f_star = np.asarray(f_star, dtype=float)
-    n_places = inc.n_places
-    if y.ndim != 1 or f.ndim != 1:
-        raise ValueError("y and f must be vectors")
-    if y.shape[0] + f.shape[0] != n_places:
-        raise ValueError(
-            f"y and f cover {y.shape[0] + f.shape[0]} operand places, "
-            f"model has {n_places}")
-    if f_star.ndim != 2 or f_star.shape != (f.shape[0], len(inc.capabilities)):
-        raise ValueError(
-            f"f_star must have shape {(f.shape[0], len(inc.capabilities))}")
-    if pi.shape != (f.shape[0],):
-        raise ValueError(f"pi must have length {f.shape[0]}")
-    c = np.concatenate([y, -f])
-    labels = tuple(f"{o}@{b}" for o, b in inc.place_labels)
+    y = checked_array(y, "y", (None,))
+    # a y longer than the places leaves f no rows; the reduction rejects c
+    f = checked_array(f, "f", (max(inc.n_places - len(y), 0),))
+    pi = checked_array(pi, "pi", f.shape)
+    f_star = inc.m_minus[len(y):]
     return StaticEioReduction(
-        m=inc.m, c=c, cost=pi @ f_star, f_star=f_star,
-        capability_labels=inc.capabilities,
-        row_labels=labels,
-        factor_labels=inc.operands[y.shape[0]:])
+        m=inc.m, c=np.concatenate([y, -f]), cost=pi @ f_star, f_star=f_star,
+        capability_labels=inc.capabilities, row_labels=inc.place_names,
+        factor_labels=inc.operands[len(y):])
 
 
 def static_lp(red: StaticEioReduction, relaxation: str = ">=") -> LinearProgram:
@@ -248,7 +235,7 @@ class VariableLayout:
         """Label ``{prefix}[{k}]:{entry}`` per stacked variable; operand
         entries read ``{operand}:{place or transition}``."""
         entries = {
-            "places": [f"{o}@{b}" for o, b in net.place_labels],
+            "places": net.incidence.place_names,
             "transitions": net.transition_labels,
             "operand places": [f"{o.operand}:{p}" for o in operand_nets for p in o.places],
             "operand transitions": [f"{o.operand}:{t}" for o in operand_nets
@@ -457,7 +444,7 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
     net = problem.net
     layout = problem.layout
     horizon = problem.horizon
-    place_names = [f"{o}@{b}" for o, b in net.place_labels]
+    place_names = net.incidence.place_names
     trans_names = net.transition_labels
 
     blocks = _net_rows(layout, ("q_b", "q_e", "u_plus", "u_minus"), (0, 0),
@@ -579,20 +566,21 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
     return sol
 
 
-def embed_static(inc: IncidenceMatrices, y, f, pi, f_star, horizon: int = 1,
+def embed_static(inc: IncidenceMatrices, y, f, pi, horizon: int = 1,
                  durations=None, dt: float = 1.0) -> HfnmcfProblem:
     """The static reduction carried over ``horizon`` steps of length dt.
 
     The initial place marking is the deficit -C = [-y; f], nothing is in
     flight at the start or the end, the final place marking is free but
     bounded below by zero (the surplus), and the start firings U- are
-    charged the factor cost pi'F* of the dt U- tokens they move.  Solving
+    charged the factor cost pi'F* of the dt U- tokens they move, with F*
+    and the checks on y, f and pi those of :func:`build_static`.  Solving
     this problem reproduces the static optimum, with the surplus M U - C
     appearing in the final marking, whenever the horizon exceeds the
     longest duration; a start that cannot complete within the horizon
     must stay at zero.
     """
-    red = build_static(inc, y, f, pi, f_star)
+    red = build_static(inc, y, f, pi)
     net = EngineeringSystemNet(incidence=inc, durations=durations, dt=dt)
     layout = variable_layout(net, (), horizon)
     cost = np.zeros(layout.size)

@@ -7,13 +7,18 @@ per unit execution, the positive matrix what it pushes.  Entries carry
 the real-valued per-unit coefficients of the underlying process; the
 classical boolean incidence tensors are the support of the weighted
 matrices, available through :meth:`IncidenceMatrices.support`.
+
+The other views of the system are read off these two matrices here and
+nowhere else: the net matrix ``m = m_plus - m_minus`` and the name
+``"operand@buffer"`` of each place.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from heconet.checks import checked_array, set_fields
+from heconet.checks import checked_array, read_only, set_fields
 from heconet.core import SystemModel, buffer_set, require_valid
 
 
@@ -21,13 +26,13 @@ from heconet.core import SystemModel, buffer_set, require_valid
 class IncidenceMatrices:
     """Dense positive/negative incidence matrices with index maps.
 
-    ``m`` always equals ``m_plus - m_minus`` exactly, because it is
-    constructed by that subtraction and never recomputed.
+    ``m`` is not a constructor argument: it is derived once, as the
+    read-only array ``m_plus - m_minus``.
     """
 
     m_plus: np.ndarray
     m_minus: np.ndarray
-    m: np.ndarray
+    m: np.ndarray = field(init=False)
     operands: tuple[str, ...]
     buffers: tuple[str, ...]
     capabilities: tuple[str, ...]
@@ -36,10 +41,7 @@ class IncidenceMatrices:
         shape = (len(self.operands) * len(self.buffers), len(self.capabilities))
         m_plus = checked_array(self.m_plus, "m_plus", shape, nonneg=True)
         m_minus = checked_array(self.m_minus, "m_minus", shape, nonneg=True)
-        m = checked_array(self.m, "m", shape)
-        if not np.array_equal(m, m_plus - m_minus):
-            raise ValueError("m must equal m_plus - m_minus exactly")
-        set_fields(self, m_plus=m_plus, m_minus=m_minus, m=m,
+        set_fields(self, m_plus=m_plus, m_minus=m_minus, m=read_only(m_plus - m_minus),
                    operands=tuple(self.operands), buffers=tuple(self.buffers),
                    capabilities=tuple(self.capabilities))
 
@@ -65,6 +67,11 @@ class IncidenceMatrices:
         """Row labels as (operand id, buffer id) pairs, row order."""
         return tuple((o, b) for o in self.operands for b in self.buffers)
 
+    @functools.cached_property
+    def place_names(self) -> tuple:
+        """Row labels as ``"operand@buffer"`` strings, row order."""
+        return tuple(f"{o}@{b}" for o, b in self.place_labels)
+
     def row(self, operand_id: str, buffer_id: str) -> int:
         return (self.operands.index(operand_id) * len(self.buffers)
                 + self.buffers.index(buffer_id))
@@ -79,15 +86,6 @@ class IncidenceMatrices:
                 and self.capabilities == other.capabilities
                 and np.array_equal(self.m_plus, other.m_plus)
                 and np.array_equal(self.m_minus, other.m_minus))
-
-
-def matricize(m_plus: np.ndarray, m_minus: np.ndarray) -> np.ndarray:
-    """Elementwise difference of the positive and negative matrices."""
-    m_plus = np.asarray(m_plus, dtype=float)
-    m_minus = np.asarray(m_minus, dtype=float)
-    if m_plus.shape != m_minus.shape:
-        raise ValueError(f"shape mismatch: {m_plus.shape} vs {m_minus.shape}")
-    return m_plus - m_minus
 
 
 def build_incidence(model: SystemModel) -> IncidenceMatrices:
@@ -120,7 +118,6 @@ def build_incidence(model: SystemModel) -> IncidenceMatrices:
     return IncidenceMatrices(
         m_plus=m_plus,
         m_minus=m_minus,
-        m=matricize(m_plus, m_minus),
         operands=tuple(operands),
         buffers=tuple(buffers),
         capabilities=tuple(c.id for c in model.capabilities),

@@ -41,7 +41,7 @@ import numpy as np
 from heconet.checks import json_numbers
 from heconet.core import (Capability, Flow, Operand, Process, ProcessKind,
                           Resource, ResourceKind, SystemModel, require_valid)
-from heconet.incidence import IncidenceMatrices, matricize
+from heconet.incidence import IncidenceMatrices
 from heconet.rcot import RcotSolution
 
 INCIDENCE_SCHEMA = "heconet-incidence/1"
@@ -154,11 +154,8 @@ class _XmlLoader:
         self.stack.pop()
         if name == "process":
             proc_id, proc_name, kind, inputs, outputs = self.current_process
-            try:
-                self.processes.append(Process(proc_id, proc_name, kind,
-                                              tuple(inputs), tuple(outputs)))
-            except ValueError as exc:
-                self._fail(str(exc))
+            self.processes.append(Process(proc_id, proc_name, kind,
+                                          tuple(inputs), tuple(outputs)))
             self.current_process = None
         elif name == "capability":
             self.caps.append(self.current_cap)
@@ -167,9 +164,6 @@ class _XmlLoader:
     def _chars(self, data):
         if data.strip():
             self._fail(f"unexpected text content: {data.strip()[:40]!r}")
-
-    def _on_system(self, attrs):
-        pass
 
     def _on_operand(self, attrs):
         self.operands.append(Operand(
@@ -199,10 +193,7 @@ class _XmlLoader:
     def _on_flow(self, name, attrs, bucket):
         operand = self._require(attrs, name, "operand")
         coeff = self._number(self._require(attrs, name, "coeff"), name, "coeff")
-        try:
-            bucket.append(Flow(operand, coeff))
-        except ValueError as exc:
-            self._fail(str(exc))
+        bucket.append(Flow(operand, coeff))
 
     def _on_input(self, attrs):
         self._on_flow("input", attrs, self.current_process[3])
@@ -410,8 +401,7 @@ def read_incidence_json(data) -> IncidenceMatrices:
     m_plus, m_minus = (json_numbers(doc.get(key), f"incidence field {key!r}", (rows, cols),
                                     JsonFormatError) for key in ("m_plus", "m_minus"))
     return IncidenceMatrices(
-        m_plus=m_plus, m_minus=m_minus, m=matricize(m_plus, m_minus),
-        operands=tuple(operands), buffers=tuple(buffers),
+        m_plus=m_plus, m_minus=m_minus, operands=tuple(operands), buffers=tuple(buffers),
         capabilities=tuple(capabilities))
 
 
@@ -655,17 +645,22 @@ _OPERAND_COLORS = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2",
                    "#b279a2", "#eeca3b", "#9d755d")
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a DOT quoted string: JSON quoting, whose ``\\"`` escape
+    DOT reads, with non-ASCII characters kept as they are."""
+    return json.dumps(text, ensure_ascii=False)
+
+
 def to_dot(inc: IncidenceMatrices, name: str = "system") -> bytes:
     """Bipartite place/transition graph with one color per operand."""
     color_of = {op: _OPERAND_COLORS[i % len(_OPERAND_COLORS)]
                 for i, op in enumerate(inc.operands)}
-    lines = [f"digraph {json.dumps(name)} {{", "  rankdir=LR;"]
-    labels = inc.place_labels
-    for idx, (op, buf) in enumerate(labels):
-        lines.append(
-            f'  p{idx} [shape=ellipse, label="{op}@{buf}", color="{color_of[op]}"];')
+    lines = [f"digraph {_dot_string(name)} {{", "  rankdir=LR;"]
+    for idx, ((op, _), label) in enumerate(zip(inc.place_labels, inc.place_names)):
+        lines.append(f'  p{idx} [shape=ellipse, label={_dot_string(label)}, '
+                     f'color="{color_of[op]}"];')
     for j, cap in enumerate(inc.capabilities):
-        lines.append(f'  t{j} [shape=box, label="{cap}"];')
+        lines.append(f'  t{j} [shape=box, label={_dot_string(cap)}];')
     row_of = inc.row_index
     for (op, buf), idx in row_of.items():
         for j in range(len(inc.capabilities)):

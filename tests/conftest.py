@@ -88,12 +88,12 @@ def economy_instance(economy_incidence):
 
 def time_expanded(inc, durations, horizon, f=ECONOMY_F):
     """The reference economy over ``horizon`` steps (``hfnmcf.embed_static``
-    with unit steps).  Its optimum is the static one for any horizon
-    longer than the largest duration."""
+    with unit steps, F* taken from the factor rows of ``inc.m_minus``).
+    Its optimum is the static one for any horizon longer than the
+    largest duration."""
     from heconet import hfnmcf
-    n = ECONOMY_Y.size
-    return hfnmcf.embed_static(inc, ECONOMY_Y, f, ECONOMY_PI, inc.m_minus[n:],
-                               horizon, np.asarray(durations))
+    return hfnmcf.embed_static(inc, ECONOMY_Y, f, ECONOMY_PI, horizon,
+                               np.asarray(durations))
 
 
 def row_subset(program, keep):

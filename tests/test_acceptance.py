@@ -23,7 +23,7 @@ from heconet.cli import main as cli_main
 from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
                             build_static, embed_static, solve_full,
                             solve_static, variable_layout)
-from heconet.incidence import IncidenceMatrices, build_incidence, matricize
+from heconet.incidence import IncidenceMatrices, build_incidence
 from heconet.io import (parse_system_xml, read_incidence_json,
                         write_incidence_json, write_system_xml)
 from heconet.leontief import SquareEio
@@ -31,8 +31,7 @@ from heconet.lp import LinearProgram, LpStatus, certify, solve_lp
 from heconet.petri import EngineeringSystemNet, Marking, simulate
 from heconet.rcot import rcot_from_square, solve_rcot
 
-from conftest import (ECONOMY_F, ECONOMY_M_MINUS, ECONOMY_PI, ECONOMY_Y,
-                      record_criterion)
+from conftest import ECONOMY_F, ECONOMY_PI, ECONOMY_Y, record_criterion
 from oracles import eig_radius, vertex_minimum
 
 DATA = resources.files("heconet") / "data"
@@ -140,8 +139,7 @@ def test_criterion_4a_incidence_blocks_bit_for_bit(economy_incidence):
     plus_equal = np.array_equal(economy_incidence.m_plus, REPORTED_M_PLUS)
     minus_equal = np.array_equal(economy_incidence.m_minus, REPORTED_M_MINUS)
     net_consistent = np.array_equal(
-        economy_incidence.m,
-        matricize(economy_incidence.m_plus, economy_incidence.m_minus))
+        economy_incidence.m, economy_incidence.m_plus - economy_incidence.m_minus)
     ok = plus_equal and minus_equal and net_consistent
     record_criterion("4a", "incidence blocks match the reference", ok,
                      "every entry equal after shortest round-trip parsing")
@@ -238,7 +236,7 @@ def test_criterion_7_conservation_and_replay(warm_kernels):
         m_plus = np.round(rng.random((n_p, n_t)) * 2, 2)
         m_minus = np.round(rng.random((n_p, n_t)) * 2, 2)
         inc = IncidenceMatrices(
-            m_plus, m_minus, matricize(m_plus, m_minus),
+            m_plus, m_minus,
             operands=tuple(f"o{i}" for i in range(n_p)), buffers=("x",),
             capabilities=tuple(f"t{j}" for j in range(n_t)))
         durations = rng.integers(0, 4, n_t)
@@ -278,11 +276,9 @@ def test_criterion_7_conservation_and_replay(warm_kernels):
 
 
 def test_criterion_8_surplus_identity(economy_incidence, warm_kernels):
-    f_star = ECONOMY_M_MINUS[3:]
-    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     static = solve_static(red)
-    full = solve_full(embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F,
-                                   ECONOMY_PI, f_star))
+    full = solve_full(embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI))
     assert static.status is LpStatus.OPTIMAL
     assert full.status is LpStatus.OPTIMAL
     deviation = float(np.max(np.abs(full.q_b[1] - static.binding)))

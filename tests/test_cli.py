@@ -266,6 +266,33 @@ def test_simulate_csv_header(runner):
     assert header.endswith("qE:cap-treat,qE:cap-ship")
 
 
+def test_one_place_name_format_everywhere(runner, tmp_path):
+    from heconet import hfnmcf, io
+    from heconet.incidence import build_incidence
+    model = io.parse_system_xml(DATA.joinpath("three_sector_economy.xml").read_bytes())
+    inc = build_incidence(model)
+    names = list(inc.place_names)
+    assert names == [f"{o}@{b}" for o, b in inc.place_labels]
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({"schema": "heconet-schedule/1", "u_minus": [[0.0] * 6]}))
+    for args in (["hfnmcf-full", ECONOMY, SCENARIO], ["simulate", ECONOMY, str(schedule)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        header = result.stdout.splitlines()[0].split(",")
+        assert [h.removeprefix("qB:") for h in header if h.startswith("qB:")] == names
+    y, f, pi, _, _ = io.vectors_from_scenario(
+        model, io.load_scenario(DATA.joinpath("three_sector_scenario.json").read_bytes()))
+    assert list(hfnmcf.build_static(inc, y, f, pi).row_labels) == names
+    program = hfnmcf.build_full(hfnmcf.embed_static(inc, y, f, pi, horizon=2))
+    for labels, head, steps in ((program.var_labels, "qB", 3),
+                                (program.row_labels, "esn-place", 2)):
+        for k in range(steps):
+            prefix = f"{head}[{k}]:"
+            assert [v.removeprefix(prefix) for v in labels if v.startswith(prefix)] == names
+    dot = io.to_dot(inc).decode()
+    assert re.findall(r'p\d+ \[shape=ellipse, label="([^"]*)"', dot) == names
+
+
 def test_chord_edge_list(runner):
     result = runner.invoke(main, ["chord", ECONOMY, SCENARIO])
     assert result.exit_code == 0, result.output

@@ -11,7 +11,7 @@ from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
                             build_static, default_bounds, embed_static,
                             solve_full, solve_static, static_lp,
                             variable_layout)
-from heconet.incidence import IncidenceMatrices, matricize
+from heconet.incidence import IncidenceMatrices
 from heconet.lp import EQUAL, LinearProgram, LpStatus, certify, feasible
 from heconet.petri import EngineeringSystemNet, Marking, OperandNet
 
@@ -25,7 +25,7 @@ REFERENCE_UNIT_COST = np.array([3.18, 5.18, 3.07, 2.37, 1.79, 2.39])
 def small_net(durations=None, dt=1.0):
     m_plus = np.array([[1.0, 0.0], [0.0, 2.0]])
     m_minus = np.array([[0.0, 1.0], [1.0, 0.0]])
-    inc = IncidenceMatrices(m_plus, m_minus, matricize(m_plus, m_minus),
+    inc = IncidenceMatrices(m_plus, m_minus,
                             operands=("a", "b"), buffers=("x",),
                             capabilities=("t1", "t2"))
     return EngineeringSystemNet(incidence=inc, durations=durations, dt=dt)
@@ -144,26 +144,23 @@ def test_static_reduction_arrays_are_read_only():
 
 
 def test_build_static_reproduces_reference_data(economy_incidence):
-    f_star = ECONOMY_M_MINUS[3:]
-    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     assert np.allclose(red.cost, REFERENCE_UNIT_COST, atol=1e-12)
     assert np.array_equal(red.c, np.concatenate([ECONOMY_Y, -ECONOMY_F]))
     assert red.row_labels == ("man@economy", "cons@economy", "ag@economy",
                               "capital@economy", "water@economy")
     assert red.factor_labels == ("capital", "water")
     assert red.capability_labels == ("c1", "c2", "c3", "c4", "c5", "c6")
+    assert np.array_equal(red.f_star, ECONOMY_M_MINUS[3:])
 
 
 def test_build_static_validation(economy_incidence):
-    f_star = ECONOMY_M_MINUS[3:]
-    with pytest.raises(ValueError, match="cover 4 operand places"):
-        build_static(economy_incidence, ECONOMY_Y[:2], ECONOMY_F, ECONOMY_PI, f_star)
-    with pytest.raises(ValueError, match="f_star must have shape"):
-        build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star.T)
-    with pytest.raises(ValueError, match="pi must have length 2"):
-        build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, [1.0], f_star)
-    with pytest.raises(ValueError, match="y and f must be vectors"):
-        build_static(economy_incidence, np.zeros((3, 1)), ECONOMY_F, ECONOMY_PI, f_star)
+    with pytest.raises(ValueError, match=r"f must have shape \(3,\), got \(2,\)"):
+        build_static(economy_incidence, ECONOMY_Y[:2], ECONOMY_F, ECONOMY_PI)
+    with pytest.raises(ValueError, match=r"pi must have shape \(2,\)"):
+        build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, [1.0])
+    with pytest.raises(ValueError, match=r"y must have shape \(\*,\)"):
+        build_static(economy_incidence, np.zeros((3, 1)), ECONOMY_F, ECONOMY_PI)
 
 
 def test_static_lp_relaxation_argument():
@@ -175,8 +172,7 @@ def test_static_lp_relaxation_argument():
 
 
 def test_static_solution_matches_reference(economy_incidence):
-    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
-                       ECONOMY_M_MINUS[3:])
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     sol = solve_static(red)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.z == pytest.approx(ECONOMY_Z, abs=1e-9)
@@ -190,8 +186,7 @@ def test_static_solution_matches_reference(economy_incidence):
 
 
 def test_equality_relaxation_is_infeasible_on_the_reference(economy_incidence):
-    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
-                       ECONOMY_M_MINUS[3:])
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     sol = solve_static(red, relaxation="=")
     assert sol.status is LpStatus.INFEASIBLE
     assert np.all(np.isnan(sol.x_star))
@@ -202,8 +197,7 @@ def test_equality_relaxation_feasible_when_supply_matches_usage(economy_incidenc
     # shrink factor supply to the quantity actually used at the optimum;
     # then zero slack is achievable and the equality form has solutions
     f_exact = np.array([ECONOMY_PHI_CAPITAL, ECONOMY_PHI_WATER])
-    red = build_static(economy_incidence, ECONOMY_Y, f_exact, ECONOMY_PI,
-                       ECONOMY_M_MINUS[3:])
+    red = build_static(economy_incidence, ECONOMY_Y, f_exact, ECONOMY_PI)
     sol = solve_static(red, relaxation="=")
     assert sol.status is LpStatus.OPTIMAL
     assert np.allclose(red.m @ sol.x_star, red.c, atol=1e-8)
@@ -357,8 +351,7 @@ def test_extra_rows_extend_the_program():
 
 
 def test_embed_static_reproduces_the_static_optimum(economy_incidence):
-    f_star = ECONOMY_M_MINUS[3:]
-    problem = embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
+    problem = embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     sol = solve_full(problem)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(ECONOMY_Z, abs=1e-8)
@@ -369,15 +362,14 @@ def test_embed_static_reproduces_the_static_optimum(economy_incidence):
     # initial marking is the deficit, final marking the surplus
     c = np.concatenate([ECONOMY_Y, -ECONOMY_F])
     assert np.allclose(sol.q_b[0], -c, atol=1e-12)
-    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, f_star)
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     assert np.allclose(sol.q_b[1], red.m @ sol.u_minus[0] - c, atol=1e-8)
     assert sol.q_b[1][3] == pytest.approx(ECONOMY_F[0] - ECONOMY_PHI_CAPITAL,
                                           abs=1e-6)
 
 
 def test_full_solution_family_shapes(economy_incidence):
-    problem = embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI,
-                           ECONOMY_M_MINUS[3:])
+    problem = embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     sol = solve_full(problem)
     assert sol.q_b.shape == (2, 5)
     assert sol.q_e.shape == (2, 6)
@@ -707,7 +699,7 @@ def test_build_full_matches_row_reference(data):
     shape = (n_ops * n_bufs, n_caps)
     m_plus = _matrix(data, shape, COEFFICIENTS, "M+")
     m_minus = _matrix(data, shape, COEFFICIENTS, "M-")
-    inc = IncidenceMatrices(m_plus, m_minus, matricize(m_plus, m_minus),
+    inc = IncidenceMatrices(m_plus, m_minus,
                             operands=tuple(f"o{i}" for i in range(n_ops)),
                             buffers=tuple(f"b{i}" for i in range(n_bufs)),
                             capabilities=tuple(f"c{j}" for j in range(n_caps)))

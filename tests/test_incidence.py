@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from heconet.core import (Capability, Flow, Operand, Process, ProcessKind,
                           Resource, ResourceKind, SystemModel)
-from heconet.incidence import IncidenceMatrices, build_incidence, matricize
+from heconet.incidence import IncidenceMatrices, build_incidence
+from heconet.io import read_incidence_json, write_incidence_json
 
 from conftest import ECONOMY_M_MINUS, ECONOMY_M_PLUS
 
@@ -38,7 +39,6 @@ def test_equals(economy_incidence):
     clone = IncidenceMatrices(
         m_plus=economy_incidence.m_plus.copy(),
         m_minus=economy_incidence.m_minus.copy(),
-        m=economy_incidence.m.copy(),
         operands=economy_incidence.operands,
         buffers=economy_incidence.buffers,
         capabilities=economy_incidence.capabilities)
@@ -50,29 +50,13 @@ def test_arrays_read_only(economy_incidence):
         economy_incidence.m_plus[0, 0] = 99.0
 
 
-def test_m_consistency_enforced():
-    with pytest.raises(ValueError, match="m_plus - m_minus"):
-        IncidenceMatrices(
-            m_plus=np.ones((1, 1)), m_minus=np.zeros((1, 1)),
-            m=np.zeros((1, 1)),
-            operands=("a",), buffers=("b",), capabilities=("c",))
-
-
 def test_shape_and_value_validation():
     with pytest.raises(ValueError):
-        IncidenceMatrices(np.ones((2, 1)), np.zeros((1, 1)), np.ones((1, 1)),
-                          ("a",), ("b",), ("c",))
+        IncidenceMatrices(np.ones((2, 1)), np.zeros((1, 1)), ("a",), ("b",), ("c",))
     with pytest.raises(ValueError):
-        IncidenceMatrices(np.full((1, 1), np.nan), np.zeros((1, 1)),
-                          np.full((1, 1), np.nan), ("a",), ("b",), ("c",))
+        IncidenceMatrices(np.full((1, 1), np.nan), np.zeros((1, 1)), ("a",), ("b",), ("c",))
     with pytest.raises(ValueError):
-        IncidenceMatrices(np.full((1, 1), -1.0), np.zeros((1, 1)),
-                          np.full((1, 1), -1.0), ("a",), ("b",), ("c",))
-
-
-def test_matricize_shape_mismatch():
-    with pytest.raises(ValueError):
-        matricize(np.ones((2, 2)), np.ones((3, 2)))
+        IncidenceMatrices(np.full((1, 1), -1.0), np.zeros((1, 1)), ("a",), ("b",), ("c",))
 
 
 def two_buffer_model():
@@ -128,12 +112,15 @@ def test_build_rejects_invalid_model():
     arrays(np.float64, (3, 2), elements=st.floats(0, 10, allow_nan=False)),
 )
 @settings(max_examples=50, deadline=None)
-def test_matricize_is_difference(m_plus, m_minus):
-    m = matricize(m_plus, m_minus)
-    assert np.array_equal(m, m_plus - m_minus)
-    inc = IncidenceMatrices(m_plus, m_minus, m,
-                            operands=("a", "b", "c"), buffers=("x",),
+def test_m_is_the_read_only_difference(m_plus, m_minus):
+    inc = IncidenceMatrices(m_plus, m_minus, operands=("a", "b", "c"), buffers=("x",),
                             capabilities=("u", "v"))
+    assert inc.m.tobytes() == (m_plus - m_minus).tobytes()
+    with pytest.raises(ValueError):
+        inc.m[0, 0] = 1.0
+    again = read_incidence_json(write_incidence_json(inc))
+    assert again.m.tobytes() == inc.m.tobytes()
+    assert not again.m.flags.writeable
     plus, minus = inc.support()
     assert np.all((~plus | (inc.m_plus != 0)))
     assert np.all((~minus | (inc.m_minus != 0)))

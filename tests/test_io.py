@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from importlib import resources
 from io import StringIO
 
@@ -8,7 +9,7 @@ import pytest
 
 from heconet import io
 from heconet.core import ModelError, ProcessKind, ResourceKind
-from heconet.incidence import IncidenceMatrices, build_incidence, matricize
+from heconet.incidence import IncidenceMatrices, build_incidence
 from heconet.io import (JsonFormatError, Scenario, ScenarioError,
                         XmlFormatError, emit_chord_csv, emit_full_json,
                         emit_results_csv, emit_results_json,
@@ -182,8 +183,7 @@ def test_incidence_json_round_trip(economy_incidence):
 
 
 def test_incidence_json_write_refuses_degenerate():
-    empty = IncidenceMatrices(np.zeros((1, 0)), np.zeros((1, 0)),
-                              np.zeros((1, 0)), operands=("a",),
+    empty = IncidenceMatrices(np.zeros((1, 0)), np.zeros((1, 0)), operands=("a",),
                               buffers=("x",), capabilities=())
     with pytest.raises(ValueError, match="degenerate"):
         write_incidence_json(empty)
@@ -462,7 +462,7 @@ def test_trajectory_csv_matches_csv_writer(steps, places, transitions):
 def test_full_json_keys(economy_incidence):
     from heconet.hfnmcf import embed_static, solve_full
     problem = embed_static(economy_incidence, [20.0, 25.0, 22.0], [540.0, 342.0],
-                           [1.0, 0.9], ECONOMY_M_MINUS[3:])
+                           [1.0, 0.9])
     sol = solve_full(problem)
     doc = json.loads(emit_full_json(sol))
     assert doc["status"] == "optimal"
@@ -484,3 +484,29 @@ def test_dot_export_structure(economy_incidence):
     # one color per operand, used consistently on places and their edges
     assert text.count("#4c78a8") >= 2
     assert text.rstrip().endswith("}")
+
+
+QUOTED_XML = """<?xml version='1.0' encoding='utf-8'?>
+<system>
+  <operand id="a&quot;x" unit="t"/>
+  <resource id="ré" kind="transformation"/>
+  <process id="p"><input operand="a&quot;x" coeff="1.0"/>
+    <output operand="a&quot;x" coeff="2.0"/></process>
+  <capability id="c&quot;1" resource="ré" process="p"/>
+</system>
+"""
+
+
+def dot_labels(text: str) -> dict:
+    """Node id -> label of a DOT document, read by DOT's rule that the
+    only escape inside a quoted string is a backslash before a quote."""
+    return {node: label.replace('\\"', '"') for node, label in
+            re.findall(r'^  ([pt]\d+) \[.*?label="((?:\\"|[^"])*)"', text, re.M)}
+
+
+def test_dot_export_quotes_ids():
+    inc = build_incidence(parse_system_xml(QUOTED_XML))
+    text = to_dot(inc).decode()
+    assert dot_labels(text) == {"p0": 'a"x@ré', "t0": 'c"1'}
+    # every line closes the strings it opens
+    assert all(line.replace('\\"', "").count('"') % 2 == 0 for line in text.splitlines())

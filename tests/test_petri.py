@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heconet.incidence import IncidenceMatrices, matricize
+from heconet.incidence import IncidenceMatrices
 from heconet.petri import (EngineeringSystemNet, Marking, OperandNet,
                            SimulationResult, derive_completions, simulate,
                            step_esn, step_operand_net)
@@ -16,8 +16,7 @@ def chain_incidence():
     m_minus = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     m_plus = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     return IncidenceMatrices(
-        m_plus=m_plus, m_minus=m_minus, m=matricize(m_plus, m_minus),
-        operands=("tok",), buffers=("b1", "b2", "b3"),
+        m_plus=m_plus, m_minus=m_minus, operands=("tok",), buffers=("b1", "b2", "b3"),
         capabilities=("t1", "t2"))
 
 
@@ -244,7 +243,7 @@ def test_flight_conservation_identity():
     rng = np.random.default_rng(3)
     m_plus = np.round(rng.random((4, 3)) * rng.integers(0, 2, (4, 3)), 2)
     m_minus = np.round(rng.random((4, 3)) * rng.integers(0, 2, (4, 3)), 2)
-    inc = IncidenceMatrices(m_plus, m_minus, matricize(m_plus, m_minus),
+    inc = IncidenceMatrices(m_plus, m_minus,
                             operands=("a", "b", "c", "d"), buffers=("x",),
                             capabilities=("u", "v", "w"))
     net = EngineeringSystemNet(incidence=inc, durations=[1, 0, 3])
@@ -265,7 +264,7 @@ def test_simulate_is_linear_in_the_schedule(seed, alpha):
     rng = np.random.default_rng(seed)
     m_plus = np.round(rng.random((2, 2)), 2)
     m_minus = np.round(rng.random((2, 2)), 2)
-    inc = IncidenceMatrices(m_plus, m_minus, matricize(m_plus, m_minus),
+    inc = IncidenceMatrices(m_plus, m_minus,
                             operands=("a", "b"), buffers=("x",),
                             capabilities=("u", "v"))
     net = EngineeringSystemNet(incidence=inc, durations=[0, 1])
