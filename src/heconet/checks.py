@@ -1,7 +1,7 @@
 """Checks at the input boundary: outside data becomes checked, frozen arrays.
 
 :func:`checked_array` turns a value handed to a constructor into a
-read-only float array of a known shape, and :func:`json_numbers` turns a
+read-only float copy of a known shape, and :func:`json_numbers` turns a
 parsed JSON value into a float array before any of it is used.  Both
 raise an error that names the field, so a bad entry is reported where
 it comes in and never turns into a wrong answer later.
@@ -51,15 +51,12 @@ def checked_array(value, name: str, shape: tuple, nonneg: bool = False,
                   nan_ok: bool = False, inf_ok: bool = False) -> np.ndarray:
     """Read-only float copy of ``value``, or ``ValueError`` naming ``name``.
 
-    A read-only float array that owns its memory is taken as it is, not
-    copied: no view can write to it.  Entries must be finite; ``nan_ok``
-    also admits NaN (an entry left free), ``inf_ok`` also admits
-    infinities (an absent bound).  With ``nonneg`` every entry must be >= 0.
+    Entries must be finite; ``nan_ok`` also admits NaN (an entry left
+    free), ``inf_ok`` also admits infinities (an absent bound).  With
+    ``nonneg`` every entry must be >= 0.
     """
-    handed_over = (type(value) is np.ndarray and value.dtype == np.float64
-                   and value.flags.owndata and not value.flags.writeable)
     try:
-        arr = value if handed_over else np.array(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be an array of numbers") from None
     if not _fits(arr.shape, shape):

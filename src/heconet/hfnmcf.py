@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from heconet import kernels
 from heconet import lp as lp_mod
-from heconet.checks import checked_array, read_only, set_fields
+from heconet.checks import checked_array, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 # build_incidence is unused here; perfbench's recorder test looks it up
 # under this module's name.
@@ -71,8 +72,8 @@ class StaticEioReduction:
 
 def build_static(inc: IncidenceMatrices, y, f, pi) -> StaticEioReduction:
     """Static reduction of a model's incidence matrices: M, C = [y; -f],
-    cost = pi'F*, where F* is the factor rows of M-, those after the
-    len(y) product rows.
+    cost = pi'F*, where F* is the factor rows of M- after the len(y)
+    product rows (:meth:`IncidenceMatrices.split`: one buffer only).
 
     The model's operands must be declared products first, then factors,
     matching the order of y and f.
@@ -81,11 +82,11 @@ def build_static(inc: IncidenceMatrices, y, f, pi) -> StaticEioReduction:
     # a y longer than the places leaves f no rows; the reduction rejects c
     f = checked_array(f, "f", (max(inc.n_places - len(y), 0),))
     pi = checked_array(pi, "pi", f.shape)
-    f_star = inc.m_minus[len(y):]
+    _, (_, f_star, factors) = inc.split(len(y))
     return StaticEioReduction(
         m=inc.m, c=np.concatenate([y, -f]), cost=pi @ f_star, f_star=f_star,
         capability_labels=inc.capabilities, row_labels=inc.place_names,
-        factor_labels=inc.operands[len(y):])
+        factor_labels=factors)
 
 
 def static_lp(red: StaticEioReduction, relaxation: str = ">=") -> LinearProgram:
@@ -313,6 +314,10 @@ class HfnmcfProblem:
         n_ul, nt, size = layout.sum_transitions, layout.n_transitions, layout.size
         set_fields(self, linear_cost=checked_array(self.linear_cost, "linear_cost", (size,)))
 
+        for onet in self.operand_nets:
+            if onet.dt != self.net.dt:
+                raise ValueError(f"operand net {onet.operand!r} steps by dt={onet.dt}, "
+                                 f"the system net by dt={self.net.dt}")
         has_sync = self.sync_plus is not None or self.sync_minus is not None
         if self.operand_nets and not has_sync:
             raise ValueError("operand nets require sync_plus and sync_minus")
@@ -439,7 +444,8 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
     causality rows, the same for each operand net, synchronization,
     pinned firings and boundary values; ``extra_rows``, a tuple
     (matrix, senses, rhs, labels) of additional *linear* rows over the
-    stacked variables, comes last.
+    stacked variables, comes last.  The blocks' triplets are handed to
+    the program as its sparse columns, with no dense array.
     """
     net = problem.net
     layout = problem.layout
@@ -500,14 +506,17 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
     row_ids, col_ids, values, rhs, labels = zip(*blocks)
     starts = np.cumsum([0, *map(len, labels)]).tolist()
     n = starts[-1]
-    rows = np.zeros((n + len(xr_rows), layout.size))
-    # no row names one variable twice, so each (row, column) pair is set once
-    rows[np.concatenate([r + s for r, s in zip(row_ids, starts)]),
-         np.concatenate(col_ids)] = np.concatenate(values)
-    rows[n:] = xr_rows
+    m = n + len(xr_rows)
+    xr_r, xr_c, xr_v = _nonzeros(xr_rows)
+    rows = np.concatenate([*(r + s for r, s in zip(row_ids, starts)), n + xr_r])
+    cols = np.concatenate([*col_ids, xr_c])
+    # No row names one variable twice: the key orders the triplets by column, then row.
+    order = np.argsort(cols * m + rows)
+    matrix = kernels.SparseColumns((m, layout.size), cols[order], rows[order],
+                                   np.concatenate([*values, xr_v])[order])
     lower, upper = default_bounds(layout)
     return LinearProgram(
-        cost=problem.linear_cost, rows=read_only(rows),
+        cost=problem.linear_cost, rows=matrix,
         senses=(lp_mod.EQUAL,) * n + tuple(xr_senses),
         rhs=np.concatenate([*rhs, np.asarray(xr_rhs, dtype=float)]),
         lower=lower if problem.lower is None else problem.lower,

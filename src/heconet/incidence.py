@@ -76,6 +76,17 @@ class IncidenceMatrices:
         return (self.operands.index(operand_id) * len(self.buffers)
                 + self.buffers.index(buffer_id))
 
+    def split(self, n_products: int) -> tuple:
+        """``(products, factors)``: the first ``n_products`` rows and the
+        rest, each as (``m_plus`` rows, ``m_minus`` rows, operand ids).
+        Only in a single-buffer model are rows operands one to one."""
+        if len(self.buffers) != 1:
+            raise ValueError(f"a product/factor split requires a single buffer, got {len(self.buffers)}")
+        if not 0 < n_products <= self.n_places:
+            raise ValueError(f"n_products must be in 1..{self.n_places}")
+        return tuple((self.m_plus[part], self.m_minus[part], self.operands[part])
+                     for part in (slice(None, n_products), slice(n_products, None)))
+
     def support(self) -> tuple:
         """Boolean incidence matrices: (m_plus != 0, m_minus != 0)."""
         return self.m_plus != 0, self.m_minus != 0

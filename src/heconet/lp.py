@@ -1,10 +1,10 @@
 """Two-phase bounded-variable revised simplex with solution certification.
 
-An LP is brought into the computational form  A w = b,  lower <= w <=
-upper: the constraint matrix is held by columns in sparse index arrays
-(:class:`heconet.kernels.SparseColumns`), each inequality row gets one
-slack column, and variable bounds stay inside the simplex (free columns
-are not split, boxed ones may flip bound).  Phase 1 starts from a
+An LP holds its constraint matrix by columns in sparse index arrays
+(:class:`heconet.kernels.SparseColumns`) and is brought into the
+computational form  A w = b,  lower <= w <= upper: each inequality row
+gets one slack column, and variable bounds stay inside the simplex (free
+columns are not split, boxed ones may flip bound).  Phase 1 starts from a
 triangular crash basis of free columns, completed by slacks where their
 value is feasible and by artificials elsewhere, and minimizes the
 artificials' sum; phase 2 fixes the artificials at zero, which replaces
@@ -30,14 +30,13 @@ y'(rows x) >= y'rhs for any x that meets the rows.  The ray is the
 phase-1 dual c1_B B^-1, where c1 prices the artificials at 1.
 """
 
-import io
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from heconet import kernels
-from heconet.checks import checked_array, set_fields
+from heconet.checks import checked_array, read_only, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 
 LESS_EQUAL = "<="
@@ -74,49 +73,75 @@ class CertificationError(LpNumericError):
     """An optimal or infeasible answer failed its own certificate."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LinearProgram:
-    """min cost'x  s.t.  rows_i x (sense_i) rhs_i,  lower <= x <= upper."""
+    """min cost'x  s.t.  rows_i x (sense_i) rhs_i,  lower <= x <= upper.
+
+    The matrix is held once, as read-only sparse columns ``matrix``: dense
+    ``rows`` are converted (a signed zero is no entry), and handed-over
+    ``SparseColumns`` in ``from_dense``'s order are checked, not copied.
+    Reading ``rows`` builds a fresh read-only dense m x n array.
+    """
 
     cost: np.ndarray
-    rows: np.ndarray
+    matrix: kernels.SparseColumns
     senses: tuple[str, ...]
     rhs: np.ndarray
-    lower: np.ndarray = None
-    upper: np.ndarray = None
-    var_labels: tuple[str, ...] = ()
-    row_labels: tuple[str, ...] = ()
+    lower: np.ndarray
+    upper: np.ndarray
+    var_labels: tuple[str, ...]
+    row_labels: tuple[str, ...]
 
-    def __post_init__(self):
-        cost = checked_array(self.cost, "cost", (None,))
+    def __init__(self, cost, rows, senses, rhs, lower=None, upper=None,
+                 var_labels=(), row_labels=()):
+        cost = checked_array(cost, "cost", (None,))
         n = cost.shape[0]
-        rows = self.rows if np.size(self.rows) else np.zeros((0, n))
-        rows = checked_array(rows, "rows", (None, n))
+        if not isinstance(rows, kernels.SparseColumns):
+            rows = kernels.SparseColumns.from_dense(
+                checked_array(rows if np.size(rows) else np.zeros((0, n)), "rows", (None, n)))
+        elif rows.shape[1] != n:
+            raise ValueError(f"rows must have shape (*, {n}), got {rows.shape}")
+        elif not np.all(np.isfinite(rows.data) & (rows.data != 0.0)):
+            raise ValueError("rows must be finite and hold no zero entries")
+        elif not (rows.cols.shape == rows.indices.shape == rows.data.shape
+                  and np.all((rows.indices >= 0) & (rows.indices < rows.shape[0]))
+                  and rows.indptr.size == n + 1
+                  and np.all(np.diff(rows.cols * rows.shape[0] + rows.indices) > 0)):
+            raise ValueError(f"rows entries must lie in the {rows.shape} matrix, sorted by "
+                             "column, then row, each (row, column) pair once")
+        for arr in (rows.cols, rows.indices, rows.data, rows.indptr):
+            read_only(arr)
         m = rows.shape[0]
-        rhs = checked_array(self.rhs, "rhs", (m,))
-        senses = tuple(self.senses)
+        rhs = checked_array(rhs, "rhs", (m,))
+        senses = tuple(senses)
         if len(senses) != m:
             raise ValueError(f"senses must have length {m}")
         for s in senses:
             if s not in _SENSES:
                 raise ValueError(f"unknown sense {s!r}; expected one of {_SENSES}")
-        lower = checked_array(np.zeros(n) if self.lower is None else self.lower,
+        lower = checked_array(np.zeros(n) if lower is None else lower,
                               "lower", (n,), inf_ok=True)
-        upper = checked_array(np.full(n, np.inf) if self.upper is None else self.upper,
+        upper = checked_array(np.full(n, np.inf) if upper is None else upper,
                               "upper", (n,), inf_ok=True)
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValueError("lower bounds must be < +inf and upper bounds > -inf")
         if np.any(lower > upper):
             bad = int(np.argmax(lower > upper))
             raise ValueError(f"lower bound exceeds upper bound for variable {bad}")
-        var_labels = tuple(self.var_labels) or tuple(f"x{j + 1}" for j in range(n))
-        row_labels = tuple(self.row_labels) or tuple(f"r{i + 1}" for i in range(m))
+        var_labels = tuple(var_labels) or tuple(f"x{j + 1}" for j in range(n))
+        row_labels = tuple(row_labels) or tuple(f"r{i + 1}" for i in range(m))
         if len(var_labels) != n:
             raise ValueError("var_labels must match the number of variables")
         if len(row_labels) != m:
             raise ValueError("row_labels must match the number of rows")
-        set_fields(self, cost=cost, rows=rows, senses=senses, rhs=rhs, lower=lower,
+        set_fields(self, cost=cost, matrix=rows, senses=senses, rhs=rhs, lower=lower,
                    upper=upper, var_labels=var_labels, row_labels=row_labels)
+
+    @property
+    def rows(self) -> np.ndarray:
+        dense = np.zeros(self.matrix.shape)
+        dense[self.matrix.indices, self.matrix.cols] = self.matrix.data
+        return read_only(dense)
 
     @property
     def n_vars(self) -> int:
@@ -124,7 +149,7 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return self.rows.shape[0]
+        return self.matrix.shape[0]
 
 
 @dataclass
@@ -155,23 +180,6 @@ class Certificate:
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.passed]
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text echo of an LP for debugging."""
-    out = io.StringIO()
-    out.write("minimize\n")
-    terms = " + ".join(f"{c:g} {v}" for c, v in zip(lp.cost, lp.var_labels))
-    out.write(f"  {terms or '0'}\n")
-    out.write("subject to\n")
-    width = max((len(r) for r in lp.row_labels), default=0)
-    for label, row, sense, rhs in zip(lp.row_labels, lp.rows, lp.senses, lp.rhs):
-        lhs = " + ".join(f"{a:g} {v}" for a, v in zip(row, lp.var_labels) if a != 0)
-        out.write(f"  {label:<{width}}  {lhs or '0'} {sense} {rhs:g}\n")
-    out.write("bounds\n")
-    for v, lo, hi in zip(lp.var_labels, lp.lower, lp.upper):
-        out.write(f"  {lo:g} <= {v} <= {hi:g}\n")
-    return out.getvalue()
 
 
 @dataclass
@@ -238,7 +246,7 @@ def _start(lp: LinearProgram) -> _Simplex:
     and is inverted by substitution from its sparse columns.
     """
     m, n = lp.n_rows, lp.n_vars
-    structural = kernels.SparseColumns.from_dense(lp.rows)
+    structural = lp.matrix
     senses = np.asarray(lp.senses, dtype=object)
     has_slack = senses != EQUAL
     free = np.isinf(lp.lower) & np.isinf(lp.upper)
@@ -373,7 +381,7 @@ def _sense_masks(lp: LinearProgram):
 
 
 def _finish(lp: LinearProgram, x, duals, iterations, tol: Tolerances) -> LpResult:
-    ax = lp.rows @ x
+    ax = lp.matrix.matvec(x)
     slacks = np.where(_sense_masks(lp)[0], ax - lp.rhs, lp.rhs - ax)
     objective = float(lp.cost @ x) if lp.n_vars else 0.0
     return _certified(lp, LpResult(LpStatus.OPTIMAL, x, objective, duals, slacks,
@@ -415,12 +423,12 @@ def certify(lp: LinearProgram, result: LpResult,
     ge, le = _sense_masks(lp)
     feas = tol.lp_feasibility
 
-    r = lp.rows @ x - lp.rhs
+    r = lp.matrix.matvec(x) - lp.rhs
     primal = np.max(np.where(le, r, np.where(ge, -r, np.abs(r))), initial=0.0)
     bound_viol = max(np.max(lp.lower - x, initial=0.0), np.max(x - lp.upper, initial=0.0))
     sign_viol = np.max(np.where(ge, -lam, np.where(le, lam, 0.0)), initial=0.0)
 
-    reduced = lp.cost - lp.rows.T @ lam
+    reduced = lp.cost - lp.matrix.rmatvec(lam)
     lo_finite, hi_finite = np.isfinite(lp.lower), np.isfinite(lp.upper)
     at_lo = lo_finite & (x - lp.lower <= feas * (1.0 + np.abs(lp.lower)))
     at_hi = hi_finite & (lp.upper - x <= feas * (1.0 + np.abs(lp.upper)))
@@ -472,7 +480,7 @@ def _farkas_checks(lp: LinearProgram, ray, tol: Tolerances) -> tuple:
     y = ray / norm if 0.0 < norm < np.inf else np.full(lp.n_rows, np.nan)
     ge, le = _sense_masks(lp)
     sign = np.max(np.where(ge, -y, np.where(le, y, 0.0)), initial=0.0)
-    g = lp.rows.T @ y
+    g = lp.matrix.rmatvec(y)
     compat = max(np.max(g[np.isinf(lp.upper)], initial=0.0),
                  np.max(-g[np.isinf(lp.lower)], initial=0.0))
     # Sides without a bound are left out: compatibility bounds g there.

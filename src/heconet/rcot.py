@@ -146,23 +146,13 @@ def instance_from_incidence(inc: IncidenceMatrices, n_products: int,
     positive part must be a 0/1 sector-technology incidence and their
     negative part the augmented transaction matrix.  The remaining rows
     are factor rows and must have no positive part (factors are only
-    consumed).  Requires a single-buffer model so that rows correspond
-    to operands one-to-one.
+    consumed).  The split is :meth:`IncidenceMatrices.split` (one buffer only).
     """
-    if len(inc.buffers) != 1:
-        raise ValueError(
-            f"technology-choice recovery requires a single buffer, got {len(inc.buffers)}")
-    n_rows = inc.m_plus.shape[0]
-    if not 0 < n_products <= n_rows:
-        raise ValueError(f"n_products must be in 1..{n_rows}")
-    i_star = inc.m_plus[:n_products]
-    if np.any(inc.m_plus[n_products:] != 0):
+    (i_star, a_star, sectors), (f_plus, f_star, factors) = inc.split(n_products)
+    if np.any(f_plus != 0):
         raise ValueError("factor rows must not be produced by any capability")
     return RcotInstance(
-        i_star=i_star,
-        a_star=inc.m_minus[:n_products],
-        f_star=inc.m_minus[n_products:],
-        y=y, f=f, pi=pi,
+        i_star=i_star, a_star=a_star, f_star=f_star, y=y, f=f, pi=pi,
         tech_labels=tuple(tech_labels) or inc.capabilities,
-        sector_labels=tuple(sector_labels) or inc.operands[:n_products],
-        factor_labels=tuple(factor_labels) or inc.operands[n_products:])
+        sector_labels=tuple(sector_labels) or sectors,
+        factor_labels=tuple(factor_labels) or factors)

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heconet import hfnmcf
+from heconet import hfnmcf, kernels
 from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
                             StaticEioReduction, VariableLayout, build_full,
                             build_static, default_bounds, embed_static,
                             solve_full, solve_static, static_lp,
                             variable_layout)
-from heconet.incidence import IncidenceMatrices
+from heconet.incidence import IncidenceMatrices, build_incidence
 from heconet.lp import EQUAL, LinearProgram, LpStatus, certify, feasible
 from heconet.petri import EngineeringSystemNet, Marking, OperandNet
 
 from conftest import (ECONOMY_M_MINUS, ECONOMY_F, ECONOMY_PHI_CAPITAL,
                       ECONOMY_PHI_WATER, ECONOMY_PI, ECONOMY_X, ECONOMY_Y,
                       ECONOMY_Z, row_subset, time_expanded)
+from test_incidence import two_buffer_model
 
 REFERENCE_UNIT_COST = np.array([3.18, 5.18, 3.07, 2.37, 1.79, 2.39])
 
@@ -154,6 +155,14 @@ def test_build_static_reproduces_reference_data(economy_incidence):
     assert np.array_equal(red.f_star, ECONOMY_M_MINUS[3:])
 
 
+def test_build_static_needs_a_single_buffer():
+    # Places are not operands in a two-buffer model, so there are no
+    # factor rows to price.
+    inc = build_incidence(two_buffer_model())
+    with pytest.raises(ValueError, match="single buffer"):
+        build_static(inc, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+
+
 def test_build_static_validation(economy_incidence):
     with pytest.raises(ValueError, match=r"f must have shape \(3,\), got \(2,\)"):
         build_static(economy_incidence, ECONOMY_Y[:2], ECONOMY_F, ECONOMY_PI)
@@ -240,6 +249,19 @@ def test_problem_operand_nets_require_sync():
         HfnmcfProblem(net=net, horizon=1, linear_cost=cost,
                       operand_nets=(onet,), sync_plus=np.ones((2, 2)),
                       sync_minus=np.ones((3, 2)))
+
+
+def test_problem_rejects_an_operand_net_with_its_own_dt():
+    # The program steps every net by the system net's dt, while the
+    # simulator steps an operand net by its own.
+    net = small_net(dt=1.0)
+    base = small_operand_net()
+    onet = OperandNet(operand="a", places=base.places, transitions=base.transitions,
+                      m_plus=base.m_plus, m_minus=base.m_minus, marking=base.marking, dt=0.5)
+    cost = np.zeros(variable_layout(net, (onet,), horizon=2).size)
+    with pytest.raises(ValueError, match=r"operand net 'a' steps by dt=0\.5"):
+        HfnmcfProblem(net=net, horizon=2, linear_cost=cost, operand_nets=(onet,),
+                      sync_plus=np.eye(2), sync_minus=np.eye(2))
 
 
 def test_problem_rejects_bad_bounds_and_boundary():
@@ -452,8 +474,9 @@ def test_infeasible_program_reports_a_row_witness():
 
 
 def test_build_full_holds_its_rows_once(economy_incidence):
-    # The dense rows are handed to the LinearProgram, not copied: the
-    # build's peak is the rows and little else.
+    # The triplets become the program's sparse columns and no dense array
+    # is built: the peak is a few times the held matrix (labels and the
+    # triplets before sorting), where the 697 x 931 dense rows are 5.2 MB.
     problem = time_expanded(economy_incidence, np.full(6, 2), 40)
     tracemalloc.start()
     try:
@@ -461,8 +484,8 @@ def test_build_full_holds_its_rows_once(economy_incidence):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not program.rows.flags.writeable
-    assert peak < 1.5 * program.rows.nbytes
+    assert not program.matrix.data.flags.writeable
+    assert peak < 10 * program.matrix.nbytes
 
 
 def test_water_cut_witness_is_irreducible(water_cut_problem):
@@ -667,10 +690,18 @@ def build_full_by_rows(problem, extra_rows=None):
 
 
 def assert_same_program(program, reference):
-    for name in ("cost", "rows", "rhs", "lower", "upper"):
+    for name in ("cost", "rhs", "lower", "upper"):
         got, want = getattr(program, name), getattr(reference, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name  # signed zeros included
+    # The matrix is held as sparse columns, entry for entry in from_dense's
+    # order; a signed zero in the dense rows is no entry.
+    want = kernels.SparseColumns.from_dense(reference.rows)
+    assert program.matrix.shape == want.shape
+    for name in ("cols", "indices", "data", "indptr"):
+        got, expected = getattr(program.matrix, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
     for name in ("senses", "var_labels", "row_labels"):
         assert getattr(program, name) == getattr(reference, name), name
 
@@ -714,7 +745,7 @@ def test_build_full_matches_row_reference(data):
             transitions=tuple(f"w{t}" for t in range(n_t)),
             m_plus=_matrix(data, (n_p, n_t), COEFFICIENTS, "L+"),
             m_minus=_matrix(data, (n_p, n_t), COEFFICIENTS, "L-"),
-            marking=Marking(np.zeros(n_p), np.zeros(n_t)),
+            marking=Marking(np.zeros(n_p), np.zeros(n_t)), dt=dt,
             durations=data.draw(st.lists(lengths, min_size=n_t, max_size=n_t))))
     layout = variable_layout(net, onets, horizon)
     sync = {}

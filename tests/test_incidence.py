@@ -90,6 +90,18 @@ def test_multi_buffer_rows():
     assert np.array_equal(inc.m_plus, expected_plus)
 
 
+def test_split_at_the_products(economy_incidence):
+    (i_plus, i_minus, products), (f_plus, f_minus, factors) = economy_incidence.split(3)
+    assert products == ("man", "cons", "ag") and factors == ("capital", "water")
+    assert np.array_equal(np.vstack([i_plus, f_plus]), ECONOMY_M_PLUS)
+    assert np.array_equal(np.vstack([i_minus, f_minus]), ECONOMY_M_MINUS)
+    for n_products in (0, 6):
+        with pytest.raises(ValueError, match=r"n_products must be in 1\.\.5"):
+            economy_incidence.split(n_products)
+    with pytest.raises(ValueError, match="requires a single buffer, got 2"):
+        build_incidence(two_buffer_model()).split(1)
+
+
 def test_repeated_flows_accumulate():
     model = SystemModel(
         operands=(Operand("w", "", "u"),),

@@ -9,7 +9,7 @@ from heconet import hfnmcf, kernels, lp
 from heconet.checks import read_only
 from heconet.config import DEFAULT_TOLERANCES
 from heconet.lp import (CertificationError, IterationLimitError,
-                        LinearProgram, LpResult, LpStatus, certify, dump_lp,
+                        LinearProgram, LpResult, LpStatus, certify,
                         feasible, irreducible_infeasible_rows, solve_lp)
 
 from conftest import (ECONOMY_F, ECONOMY_M_MINUS, ECONOMY_M_PLUS, ECONOMY_PI,
@@ -306,23 +306,37 @@ def test_caller_writes_do_not_reach_the_program():
 
 
 def test_read_only_rows_are_handed_over_and_still_checked():
+    # Sparse columns are held without a copy, their arrays made read-only.
+    matrix = kernels.SparseColumns((1, 2), [0, 1], [0, 0], [1.0, 2.0])
+    program = LinearProgram(cost=np.ones(2), rows=matrix, senses=(lp.LESS_EQUAL,), rhs=[1.0])
+    assert program.matrix is matrix
+    assert not any(a.flags.writeable for a in (matrix.cols, matrix.indices, matrix.data))
+    # rows is a dense view, built afresh on every read
+    assert program.rows.tolist() == [[1.0, 2.0]]
+    assert program.rows is not program.rows and not program.rows.flags.writeable
     rows = read_only(np.array([[1.0, 2.0]]))
-    program = LinearProgram(cost=np.ones(2), rows=rows, senses=(lp.LESS_EQUAL,), rhs=[1.0])
-    assert program.rows is rows
     with pytest.raises(ValueError, match="rows must be finite"):
         LinearProgram(cost=np.ones(2), rows=read_only(np.array([[1.0, np.nan]])),
                       senses=(lp.LESS_EQUAL,), rhs=[1.0])
     with pytest.raises(ValueError, match="rows must have shape"):
         LinearProgram(cost=np.ones(3), rows=rows, senses=(lp.LESS_EQUAL,), rhs=[1.0])
-
-
-def test_dump_echo():
-    program = LinearProgram(cost=[1.0, 2.0], rows=[[1.0, 0.0]],
-                            senses=(lp.GREATER_EQUAL,), rhs=[1.5],
-                            var_labels=("alpha", "beta"), row_labels=("r0",))
-    text = dump_lp(program)
-    assert "alpha" in text and "beta" in text and "r0" in text
-    assert ">=" in text and "1.5" in text
+    with pytest.raises(ValueError, match="rows must have shape"):
+        LinearProgram(cost=np.ones(3), rows=kernels.SparseColumns((1, 2), [0], [0], [1.0]),
+                      senses=(lp.LESS_EQUAL,), rhs=[1.0])
+    for message, cols, indices, data in (
+            ("rows must be finite", [0, 1], [0, 0], [1.0, np.inf]),
+            ("rows must be finite", [0, 1], [0, 0], [np.nan, 2.0]),
+            ("no zero entries", [0, 1], [0, 0], [1.0, 0.0]),
+            ("no zero entries", [0, 1], [0, 0], [-0.0, 2.0]),
+            ("lie in the", [0, 1], [0, 1], [1.0, 2.0]),           # row out of range
+            ("lie in the", [0, 1], [-1, 0], [1.0, 2.0]),
+            ("lie in the", [0, 2], [0, 0], [1.0, 2.0]),           # column out of range
+            ("sorted by column", [1, 0], [0, 0], [2.0, 1.0]),
+            ("sorted by column", [0, 0], [0, 0], [1.0, 2.0]),     # one pair twice
+            ("lie in the", [0, 1], [0, 0], [1.0])):                # a value missing
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(cost=np.ones(2), rows=kernels.SparseColumns((1, 2), cols, indices, data),
+                          senses=(lp.LESS_EQUAL,), rhs=[1.0])
 
 
 def test_feasible_helper():
@@ -539,6 +553,39 @@ def test_time_expanded_solve_inverts_no_dense_matrix(economy_incidence, monkeypa
     assert result.status is LpStatus.OPTIMAL
     assert result.iterations == 23
     assert result.objective == pytest.approx(ECONOMY_Z, rel=1e-9)
+
+
+def test_the_solve_path_reads_no_dense_rows(economy_incidence, economy_instance,
+                                           water_cut_problem, monkeypatch):
+    from heconet import rcot
+
+    def refuse(program):
+        raise AssertionError("dense rows read on the solve path")
+    monkeypatch.setattr(LinearProgram, "rows", property(refuse))
+    z = rcot.solve_rcot(economy_instance).z
+    sol = hfnmcf.solve_full(time_expanded(economy_incidence, np.ones(6, dtype=int), 40))
+    assert sol.lp_result.iterations == 23
+    assert sol.objective == pytest.approx(z, abs=1e-9)
+    with pytest.warns(hfnmcf.InfeasibilityWarning):
+        cut = hfnmcf.solve_full(water_cut_problem)
+    assert len(cut.infeasible_rows) == 84
+    red = hfnmcf.build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
+    assert hfnmcf.solve_static(red).z == pytest.approx(z, abs=1e-9)
+    assert feasible(economy_lp())
+
+
+def test_build_and_solve_memory_at_k160(economy_incidence):
+    # The m x m inverse (60 MB here) and little else: with dense rows
+    # held through the solve (81 MB) the peak was about 164 MB.
+    problem = time_expanded(economy_incidence, np.ones(6, dtype=int), 160)
+    tracemalloc.start()
+    try:
+        result = solve_lp(hfnmcf.build_full(problem))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 23
+    assert peak <= 100e6
 
 
 def test_start_memory_at_k160(economy_incidence):
