@@ -168,6 +168,13 @@ def _recompute_basics(a, b, x, basis, binv):
     x[basis] = binv @ (b - a.matvec(nonbasic))
 
 
+def _duals(c, basis, binv):
+    """y = c_B B^-1, over the rows of the priced basic columns only."""
+    cb = c[basis]
+    priced = np.flatnonzero(cb)
+    return cb[priced] @ binv[priced]
+
+
 def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
                     refactor_every, max_iter):
     """Bounded-variable revised simplex iterations.
@@ -187,7 +194,10 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
     * Pricing: Dantzig (largest |reduced cost|) among nonbasic columns
       that can move in their improving direction; after
       ``_DEGENERATE_RUN`` degenerate pivots in a row, Bland (smallest
-      index) until a pivot makes progress.
+      index) until a pivot makes progress.  The duals y = c_B B^-1 come
+      from ``binv`` on entry, after each refactorization and before
+      OPTIMAL (pivoting resumes if they price a column in); a basis
+      change updates them by y += d_q rho (Chvatal 1983), rho the pivot row.
     * Ratio test: pass 1 takes the smallest step that keeps every basic
       variable within its bounds relaxed by ``lp_ratio_tie``; pass 2
       picks, among the rows that block within that step, the largest
@@ -195,7 +205,8 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
       column whose own bound range is shorter flips bound instead.
     * The basis inverse gets a rank-1 eta update on the rows where the
       pivot column is nonzero, and is refactorized every
-      ``refactor_every`` basis changes.
+      ``refactor_every`` basis changes.  So a pivot reads one row of
+      ``binv`` and its columns at the entering column's rows.
 
     Returns (status, iterations); bound flips count as iterations.
     """
@@ -205,15 +216,16 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
     iters = 0
     since_refactor = 0
     degenerate = 0
+    y, fresh = _duals(c, basis, binv), True
     while True:
-        cb = c[basis]
-        priced = np.flatnonzero(cb)
-        y = cb[priced] @ binv[priced]
         d = c - a.rmatvec(y)
         eligible = ((d < -rc_tol) & (x < upper)) | ((d > rc_tol) & (x > lower))
         eligible &= ~is_basic
         candidates = np.flatnonzero(eligible)
         if candidates.size == 0:
+            if not fresh:  # declare optimality on fresh duals only
+                y, fresh = _duals(c, basis, binv), True
+                continue
             _recompute_basics(a, b, x, basis, binv)
             return OPTIMAL, iters
         if iters >= max_iter:
@@ -261,6 +273,9 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
         touched = np.flatnonzero(alpha)
         binv[touched] -= np.outer(alpha[touched], pivot_row)
         binv[leave] = pivot_row
+        # The dual update: q's reduced cost drops to zero.
+        y += d[q] * pivot_row
+        fresh = False
         is_basic[out] = False
         is_basic[q] = True
         basis[leave] = q
@@ -268,6 +283,7 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
         if since_refactor >= refactor_every:
             refactor(a, b, x, basis, binv)
             since_refactor = 0
+            y, fresh = _duals(c, basis, binv), True
 
 
 def esn_trajectory(m_plus, m_minus, qb0, qe0, u_plus, u_minus, dt):

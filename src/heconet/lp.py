@@ -12,6 +12,8 @@ the removal of redundant rows.  Pricing is Dantzig's rule with a
 fall-back to Bland's after a run of degenerate pivots, the ratio test
 is a two-pass Harris test, and the explicit basis inverse is eta-updated
 and periodically refactorized (see :func:`heconet.kernels.simplex_iterate`).
+Pivots update the duals (y += d_q rho); they are recomputed from the
+inverse on entry, after each refactorization and before optimality.
 The crash basis and every refactorization are inverted from the sparse
 columns by :func:`heconet.kernels.basis_inverse`, which solves the
 triangular part by substitution and inverts only the remaining bump; the
@@ -271,7 +273,8 @@ def _start(lp: LinearProgram) -> _Simplex:
         ((senses[uncovered] == GREATER_EQUAL) & (residual <= 0.0))
     art_rows = uncovered[~slack_ok]
     art_sign = np.where(residual[~slack_ok] < 0.0, -1.0, 1.0)
-    binv[art_rows] *= art_sign[:, None]
+    negative = art_rows[art_sign < 0.0]
+    binv[negative] = -binv[negative]
 
     slack_rows = np.flatnonzero(has_slack)
     n_slack, n_art = slack_rows.size, art_rows.size

@@ -6,7 +6,7 @@ from heconet.config import DEFAULT_TOLERANCES
 
 from oracles import eig_radius
 
-def run_simplex(dense, b, c, lower, upper, x, basis, max_iter=1000):
+def run_simplex(dense, b, c, lower, upper, x, basis, max_iter=1000, refactor_every=50):
     """Run the kernel from ``basis``; returns (status, iterations, x, basis)."""
     dense = np.asarray(dense, dtype=float)
     x = np.array(x, dtype=float)
@@ -15,18 +15,65 @@ def run_simplex(dense, b, c, lower, upper, x, basis, max_iter=1000):
     status, iters = kernels.simplex_iterate(
         kernels.SparseColumns.from_dense(dense), np.asarray(b, dtype=float), np.asarray(c, dtype=float),
         np.asarray(lower, dtype=float), np.asarray(upper, dtype=float),
-        x, basis, binv, DEFAULT_TOLERANCES, 50, max_iter)
+        x, basis, binv, DEFAULT_TOLERANCES, refactor_every, max_iter)
     return status, iters, x, basis
 
 
-def slack_form(rng, m=4, n=6):
-    """[G I] w = b, w >= 0 with the slack basis feasible."""
+def slack_form(rng, m=4, n=6, boxed=0, free=0):
+    """[G I] w = b with the slack basis feasible: the first n - boxed -
+    free columns of G are >= 0 and start at 0, the next ``boxed`` lie in
+    [0, u] and start at either bound, the last ``free`` are free and
+    start at 0; the slacks are >= 0."""
     g = np.round(rng.standard_normal((m, n)), 3)
     a = np.hstack([g, np.eye(m)])
     b = np.abs(np.round(rng.standard_normal(m), 3)) + 0.5
     c = np.concatenate([np.round(rng.standard_normal(n), 3), np.zeros(m)])
-    x = np.concatenate([np.zeros(n), b])
-    return a, b, c, np.zeros(n + m), np.full(n + m, np.inf), x, np.arange(n, n + m)
+    lower, upper = np.zeros(n + m), np.full(n + m, np.inf)
+    x = np.zeros(n + m)
+    box = slice(n - boxed - free, n - free)
+    upper[box] = np.round(rng.uniform(0.5, 3.0, boxed), 3)
+    x[box] = np.where(rng.random(boxed) < 0.5, 0.0, upper[box])
+    lower[n - free:n], upper[n - free:n] = -np.inf, np.inf
+    # The slacks start at the residuals drawn above.
+    x[n:] = b
+    b = b + g @ x[:n]
+    return a, b, c, lower, upper, x, np.arange(n, n + m)
+
+
+@pytest.mark.parametrize("refactor_every", [1, 3, 50])
+def test_optimal_is_declared_on_fresh_duals(refactor_every, monkeypatch):
+    # The last duals the kernel computes from its inverse are those of
+    # the final basis, pricing afresh from that basis finds nothing to
+    # enter, and the basic values solve the rows: OPTIMAL is declared on
+    # duals and values computed from an inverse, not on updated ones.
+    priced_bases = []
+    duals = kernels._duals
+
+    def recorded(c, basis, binv):
+        priced_bases.append(basis.copy())
+        return duals(c, basis, binv)
+    monkeypatch.setattr(kernels, "_duals", recorded)
+    rng = np.random.default_rng(refactor_every)
+    rc_tol = DEFAULT_TOLERANCES.lp_reduced_cost
+    optimal = 0
+    for _ in range(60):
+        a, b, c, lower, upper, x, basis = slack_form(rng, m=8, n=14, boxed=10, free=2)
+        status, _, x, basis = run_simplex(a, b, c, lower, upper, x, basis,
+                                          refactor_every=refactor_every)
+        if status != kernels.OPTIMAL:
+            continue
+        optimal += 1
+        assert np.array_equal(priced_bases[-1], basis)
+        binv = np.linalg.inv(a[:, basis])
+        d = c - (c[basis] @ binv) @ a
+        nonbasic = np.ones(c.size, dtype=bool)
+        nonbasic[basis] = False
+        eligible = ((d < -rc_tol) & (x < upper)) | ((d > rc_tol) & (x > lower))
+        assert not np.any(eligible & nonbasic)
+        x_n = np.where(nonbasic, x, 0.0)
+        scale = 1.0 + np.max(np.abs(x))
+        np.testing.assert_allclose(x[basis], binv @ (b - a @ x_n), rtol=0, atol=1e-12 * scale)
+    assert optimal >= 40
 
 
 def test_simplex_solves_a_known_problem():

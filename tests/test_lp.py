@@ -542,7 +542,7 @@ def test_crash_and_its_inverse_match_the_lu_reference(economy_incidence, water_c
 
 
 def test_time_expanded_solve_inverts_no_dense_matrix(economy_incidence, monkeypatch):
-    # The crash basis is triangular and 23 pivots stay below one
+    # The crash basis is triangular and 21 pivots stay below one
     # refactorization, so no dense inverse runs.
     program = hfnmcf.build_full(time_expanded(economy_incidence, np.ones(6, dtype=int), 40))
 
@@ -551,7 +551,7 @@ def test_time_expanded_solve_inverts_no_dense_matrix(economy_incidence, monkeypa
     monkeypatch.setattr(np.linalg, "inv", refuse)
     result = solve_lp(program)
     assert result.status is LpStatus.OPTIMAL
-    assert result.iterations == 23
+    assert result.iterations == 21
     assert result.objective == pytest.approx(ECONOMY_Z, rel=1e-9)
 
 
@@ -564,7 +564,7 @@ def test_the_solve_path_reads_no_dense_rows(economy_incidence, economy_instance,
     monkeypatch.setattr(LinearProgram, "rows", property(refuse))
     z = rcot.solve_rcot(economy_instance).z
     sol = hfnmcf.solve_full(time_expanded(economy_incidence, np.ones(6, dtype=int), 40))
-    assert sol.lp_result.iterations == 23
+    assert sol.lp_result.iterations == 21
     assert sol.objective == pytest.approx(z, abs=1e-9)
     with pytest.warns(hfnmcf.InfeasibilityWarning):
         cut = hfnmcf.solve_full(water_cut_problem)
@@ -572,6 +572,21 @@ def test_the_solve_path_reads_no_dense_rows(economy_incidence, economy_instance,
     red = hfnmcf.build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     assert hfnmcf.solve_static(red).z == pytest.approx(z, abs=1e-9)
     assert feasible(economy_lp())
+
+
+@pytest.mark.parametrize("durations", [(1, 1, 1, 1, 1, 1), (1, 2, 1, 2, 1, 2)],
+                         ids=["unit", "alternating"])
+def test_pivots_do_not_grow_with_the_horizon(economy_incidence, durations):
+    # K=160 has four times the rows of K=40 and the same optimum, the
+    # static one; it must not take more pivots either.
+    pivots = []
+    for horizon in (40, 160):
+        result = solve_lp(hfnmcf.build_full(time_expanded(economy_incidence, durations,
+                                                          horizon)))
+        assert result.status is LpStatus.OPTIMAL
+        assert result.objective == pytest.approx(ECONOMY_Z, abs=1e-9)
+        pivots.append(result.iterations)
+    assert pivots[0] == pivots[1]
 
 
 def test_build_and_solve_memory_at_k160(economy_incidence):
@@ -584,7 +599,7 @@ def test_build_and_solve_memory_at_k160(economy_incidence):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.iterations == 23
+    assert result.iterations == 21
     assert peak <= 100e6
 
 
