@@ -10,14 +10,19 @@ A system is described by four kinds of elements:
 * **capabilities** -- the pairing "resource r does process p", each with
   explicit pull/push buffers per operand and an integer duration.
 
-Everything is immutable after construction.  :func:`validate` reports
-every structural violation as data; nothing downstream accepts an
-invalid model.
+Everything is immutable after construction: the routing maps of a
+capability are read-only views.  :func:`validate` reports every
+structural violation as data; nothing downstream accepts an invalid
+model.  A model is checked once: the first :func:`validate` keeps its
+verdict on the model, and later calls (from :func:`require_valid`, or
+from each builder that takes the model) copy it.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from heconet.checks import set_fields
 
@@ -91,7 +96,8 @@ class Capability:
 
     ``pull`` maps each input operand of the process to the buffer it is
     drawn from; ``push`` maps each output operand to the buffer it is
-    injected into.  ``duration`` is the integer number of time steps
+    injected into.  Both are read-only copies of the maps given.
+    ``duration`` is the integer number of time steps
     between the start and the completion of one execution; 0 means the
     execution completes within the step it starts.
     """
@@ -99,12 +105,13 @@ class Capability:
     id: str
     resource: str
     process: str
-    pull: dict = field(default_factory=dict)
-    push: dict = field(default_factory=dict)
+    pull: MappingProxyType = field(default_factory=dict)
+    push: MappingProxyType = field(default_factory=dict)
     duration: int = 0
 
     def __post_init__(self):
-        set_fields(self, pull=dict(self.pull), push=dict(self.push))
+        set_fields(self, pull=MappingProxyType(dict(self.pull)),
+                   push=MappingProxyType(dict(self.push)))
 
 
 @dataclass(frozen=True)
@@ -120,24 +127,35 @@ class SystemModel:
         set_fields(self, operands=tuple(self.operands), resources=tuple(self.resources),
                    processes=tuple(self.processes), capabilities=tuple(self.capabilities))
 
+    @functools.cached_property
+    def _by_id(self) -> dict:
+        """Per kind, id -> the first item declared with that id."""
+        return {kind: {item.id: item for item in reversed(items)}
+                for kind, items in (("operand", self.operands), ("resource", self.resources),
+                                    ("process", self.processes),
+                                    ("capability", self.capabilities))}
+
+    @functools.cached_property
+    def _verdict(self) -> tuple:
+        return tuple(_violations(self))
+
+    def _lookup(self, kind: str, item_id: str):
+        try:
+            return self._by_id[kind][item_id]
+        except (KeyError, TypeError):
+            raise KeyError(f"no {kind} with id {item_id!r}") from None
+
     def operand(self, operand_id: str) -> Operand:
-        return _lookup(self.operands, operand_id, "operand")
+        return self._lookup("operand", operand_id)
 
     def resource(self, resource_id: str) -> Resource:
-        return _lookup(self.resources, resource_id, "resource")
+        return self._lookup("resource", resource_id)
 
     def process(self, process_id: str) -> Process:
-        return _lookup(self.processes, process_id, "process")
+        return self._lookup("process", process_id)
 
     def capability(self, capability_id: str) -> Capability:
-        return _lookup(self.capabilities, capability_id, "capability")
-
-
-def _lookup(items, item_id, kind):
-    for item in items:
-        if item.id == item_id:
-            return item
-    raise KeyError(f"no {kind} with id {item_id!r}")
+        return self._lookup("capability", capability_id)
 
 
 @dataclass(frozen=True)
@@ -164,8 +182,13 @@ def validate(model: SystemModel) -> list[Violation]:
     """Check every structural invariant; return violations as data.
 
     The result is sorted lexicographically by (path, message), so it is
-    deterministic and validate(m) == validate(m) byte for byte.
+    deterministic and validate(m) == validate(m) byte for byte.  The
+    check runs on the first call only; every call returns a fresh list.
     """
+    return list(model._verdict)
+
+
+def _violations(model: SystemModel) -> list[Violation]:
     out: list[Violation] = []
     _check_unique(model.operands, "operand", out)
     _check_unique(model.resources, "resource", out)
@@ -186,10 +209,13 @@ def validate(model: SystemModel) -> list[Violation]:
             out.append(Violation(f"process[{p.id}]", "must have at least one output"))
         for fname, flows in (("inputs", p.inputs), ("outputs", p.outputs)):
             for i, flow in enumerate(flows):
+                coeff = flow.coeff
+                if flow.operand in operand_ids and type(coeff) is float \
+                        and 0.0 <= coeff < math.inf:
+                    continue
                 where = f"process[{p.id}].{fname}[{i}]"
                 if flow.operand not in operand_ids:
                     out.append(Violation(where, f"unknown operand {flow.operand!r}"))
-                coeff = flow.coeff
                 if not isinstance(coeff, (int, float)) or isinstance(coeff, bool) \
                         or not math.isfinite(coeff) or coeff < 0:
                     out.append(Violation(where, f"coefficient must be finite and >= 0, got {coeff!r}"))
@@ -209,9 +235,11 @@ def validate(model: SystemModel) -> list[Violation]:
         for side, mapping in (("pull", cap.pull), ("push", cap.push)):
             flows = () if proc is None else (proc.inputs if side == "pull" else proc.outputs)
             needed = {fl.operand for fl in flows}
-            for operand_id in sorted(needed - set(mapping)):
+            if needed == mapping.keys() and buffer_ids.issuperset(mapping.values()):
+                continue
+            for operand_id in needed - mapping.keys():
                 out.append(Violation(f"{where}.{side}", f"missing buffer for operand {operand_id!r}"))
-            for operand_id, buffer_id in sorted(mapping.items()):
+            for operand_id, buffer_id in mapping.items():
                 if proc is not None and operand_id not in needed:
                     out.append(Violation(f"{where}.{side}[{operand_id}]",
                                          f"operand is not {'an input' if side == 'pull' else 'an output'} of process {cap.process!r}"))

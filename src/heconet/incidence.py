@@ -105,7 +105,8 @@ def build_incidence(model: SystemModel) -> IncidenceMatrices:
     For a capability executing process p, each input flow (operand i,
     coefficient a) adds a to ``m_minus[(i, pull buffer), capability]``
     and each output flow adds its coefficient to the matching
-    ``m_plus`` entry.  Repeated flows of one operand accumulate.
+    ``m_plus`` entry.  Repeated flows of one operand accumulate, in
+    flow order.
     """
     require_valid(model)
     buffers = buffer_set(model)
@@ -114,17 +115,19 @@ def build_incidence(model: SystemModel) -> IncidenceMatrices:
     row_of = {(o, b): i * n_b + j
               for i, o in enumerate(operands) for j, b in enumerate(buffers)}
 
-    n_rows = len(operands) * n_b
-    n_cols = len(model.capabilities)
-    m_plus = np.zeros((n_rows, n_cols))
-    m_minus = np.zeros((n_rows, n_cols))
-
+    shape = (len(operands) * n_b, len(model.capabilities))
+    # (rows, columns, coefficients) of the m_minus and the m_plus entries
+    entries = ([], [], []), ([], [], [])
     for col, cap in enumerate(model.capabilities):
         proc = model.process(cap.process)
-        for flow in proc.inputs:
-            m_minus[row_of[flow.operand, cap.pull[flow.operand]], col] += flow.coeff
-        for flow in proc.outputs:
-            m_plus[row_of[flow.operand, cap.push[flow.operand]], col] += flow.coeff
+        for (rows, cols, coeffs), flows, routing in zip(
+                entries, (proc.inputs, proc.outputs), (cap.pull, cap.push)):
+            rows += [row_of[fl.operand, routing[fl.operand]] for fl in flows]
+            cols += [col] * len(flows)
+            coeffs += [fl.coeff for fl in flows]
+    m_minus, m_plus = np.zeros(shape), np.zeros(shape)
+    for m, (rows, cols, coeffs) in zip((m_minus, m_plus), entries):
+        np.add.at(m, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), coeffs)
 
     return IncidenceMatrices(
         m_plus=m_plus,

@@ -19,8 +19,15 @@ attributes are rejected with their line and column):
 
 A capability without explicit <pull>/<push> children routes every
 process input and output through its own resource, which therefore
-must be a buffer.  Writing always emits the explicit form, so a
-written document re-reads to a structurally equal model.
+must be a buffer.  A capability without an ``id`` is named
+"resource:process"; an empty ``id`` is an error.  Writing always emits
+the explicit form, so a written document re-reads to an equal model.
+
+A ``coeff`` is any text Python's ``float`` reads and a ``duration`` any
+text ``int`` reads (surrounding whitespace and a sign allowed), except
+that an underscore is rejected: ``0_5`` is not a number.  The loader
+checks the schema; the model it builds is then validated once, by
+:func:`heconet.core.require_valid`.
 
 Numbers serialize with shortest round-trip decimal encoding (repr),
 so JSON round-trips are bit-exact.  CSV output always uses '.' as the
@@ -69,35 +76,26 @@ class ScenarioError(ValueError):
 # --------------------------------------------------------------------------
 # XML system model
 
-_ALLOWED_ATTRS = {
-    "system": {"name"},
-    "operand": {"id", "name", "unit"},
-    "resource": {"id", "name", "kind"},
-    "process": {"id", "name", "kind"},
-    "input": {"operand", "coeff"},
-    "output": {"operand", "coeff"},
-    "capability": {"id", "resource", "process", "duration"},
-    "pull": {"operand", "buffer"},
-    "push": {"operand", "buffer"},
-}
-
-_PARENT_OF = {
-    "operand": "system",
-    "resource": "system",
-    "process": "system",
-    "capability": "system",
-    "input": "process",
-    "output": "process",
-    "pull": "capability",
-    "push": "capability",
+# element -> (the element it must appear in, its allowed attributes)
+_SCHEMA = {
+    "system": (None, frozenset({"name"})),
+    "operand": ("system", frozenset({"id", "name", "unit"})),
+    "resource": ("system", frozenset({"id", "name", "kind"})),
+    "process": ("system", frozenset({"id", "name", "kind"})),
+    "input": ("process", frozenset({"operand", "coeff"})),
+    "output": ("process", frozenset({"operand", "coeff"})),
+    "capability": ("system", frozenset({"id", "resource", "process", "duration"})),
+    "pull": ("capability", frozenset({"operand", "buffer"})),
+    "push": ("capability", frozenset({"operand", "buffer"})),
 }
 
 
-class _CapabilityDraft:
-    def __init__(self, attrs):
-        self.attrs = attrs
-        self.pull = {}
-        self.push = {}
+def _no_underscores(text: str) -> str:
+    """``text``, or ``ValueError`` if it holds an underscore: the digit
+    separators that ``float`` and ``int`` accept are no XML number."""
+    if "_" in text:
+        raise ValueError(text)
+    return text
 
 
 class _XmlLoader:
@@ -106,144 +104,126 @@ class _XmlLoader:
         self.parser.StartElementHandler = self._start
         self.parser.EndElementHandler = self._end
         self.parser.CharacterDataHandler = self._chars
-        self.stack = []
+        self.stack = [None]
         self.operands = []
         self.resources = []
         self.processes = []
         self.caps = []
         self.current_process = None
-        self.current_flows = None
+        self.flows = None
         self.current_cap = None
-
-    def _where(self):
-        return self.parser.CurrentLineNumber, self.parser.CurrentColumnNumber + 1
+        self.routes = None
 
     def _fail(self, message: str):
-        line, col = self._where()
-        raise XmlFormatError(message, line, col)
+        raise XmlFormatError(message, self.parser.CurrentLineNumber,
+                             self.parser.CurrentColumnNumber + 1)
 
     def _require(self, attrs: dict, name: str, attr: str) -> str:
         if attr not in attrs:
             self._fail(f"<{name}> is missing required attribute '{attr}'")
         return attrs[attr]
 
-    def _number(self, text: str, name: str, attr: str) -> float:
-        try:
-            return float(text)
-        except ValueError:
-            self._fail(f"<{name}> attribute '{attr}' is not a number: {text!r}")
-
     def _start(self, name, attrs):
-        parent = self.stack[-1] if self.stack else None
-        if name not in _ALLOWED_ATTRS:
+        try:
+            parent, allowed, handler = _DISPATCH[name]
+        except KeyError:
             self._fail(f"unknown element <{name}>")
-        if parent is None:
-            if name != "system":
+        if parent != self.stack[-1]:
+            if self.stack[-1] is None:
                 self._fail(f"root element must be <system>, got <{name}>")
-        elif _PARENT_OF.get(name) != parent:
-            self._fail(f"<{name}> is not allowed inside <{parent}>")
-        unknown = set(attrs) - _ALLOWED_ATTRS[name]
-        if unknown:
-            self._fail(f"<{name}> has unknown attribute '{sorted(unknown)[0]}'")
+            self._fail(f"<{name}> is not allowed inside <{self.stack[-1]}>")
+        if not allowed.issuperset(attrs):
+            self._fail(f"<{name}> has unknown attribute '{sorted(set(attrs) - allowed)[0]}'")
         self.stack.append(name)
-        handler = getattr(self, f"_on_{name}", None)
         if handler is not None:
-            handler(attrs)
+            handler(self, name, attrs)
 
     def _end(self, name):
         self.stack.pop()
         if name == "process":
-            proc_id, proc_name, kind, inputs, outputs = self.current_process
-            self.processes.append(Process(proc_id, proc_name, kind,
-                                          tuple(inputs), tuple(outputs)))
-            self.current_process = None
+            self.processes.append(Process(*self.current_process, *self.flows.values()))
         elif name == "capability":
-            self.caps.append(self.current_cap)
-            self.current_cap = None
+            self.caps.append((*self.current_cap, *self.routes.values()))
 
     def _chars(self, data):
-        if data.strip():
+        if not data.isspace() and data:
             self._fail(f"unexpected text content: {data.strip()[:40]!r}")
 
-    def _on_operand(self, attrs):
+    def _on_operand(self, name, attrs):
         self.operands.append(Operand(
-            self._require(attrs, "operand", "id"),
-            attrs.get("name", ""), attrs.get("unit", "")))
+            self._require(attrs, name, "id"), attrs.get("name", ""), attrs.get("unit", "")))
 
-    def _on_resource(self, attrs):
-        kind_text = self._require(attrs, "resource", "kind")
+    def _on_resource(self, name, attrs):
+        kind_text = self._require(attrs, name, "kind")
         try:
             kind = ResourceKind(kind_text)
         except ValueError:
             allowed = ", ".join(k.value for k in ResourceKind)
             self._fail(f"unknown resource kind {kind_text!r}; expected one of: {allowed}")
         self.resources.append(Resource(
-            self._require(attrs, "resource", "id"), attrs.get("name", ""), kind))
+            self._require(attrs, name, "id"), attrs.get("name", ""), kind))
 
-    def _on_process(self, attrs):
+    def _on_process(self, name, attrs):
         kind_text = attrs.get("kind", ProcessKind.TRANSFORMATION.value)
         try:
             kind = ProcessKind(kind_text)
         except ValueError:
             allowed = ", ".join(k.value for k in ProcessKind)
             self._fail(f"unknown process kind {kind_text!r}; expected one of: {allowed}")
-        self.current_process = (self._require(attrs, "process", "id"),
-                                attrs.get("name", ""), kind, [], [])
+        self.current_process = (self._require(attrs, name, "id"), attrs.get("name", ""), kind)
+        self.flows = {"input": [], "output": []}
 
-    def _on_flow(self, name, attrs, bucket):
-        operand = self._require(attrs, name, "operand")
-        coeff = self._number(self._require(attrs, name, "coeff"), name, "coeff")
-        bucket.append(Flow(operand, coeff))
-
-    def _on_input(self, attrs):
-        self._on_flow("input", attrs, self.current_process[3])
-
-    def _on_output(self, attrs):
-        self._on_flow("output", attrs, self.current_process[4])
-
-    def _on_capability(self, attrs):
-        if "duration" in attrs:
-            text = attrs["duration"]
+    def _on_flow(self, name, attrs):
+        coeff = attrs.get("coeff", "")
+        if "operand" in attrs and "_" not in coeff:
             try:
-                duration = int(text)
+                self.flows[name].append(Flow(attrs["operand"], float(coeff)))
+                return
             except ValueError:
-                self._fail(f"<capability> duration is not an integer: {text!r}")
-        else:
-            duration = 0
-        draft = _CapabilityDraft({
-            "id": attrs.get("id", ""),
-            "resource": self._require(attrs, "capability", "resource"),
-            "process": self._require(attrs, "capability", "process"),
-            "duration": duration,
-        })
-        self.current_cap = draft
+                pass
+        self._require(attrs, name, "operand")
+        self._fail(f"<{name}> attribute 'coeff' is not a number: "
+                   f"{self._require(attrs, name, 'coeff')!r}")
 
-    def _on_pull(self, attrs):
-        self.current_cap.pull[self._require(attrs, "pull", "operand")] = \
-            self._require(attrs, "pull", "buffer")
+    _on_input = _on_output = _on_flow
 
-    def _on_push(self, attrs):
-        self.current_cap.push[self._require(attrs, "push", "operand")] = \
-            self._require(attrs, "push", "buffer")
+    def _on_capability(self, name, attrs):
+        text = attrs.get("duration", "0")
+        try:
+            duration = int(_no_underscores(text))
+        except ValueError:
+            self._fail(f"<capability> duration is not an integer: {text!r}")
+        # a missing id takes its default in build(); validate reports an empty one
+        self.current_cap = (attrs.get("id"), self._require(attrs, name, "resource"),
+                            self._require(attrs, name, "process"), duration)
+        self.routes = {"pull": {}, "push": {}}
+
+    def _on_route(self, name, attrs):
+        self.routes[name][self._require(attrs, name, "operand")] = \
+            self._require(attrs, name, "buffer")
+
+    _on_pull = _on_push = _on_route
 
     def build(self) -> SystemModel:
         by_process = {p.id: p for p in self.processes}
         caps = []
-        for draft in self.caps:
-            a = draft.attrs
-            pull, push = dict(draft.pull), dict(draft.push)
-            proc = by_process.get(a["process"])
+        for cap_id, resource, process, duration, pull, push in self.caps:
+            proc = by_process.get(process)
             if proc is not None:
                 # implicit routing through the capability's own resource
-                for fl in proc.inputs:
-                    pull.setdefault(fl.operand, a["resource"])
-                for fl in proc.outputs:
-                    push.setdefault(fl.operand, a["resource"])
-            cap_id = a["id"] or f"{a['resource']}:{a['process']}"
-            caps.append(Capability(cap_id, a["resource"], a["process"],
-                                   pull, push, a["duration"]))
+                for routing, flows in ((pull, proc.inputs), (push, proc.outputs)):
+                    for fl in flows:
+                        routing.setdefault(fl.operand, resource)
+            if cap_id is None:
+                cap_id = f"{resource}:{process}"
+            caps.append(Capability(cap_id, resource, process, pull, push, duration))
         return SystemModel(tuple(self.operands), tuple(self.resources),
                            tuple(self.processes), tuple(caps))
+
+
+# element -> (allowed parent, allowed attributes, handler or None)
+_DISPATCH = {name: (parent, allowed, getattr(_XmlLoader, f"_on_{name}", None))
+             for name, (parent, allowed) in _SCHEMA.items()}
 
 
 def parse_system_xml(data) -> SystemModel:
@@ -264,6 +244,9 @@ def parse_system_xml(data) -> SystemModel:
             xml.parsers.expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
         ) from None
     model = loader.build()
+    # The parser's handlers refer back to the loader: dropping the parser
+    # frees the loader and all it built now, not at a later cyclic collection.
+    del loader.parser
     require_valid(model)
     return model
 

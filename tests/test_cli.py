@@ -49,6 +49,17 @@ def runner():
     return CliRunner()
 
 
+def test_rcot_checks_each_model_once(runner, monkeypatch):
+    import heconet.core
+    checked = []
+    checker = heconet.core._violations
+    monkeypatch.setattr(heconet.core, "_violations",
+                        lambda model: checked.append(model) or checker(model))
+    result = runner.invoke(main, ["rcot", ECONOMY, SCENARIO])
+    assert result.exit_code == 0, result.output
+    assert len(checked) == 1
+
+
 @pytest.fixture()
 def square_files(tmp_path):
     model = tmp_path / "square.xml"

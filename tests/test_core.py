@@ -165,6 +165,59 @@ def test_lookups(economy_model):
         economy_model.operand("nope")
 
 
+def test_lookups_find_the_first_declared_item():
+    model = tiny_model(
+        operands=(Operand("w", "first", "kgal"), Operand("w", "second", "kgal")),
+        resources=(Resource("plant", "first"), Resource("plant", "second")),
+        processes=(Process("make", "first", outputs=(Flow("w", 1.0),)),
+                   Process("make", "second", outputs=(Flow("w", 2.0),))),
+        capabilities=(Capability("c1", "plant", "make", duration=1),
+                      Capability("c1", "plant", "make", duration=2)))
+    assert model.operand("w").name == model.resource("plant").name == "first"
+    assert model.process("make").name == "first"
+    assert model.capability("c1").duration == 1
+    for lookup, kind in ((model.operand, "operand"), (model.resource, "resource"),
+                         (model.process, "process"), (model.capability, "capability")):
+        with pytest.raises(KeyError) as info:
+            lookup("nope")
+        assert info.value.args == (f"no {kind} with id 'nope'",)
+
+
+def test_routing_maps_are_read_only_copies():
+    pull = {"w": "plant"}
+    cap = Capability("c1", "plant", "make", pull, {"w": "plant"})
+    pull["w"] = "elsewhere"
+    assert cap.pull == {"w": "plant"}
+    with pytest.raises(TypeError):
+        cap.pull["w"] = "elsewhere"
+    with pytest.raises(TypeError):
+        cap.push["x"] = "plant"
+    model = tiny_model()
+    assert validate(model) == []
+    with pytest.raises(TypeError):
+        model.capabilities[0].pull["w"] = "nowhere"
+    assert validate(model) == []
+
+
+def test_validate_returns_a_fresh_list_each_call(monkeypatch):
+    import heconet.core
+    calls = []
+    checker = heconet.core._violations
+    monkeypatch.setattr(heconet.core, "_violations",
+                        lambda model: calls.append(model) or checker(model))
+    model = tiny_model(operands=(Operand("w", "", ""), Operand("w", "", "kgal")))
+    first = validate(model)
+    assert [str(v) for v in first] == ["operand[w]: duplicate id",
+                                       "operand[w].unit: unit must be non-empty"]
+    first.clear()
+    second = validate(model)
+    assert second == validate(model) and len(second) == 2
+    assert second is not validate(model)
+    with pytest.raises(ModelError):
+        require_valid(model)
+    assert calls == [model]
+
+
 def test_flow_normalization():
     proc = Process("p", "", "transformation", [Flow("w", 1)], [Flow("w", 2)])
     assert isinstance(proc.inputs, tuple)

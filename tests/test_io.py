@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import re
 from importlib import resources
@@ -6,9 +7,13 @@ from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heconet import io
-from heconet.core import ModelError, ProcessKind, ResourceKind
+from heconet.core import (Capability, Flow, ModelError, Operand, Process,
+                          ProcessKind, Resource, ResourceKind, SystemModel,
+                          validate)
 from heconet.incidence import IncidenceMatrices, build_incidence
 from heconet.io import (JsonFormatError, Scenario, ScenarioError,
                         XmlFormatError, emit_chord_csv, emit_full_json,
@@ -131,6 +136,83 @@ def test_xml_schema_violations():
         "<system>stray words</system>"))
 
 
+def test_xml_numbers_take_no_digit_separators():
+    # float("0_5") is 5.0 and int("1_0") is 10; neither is an XML number
+    err = xml_error(MINIMAL.replace('coeff="2.0"', 'coeff="0_5"'))
+    assert "<input> attribute 'coeff' is not a number: '0_5'" in str(err)
+    assert (err.line, err.column) == (7, 5)
+    err = xml_error(MINIMAL.replace('process="make"/>', 'process="make" duration="1_0"/>'))
+    assert "<capability> duration is not an integer: '1_0'" in str(err)
+    assert (err.line, err.column) == (10, 3)
+
+
+def test_parsing_leaves_no_cyclic_garbage():
+    # a loader kept alive by a reference cycle holds a whole model's
+    # elements until the cyclic collector runs
+    data = (DATA / "three_sector_economy.xml").read_bytes()
+    gc.collect()
+    gc.disable()
+    try:
+        parse_system_xml(data)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_capability_id_defaults_only_when_missing():
+    assert parse_system_xml(MINIMAL).capabilities[0].id == "r:make"
+    with pytest.raises(ModelError, match=re.escape("capability[]: id must be non-empty")):
+        parse_system_xml(MINIMAL.replace("<capability ", '<capability id="" '))
+
+
+def sector_document(sectors=60, techs=3, factors=3, seed=0) -> list:
+    """Lines of a generated economy: one process and one capability per
+    technology, about 40 % dense, routed implicitly through one buffer."""
+    rng = np.random.default_rng(seed)
+    lines = ["<?xml version='1.0' encoding='utf-8'?>", '<system name="generated">']
+    lines += [f'  <operand id="s{i:03d}" unit="M$"/>' for i in range(sectors)]
+    lines += [f'  <operand id="f{i}" unit="u"/>' for i in range(factors)]
+    lines.append('  <resource id="economy" kind="transformation"/>')
+    for j in range(sectors * techs):
+        lines.append(f'  <process id="p{j:03d}" name="technology {j}">')
+        lines += [f'    <input operand="s{i:03d}" coeff="{rng.uniform(0.01, 0.1)!r}"/>'
+                  for i in range(sectors) if rng.random() < 0.4]
+        lines += [f'    <input operand="f{i}" coeff="{rng.uniform(0.5, 3.0)!r}"/>'
+                  for i in range(factors)]
+        lines += [f'    <output operand="s{j // techs:03d}" coeff="1.0"/>', "  </process>"]
+    lines += [f'  <capability id="c{j:03d}" resource="economy" process="p{j:03d}"/>'
+              for j in range(sectors * techs)]
+    return lines + ["</system>", ""]
+
+
+def nth_line(lines, prefix, n):
+    return [i for i, line in enumerate(lines) if line.lstrip().startswith(prefix)][n]
+
+
+def test_error_positions_deep_in_a_generated_economy():
+    lines = sector_document()
+    assert len(parse_system_xml("\n".join(lines)).capabilities) == 180
+
+    def fails(edit, prefix, n):
+        doc = list(lines)
+        i = nth_line(doc, prefix, n)
+        doc[i] = edit(doc[i])
+        return i, doc[i], xml_error("\n".join(doc))
+
+    i, line, err = fails(lambda t: re.sub(r'coeff="[^"]*"', 'coeff="0.3x"', t), "<input", 3000)
+    assert "<input> attribute 'coeff' is not a number: '0.3x'" in str(err)
+    assert (err.line, err.column) == (i + 1, line.index("<") + 1)
+    i, line, err = fails(lambda t: re.sub(r'operand="[^"]*" ', "", t), "<output", 150)
+    assert "<output> is missing required attribute 'operand'" in str(err)
+    assert (err.line, err.column) == (i + 1, line.index("<") + 1)
+    i, line, err = fails(lambda t: t.replace("<input ", '<input weight="2" '), "<input", 2500)
+    assert "<input> has unknown attribute 'weight'" in str(err)
+    assert (err.line, err.column) == (i + 1, line.index("<") + 1)
+    i, line, err = fails(lambda t: t + " stray text", "<process", 170)
+    assert "unexpected text content: 'stray text'" in str(err)
+    assert (err.line, err.column) == (i + 1, line.index(">") + 2)
+
+
 def test_well_formed_but_invalid_model_raises_model_error():
     text = MINIMAL.replace('operand="a" coeff="2.0"', 'operand="ghost" coeff="2.0"')
     with pytest.raises(ModelError, match="ghost"):
@@ -159,6 +241,61 @@ def test_xml_round_trip_preserves_awkward_coefficients():
     assert model.processes[0].inputs[0].coeff == 0.1 + 0.2
     again = parse_system_xml(write_system_xml(model))
     assert again.processes[0].inputs[0].coeff == 0.1 + 0.2
+
+
+NAMES = st.text(alphabet="ab &<>\"'", max_size=6)
+COEFFS = st.one_of(st.sampled_from([5e-324, 0.1, 1e16, 0.0, 1.0]),
+                   st.floats(0.0, 1e16, allow_nan=False))
+
+
+@st.composite
+def system_models(draw):
+    """Valid models with several processes, repeated flows of one
+    operand, explicit routing over several buffers and any durations."""
+    operands = tuple(Operand(f"o{i}", draw(NAMES), draw(st.sampled_from(["kg", "M$"])))
+                     for i in range(draw(st.integers(1, 4))))
+    kinds = draw(st.lists(st.sampled_from(list(ResourceKind)), min_size=1, max_size=3))
+    resources = tuple(Resource(f"r{i}", draw(NAMES), kind) for i, kind in enumerate(kinds)) \
+        + (Resource("tank", "", ResourceKind.INDEPENDENT_BUFFER),)
+    buffers = st.sampled_from([r.id for r in resources if r.is_buffer])
+    flows = st.builds(Flow, st.sampled_from([o.id for o in operands]), COEFFS)
+    processes = tuple(
+        Process(f"p{j}", draw(NAMES), draw(st.sampled_from(list(ProcessKind))),
+                draw(st.lists(flows, max_size=4)), draw(st.lists(flows, min_size=1, max_size=3)))
+        for j in range(draw(st.integers(1, 4))))
+    caps = []
+    for k in range(draw(st.integers(1, 5))):
+        proc = draw(st.sampled_from(processes))
+        caps.append(Capability(
+            f"c{k}", draw(st.sampled_from([r.id for r in resources])), proc.id,
+            {fl.operand: draw(buffers) for fl in proc.inputs},
+            {fl.operand: draw(buffers) for fl in proc.outputs}, draw(st.integers(0, 3))))
+    return SystemModel(operands, resources, processes, tuple(caps))
+
+
+@given(system_models())
+@settings(max_examples=80, deadline=None)
+def test_generated_models_round_trip_and_build_as_a_plain_loop(model):
+    assert validate(model) == []
+    again = parse_system_xml(write_system_xml(model))
+    assert again == model
+    inc = build_incidence(again)
+    kinds = (ResourceKind.TRANSFORMATION, ResourceKind.INDEPENDENT_BUFFER)
+    buffers = [r.id for kind in kinds for r in model.resources if r.kind is kind]
+    operands = [o.id for o in model.operands]
+    assert (inc.operands, inc.buffers) == (tuple(operands), tuple(buffers))
+    m_plus = np.zeros((len(operands) * len(buffers), len(model.capabilities)))
+    m_minus = np.zeros_like(m_plus)
+    for col, cap in enumerate(model.capabilities):
+        proc = [p for p in model.processes if p.id == cap.process][0]
+        for m, flows, routing in ((m_minus, proc.inputs, cap.pull),
+                                  (m_plus, proc.outputs, cap.push)):
+            for fl in flows:
+                row = operands.index(fl.operand) * len(buffers) \
+                    + buffers.index(routing[fl.operand])
+                m[row, col] += fl.coeff
+    assert np.array_equal(inc.m_minus, m_minus)
+    assert np.array_equal(inc.m_plus, m_plus)
 
 
 def test_xml_writer_escapes_attribute_values():
