@@ -554,9 +554,27 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
     The subset names rows of the program: its equality rows (state
     transitions, duration coupling, synchronization, pins and boundary
     values) and any ``extra_rows``, which may be inequalities.  Variable
-    bounds are not rows and hold throughout.  It is found by
-    :func:`heconet.lp.irreducible_infeasible_rows`; the infeasible result
+    bounds are not rows and hold throughout.  The infeasible result
     itself carries a certified Farkas ray in ``lp_result.duals``.
+
+    A program shaped as :func:`embed_static` builds it is diagnosed
+    through its static economy: the irreducible rows W of
+    dt M[:, c] U >= -q_b_initial, U >= 0 (c: the transitions that
+    complete within the horizon) and their Farkas ray s lift to a ray
+    that is s on W's place rows at every step, -s on their initial
+    values, p = dt s'M+ on the duration rows and -p on the causality
+    rows.  The q_b columns telescope to 0 and q_b[K] gets -s, U+ nets to
+    0, U- gets dt (s'M)_j <= 0 (-dt (s'M-)_j if j cannot complete), and
+    the ray separates by s'C > 0.  Its support is returned once it
+    passes :func:`heconet.lp.certify`.  It is irreducible: without a
+    row of place i in W, the static rows W - {i} hold (starts at k = 0
+    complete in time) and i takes any marking past the cut; without a
+    duration or causality row of j, a completion of j comes free and
+    supplies every place j makes.  The set need not be the filter's,
+    which may name a transition's flight rows where the lift names its
+    duration rows.  Any other program, or a lift that fails its
+    certificate, is diagnosed by
+    :func:`heconet.lp.irreducible_infeasible_rows` on the full program.
     """
     program = build_full(problem, extra_rows)
     result = lp_mod.solve_lp(program, tol)
@@ -566,13 +584,70 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
                        layout=layout, lp_result=result,
                        **{name: layout.family(x, name) for name in layout.families})
     if result.status is LpStatus.INFEASIBLE and diagnose_infeasibility:
-        witness = lp_mod.irreducible_infeasible_rows(program, tol)
+        witness = None if extra_rows is not None else _lifted_witness(problem, program, tol)
+        if witness is None:
+            witness = lp_mod.irreducible_infeasible_rows(program, tol)
         sol.infeasible_rows = tuple(witness)
         if witness:
             warnings.warn(
                 "infeasible program; irreducible conflicting rows: "
                 + ", ".join(witness), InfeasibilityWarning, stacklevel=2)
     return sol
+
+
+def _lifted_witness(problem: HfnmcfProblem, program: LinearProgram, tol: Tolerances):
+    """Labels of the static witness lifted to ``program`` (see
+    :func:`solve_full`), or None when its certificate fails or the
+    program is not shaped as :func:`embed_static` builds it: no operand
+    net or pinned firing, a given initial and a free final place
+    marking, nothing in flight at either end, :func:`_embedded_bounds`.
+    """
+    net, horizon, b = problem.net, problem.horizon, problem.boundary
+    inc, n_p, n_t = net.incidence, net.n_places, net.n_transitions
+    c = np.flatnonzero(net.durations < horizon)
+    if (problem.operand_nets or not c.size
+            or any(v is None for v in (b.q_b_initial, b.q_e_initial, b.q_e_final,
+                                       problem.lower, problem.upper))
+            or np.isnan(b.q_b_initial).any() or b.q_e_initial.any() or b.q_e_final.any()
+            or not all(v is None or np.isnan(v).all()
+                       for v in (b.q_b_final, *vars(problem.pins).values()))
+            or not all(map(np.array_equal, (problem.lower, problem.upper),
+                           _embedded_bounds(problem.layout)))):
+        return None
+    static = StaticEioReduction(m=net.dt * inc.m[:, c], c=-b.q_b_initial, cost=np.zeros(c.size),
+                                row_labels=inc.place_names)
+    place = {name: i for i, name in enumerate(inc.place_names)}
+    w = [place[name] for name in lp_mod.irreducible_infeasible_rows(static_lp(static), tol)]
+    if not w:
+        return None
+    ray_w = lp_mod.solve_lp(static_lp(StaticEioReduction(
+        m=static.m[w], c=static.c[w], cost=static.cost)), tol)
+    if ray_w.status is not LpStatus.INFEASIBLE:
+        return None
+    s = np.zeros(n_p)
+    s[w] = ray_w.duals
+    p = net.dt * (s @ inc.m_plus)
+    # build_full's rows here: per step the place then the flight rows,
+    # per transition its K duration rows (coupled first, then causality),
+    # then the initial place marking and the initial and final flights.
+    ray = np.zeros(program.n_rows)
+    steps = horizon * (n_p + n_t)
+    ray[:steps].reshape(horizon, n_p + n_t)[:, :n_p] = s
+    coupled = np.arange(horizon) < np.maximum(horizon - net.durations, 0)[:, None]
+    ray[steps:steps + n_t * horizon] = np.where(coupled, p[:, None], -p[:, None]).ravel()
+    ray[steps + n_t * horizon:][:n_p] = -s
+    certificate = lp_mod.certify(program, LpResult(
+        LpStatus.INFEASIBLE, None, np.nan, ray, None, 0), tol)
+    if not certificate.passed:
+        return None
+    return [program.row_labels[i] for i in np.flatnonzero(ray)]
+
+
+def _embedded_bounds(layout: VariableLayout) -> tuple:
+    """:func:`default_bounds` with the final place marking >= 0."""
+    lower, upper = default_bounds(layout)
+    lower[layout.q_b(layout.horizon)] = 0.0
+    return lower, upper
 
 
 def embed_static(inc: IncidenceMatrices, y, f, pi, horizon: int = 1,
@@ -594,8 +669,7 @@ def embed_static(inc: IncidenceMatrices, y, f, pi, horizon: int = 1,
     layout = variable_layout(net, (), horizon)
     cost = np.zeros(layout.size)
     layout.family(cost, "u_minus")[:] = net.dt * red.cost
-    lower, upper = default_bounds(layout)
-    lower[layout.q_b(layout.horizon)] = 0.0
+    lower, upper = _embedded_bounds(layout)
     idle = np.zeros(net.n_transitions)
     boundary = BoundaryConditions(q_b_initial=-red.c, q_e_initial=idle, q_e_final=idle)
     return HfnmcfProblem(net=net, horizon=horizon, linear_cost=cost,

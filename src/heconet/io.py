@@ -23,9 +23,10 @@ must be a buffer.  A capability without an ``id`` is named
 "resource:process"; an empty ``id`` is an error.  Writing always emits
 the explicit form, so a written document re-reads to an equal model.
 
-A ``coeff`` is any text Python's ``float`` reads and a ``duration`` any
-text ``int`` reads (surrounding whitespace and a sign allowed), except
-that an underscore is rejected: ``0_5`` is not a number.  The loader
+A ``coeff`` is any ASCII text Python's ``float`` reads and a
+``duration`` any ASCII text ``int`` reads (surrounding whitespace and a
+sign allowed), except that an underscore is rejected: ``0_5`` is not a
+number, and neither are other scripts' digits such as ``١٢``.  The loader
 checks the schema; the model it builds is then validated once, by
 :func:`heconet.core.require_valid`.
 
@@ -90,10 +91,11 @@ _SCHEMA = {
 }
 
 
-def _no_underscores(text: str) -> str:
-    """``text``, or ``ValueError`` if it holds an underscore: the digit
-    separators that ``float`` and ``int`` accept are no XML number."""
-    if "_" in text:
+def _xml_number(text: str) -> str:
+    """``text``, or ``ValueError`` if it holds an underscore or a
+    non-ASCII character: the digit separators and the Unicode digits
+    that ``float`` and ``int`` accept are no XML number."""
+    if "_" in text or not text.isascii():
         raise ValueError(text)
     return text
 
@@ -175,7 +177,7 @@ class _XmlLoader:
 
     def _on_flow(self, name, attrs):
         coeff = attrs.get("coeff", "")
-        if "operand" in attrs and "_" not in coeff:
+        if "operand" in attrs and "_" not in coeff and coeff.isascii():
             try:
                 self.flows[name].append(Flow(attrs["operand"], float(coeff)))
                 return
@@ -190,7 +192,7 @@ class _XmlLoader:
     def _on_capability(self, name, attrs):
         text = attrs.get("duration", "0")
         try:
-            duration = int(_no_underscores(text))
+            duration = int(_xml_number(text))
         except ValueError:
             self._fail(f"<capability> duration is not an integer: {text!r}")
         # a missing id takes its default in build(); validate reports an empty one

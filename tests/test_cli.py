@@ -153,6 +153,56 @@ def test_hfnmcf_full_over_the_horizon_without_water_is_infeasible(runner, tmp_pa
     assert "water@economy" in result.stderr
 
 
+# stderr of hfnmcf-full on the water-cut program at horizon 8, as the
+# deletion filter on the full program reports it: 84 rows.
+WATER_CUT_STDERR = (
+    "conflicting rows: "
+    "esn-place[0]:man@economy, esn-place[0]:cons@economy, esn-place[0]:ag@economy, "
+    "esn-place[0]:water@economy, esn-place[1]:man@economy, "
+    "esn-place[1]:cons@economy, esn-place[1]:ag@economy, esn-place[1]:water@economy, "
+    "esn-place[2]:man@economy, esn-place[2]:cons@economy, esn-place[2]:ag@economy, "
+    "esn-place[2]:water@economy, esn-place[3]:man@economy, "
+    "esn-place[3]:cons@economy, esn-place[3]:ag@economy, esn-place[3]:water@economy, "
+    "esn-place[4]:man@economy, esn-place[4]:cons@economy, esn-place[4]:ag@economy, "
+    "esn-place[4]:water@economy, esn-place[5]:man@economy, "
+    "esn-place[5]:cons@economy, esn-place[5]:ag@economy, esn-place[5]:water@economy, "
+    "esn-place[6]:man@economy, esn-place[6]:cons@economy, esn-place[6]:ag@economy, "
+    "esn-place[6]:water@economy, esn-place[7]:man@economy, "
+    "esn-place[7]:cons@economy, esn-place[7]:ag@economy, esn-place[7]:water@economy, "
+    "duration[0]:c1, duration[1]:c1, duration[2]:c1, duration[3]:c1, duration[4]:c1, "
+    "duration[5]:c1, duration-causality[0]:c1, duration-causality[1]:c1, "
+    "duration[0]:c2, duration[1]:c2, duration[2]:c2, duration[3]:c2, duration[4]:c2, "
+    "duration[5]:c2, duration[6]:c2, duration-causality[0]:c2, duration[0]:c3, "
+    "duration[1]:c3, duration[2]:c3, duration[3]:c3, duration[4]:c3, duration[5]:c3, "
+    "duration[6]:c3, duration-causality[0]:c3, duration[0]:c4, duration[1]:c4, "
+    "duration[2]:c4, duration[3]:c4, duration[4]:c4, duration[5]:c4, "
+    "duration-causality[0]:c4, duration-causality[1]:c4, duration[0]:c5, "
+    "duration[1]:c5, duration[2]:c5, duration[3]:c5, duration[4]:c5, duration[5]:c5, "
+    "duration[6]:c5, duration-causality[0]:c5, duration[0]:c6, duration[1]:c6, "
+    "duration[2]:c6, duration[3]:c6, duration[4]:c6, duration[5]:c6, duration[6]:c6, "
+    "duration-causality[0]:c6, boundary-initial:q_b:man@economy, "
+    "boundary-initial:q_b:cons@economy, boundary-initial:q_b:ag@economy, "
+    "boundary-initial:q_b:water@economy"
+    "\nprogram is infeasible\n")
+
+
+def test_hfnmcf_full_names_the_water_cut_rows_of_the_filter(runner, tmp_path):
+    # conftest.water_cut at horizon 8: durations 2,1,1,2,1,1 and water
+    # cut to 307.8.  The witness is lifted from the static economy and
+    # must read as the filter's, byte for byte.
+    model = tmp_path / "timed.xml"
+    text = open(ECONOMY).read()
+    for j, duration in enumerate((2, 1, 1, 2, 1, 1), start=1):
+        text = text.replace(f'process="p{j}"/>', f'process="p{j}" duration="{duration}"/>')
+    model.write_text(text)
+    path = changed_copy(tmp_path, SCENARIO, lambda doc: (
+        doc.update({"horizon": 8}), doc["availability"].update({"water": 307.8})))
+    result = runner.invoke(main, ["hfnmcf-full", str(model), path])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == WATER_CUT_STDERR
+
+
 def test_hfnmcf_full_needs_a_horizon_longer_than_the_durations(runner, tmp_path):
     # A one-step capability cannot complete within one step, so the
     # demand cannot be met at horizon 1; at horizon 2 it can.

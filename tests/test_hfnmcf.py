@@ -1,4 +1,7 @@
+import contextlib
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,18 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heconet import hfnmcf, kernels
+from heconet import lp as lp_mod
 from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
                             StaticEioReduction, VariableLayout, build_full,
                             build_static, default_bounds, embed_static,
                             solve_full, solve_static, static_lp,
                             variable_layout)
 from heconet.incidence import IncidenceMatrices, build_incidence
-from heconet.lp import EQUAL, LinearProgram, LpStatus, certify, feasible
+from heconet.lp import (EQUAL, LinearProgram, LpStatus, certify, feasible,
+                        irreducible_infeasible_rows)
 from heconet.petri import EngineeringSystemNet, Marking, OperandNet
 
 from conftest import (ECONOMY_M_MINUS, ECONOMY_F, ECONOMY_PHI_CAPITAL,
                       ECONOMY_PHI_WATER, ECONOMY_PI, ECONOMY_X, ECONOMY_Y,
-                      ECONOMY_Z, row_subset, time_expanded)
+                      ECONOMY_Z, row_subset, time_expanded, water_cut)
 from test_incidence import two_buffer_model
 
 REFERENCE_UNIT_COST = np.array([3.18, 5.18, 3.07, 2.37, 1.79, 2.39])
@@ -461,10 +466,14 @@ def test_infeasible_program_reports_a_row_witness():
         pins=FiringPins(u_minus=np.zeros((1, 2)), u_plus=np.zeros((1, 2))),
         boundary=BoundaryConditions(q_e_initial=np.zeros(2),
                                     q_e_final=np.array([5.0, np.nan])))
-    with pytest.warns(RuntimeWarning, match="irreducible conflicting rows"):
+    with diagnosis_spy() as (diagnosed, _), \
+            pytest.warns(RuntimeWarning, match="irreducible conflicting rows"):
         sol = solve_full(problem)
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.infeasible_rows
+    # pinned firings and no initial place marking: the filter runs on
+    # the full program
+    assert [p.row_labels for p, _ in diagnosed] == [build_full(problem).row_labels]
     assert np.all(np.isnan(sol.q_b))
     assert np.isnan(sol.objective)
 
@@ -496,9 +505,209 @@ def test_water_cut_witness_is_irreducible(water_cut_problem):
     assert certify(program, sol.lp_result).passed
     witness = [program.row_labels.index(label) for label in sol.infeasible_rows]
     assert 0 < len(witness) < program.n_rows
-    assert not feasible(row_subset(program, witness))
-    for i in witness:
-        assert feasible(row_subset(program, [k for k in witness if k != i]))
+    assert_irreducible(program, witness)
+
+
+def assert_irreducible(program, rows):
+    """The rows ``rows`` of ``program`` are infeasible, and feasible
+    without any one of them."""
+    assert not feasible(row_subset(program, rows))
+    for i in rows:
+        assert feasible(row_subset(program, [k for k in rows if k != i]))
+
+
+# --------------------------------------------------------------------------
+# Infeasibility diagnosis through the static economy
+
+
+@contextlib.contextmanager
+def diagnosis_spy():
+    """Yields (diagnosed, certified): (program, witness) of every call of
+    lp.irreducible_infeasible_rows, and (program, ray, passed) of every
+    infeasible result lp.certify checks."""
+    diagnosed, certified = [], []
+    diagnose, check = lp_mod.irreducible_infeasible_rows, lp_mod.certify
+
+    def record_diagnosis(program, *args):
+        witness = diagnose(program, *args)
+        diagnosed.append((program, witness))
+        return witness
+
+    def record_certificate(program, result, *args):
+        cert = check(program, result, *args)
+        if result.status is LpStatus.INFEASIBLE:
+            certified.append((program, result.duals, cert.passed))
+        return cert
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_mod, "irreducible_infeasible_rows", record_diagnosis)
+        patch.setattr(lp_mod, "certify", record_certificate)
+        yield diagnosed, certified
+
+
+def solve_quietly(problem, extra_rows=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", hfnmcf.InfeasibilityWarning)
+        return solve_full(problem, extra_rows)
+
+
+def assert_lifted(problem, sol, diagnosed, certified):
+    """The witness of ``sol`` is the support of a ray that passed
+    certify on the full program, after the filter ran on the static
+    program only, and it is irreducible."""
+    program = build_full(problem)
+    assert [p.row_labels for p, _ in diagnosed] == [problem.net.incidence.place_names]
+    full, ray, passed = certified[-1]
+    assert full.row_labels == program.row_labels and passed
+    row = {label: i for i, label in enumerate(program.row_labels)}
+    witness = [row[label] for label in sol.infeasible_rows]
+    assert witness == np.flatnonzero(ray).tolist()
+    assert_irreducible(program, witness)
+
+
+@st.composite
+def embedded_economies(draw):
+    """embed_static on a random economy: 2-5 sectors of 1-3 technologies
+    each, 1-2 factors, durations 0-3, K 1-8 and dt 0.5, 1 or 2."""
+    sectors, techs = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    factors = draw(st.integers(1, 2))
+    n = sectors * techs
+    m_plus = np.zeros((sectors + factors, n))
+    m_plus[np.repeat(np.arange(sectors), techs), np.arange(n)] = 1.0
+
+    def matrix(rows, entries):
+        cells = draw(st.lists(entries, min_size=rows * n, max_size=rows * n))
+        return np.array(cells).reshape(rows, n)
+    m_minus = np.vstack([matrix(sectors, st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.4])),
+                         matrix(factors, st.sampled_from([0.5, 1.0, 2.0]))])
+    inc = IncidenceMatrices(m_plus, m_minus,
+                            operands=tuple(f"s{i}" for i in range(sectors))
+                            + tuple(f"f{i}" for i in range(factors)),
+                            buffers=("e",), capabilities=tuple(f"t{j}" for j in range(n)))
+    y = draw(st.lists(st.sampled_from([1.0, 2.0, 5.0, 10.0]), min_size=sectors, max_size=sectors))
+    f = draw(st.lists(st.sampled_from([1.0, 5.0, 20.0, 50.0]), min_size=factors, max_size=factors))
+    durations = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return embed_static(inc, y, f, np.ones(factors), draw(st.integers(1, 8)), durations,
+                        draw(st.sampled_from([0.5, 1.0, 2.0])))
+
+
+@given(embedded_economies())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_lifted_witness_is_certified_and_irreducible(problem):
+    with diagnosis_spy() as (diagnosed, certified):
+        sol = solve_quietly(problem)
+    if sol.status is not LpStatus.INFEASIBLE:
+        return
+    if np.all(problem.net.durations >= problem.horizon):
+        # no transition completes: the filter runs on the full program
+        assert [p.row_labels for p, _ in diagnosed] == [build_full(problem).row_labels]
+    else:
+        assert_lifted(problem, sol, diagnosed, certified)
+
+
+def ledger(net):
+    """An accounting-only operand net: each capability moves one token
+    from busy to done, with the capability's duration."""
+    n = net.n_transitions
+    return OperandNet(operand="ledger", places=("done", "busy"),
+                      transitions=net.transition_labels,
+                      m_plus=np.vstack([np.ones(n), np.zeros(n)]), m_minus=np.zeros((2, n)),
+                      marking=Marking(np.zeros(2), np.zeros(n)), durations=net.durations)
+
+
+def off_shape(problem, change):
+    """(problem, extra rows) of ``problem`` changed one way that leaves
+    the shape embed_static builds."""
+    layout, n_t = problem.layout, problem.net.n_transitions
+    if change == "pin":
+        pin = np.full((problem.horizon, n_t), np.nan)
+        pin[0, 0] = 0.0
+        return dataclasses.replace(problem, pins=FiringPins(u_minus=pin)), None
+    if change == "operand net":
+        onet = ledger(problem.net)
+        wide = variable_layout(problem.net, (onet,), problem.horizon)
+        cost = np.zeros(wide.size)
+        wide.family(cost, "u_minus")[:] = layout.family(problem.linear_cost, "u_minus")
+        lower, upper = default_bounds(wide)
+        lower[wide.q_b(problem.horizon)] = 0.0
+        return dataclasses.replace(problem, operand_nets=(onet,), linear_cost=cost,
+                                   lower=lower, upper=upper,
+                                   sync_plus=np.eye(n_t), sync_minus=np.eye(n_t)), None
+    if change == "extra rows":
+        return problem, (np.zeros((1, layout.size)), ("<=",), (0.0,), ("nothing",))
+    if change == "bound":
+        upper = problem.upper.copy()
+        upper[layout.u_minus(0)] = 1e6
+        return dataclasses.replace(problem, upper=upper), None
+    flights = np.zeros(n_t)
+    flights[0] = 1.0
+    return dataclasses.replace(problem, boundary=dataclasses.replace(
+        problem.boundary, q_e_final=flights)), None
+
+
+@pytest.mark.parametrize("change", ["pin", "operand net", "extra rows", "bound", "flight"])
+def test_a_program_off_the_shape_runs_the_filter_on_itself(water_cut_problem, change):
+    problem, extra = off_shape(water_cut_problem, change)
+    with diagnosis_spy() as (diagnosed, _):
+        sol = solve_quietly(problem, extra)
+    assert sol.status is LpStatus.INFEASIBLE
+    program = build_full(problem, extra)
+    assert [p.row_labels for p, _ in diagnosed] == [program.row_labels]
+    assert list(sol.infeasible_rows) == diagnosed[0][1]
+
+
+def test_a_lift_that_fails_its_certificate_runs_the_filter(water_cut_problem, monkeypatch):
+    program = build_full(water_cut_problem)
+    diagnosed = []
+    diagnose, check = lp_mod.irreducible_infeasible_rows, lp_mod.certify
+
+    def record_diagnosis(lp, *args):
+        diagnosed.append(lp.row_labels)
+        return diagnose(lp, *args)
+
+    def refuse_the_lift(lp, result, *args):
+        # the full program's certificates after the static diagnosis
+        # are the lift's
+        cert = check(lp, result, *args)
+        if diagnosed and lp.row_labels == program.row_labels:
+            refused = lp_mod.CheckResult("refused", False, 1.0, 0.0)
+            return lp_mod.Certificate(cert.checks + (refused,))
+        return cert
+    monkeypatch.setattr(lp_mod, "irreducible_infeasible_rows", record_diagnosis)
+    monkeypatch.setattr(lp_mod, "certify", refuse_the_lift)
+    sol = solve_quietly(water_cut_problem)
+    assert diagnosed == [water_cut_problem.net.incidence.place_names, program.row_labels]
+    assert list(sol.infeasible_rows) == diagnose(program)
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_a_horizon_within_the_durations(economy_incidence, horizon):
+    # Durations 1 and 2: at K=2 only the one-step transitions complete
+    # and the lift covers the others by their causality rows; at K=1 none
+    # completes and the filter runs on the full program.
+    problem = water_cut(economy_incidence, horizon)
+    with diagnosis_spy() as (diagnosed, certified):
+        sol = solve_quietly(problem)
+    assert sol.status is LpStatus.INFEASIBLE
+    if horizon == 1:
+        program = build_full(problem)
+        assert [p.row_labels for p, _ in diagnosed] == [program.row_labels]
+        assert_irreducible(program, [program.row_labels.index(label)
+                                     for label in sol.infeasible_rows])
+    else:
+        assert_lifted(problem, sol, diagnosed, certified)
+
+
+@pytest.mark.parametrize("horizon", [8, 20])
+def test_water_cut_is_diagnosed_on_its_static_economy(economy_incidence, horizon):
+    problem = water_cut(economy_incidence, horizon)
+    with diagnosis_spy() as (diagnosed, _), pytest.warns(hfnmcf.InfeasibilityWarning):
+        sol = solve_full(problem)
+    assert [(p.row_labels, w) for p, w in diagnosed] == [(
+        economy_incidence.place_names,
+        ["man@economy", "cons@economy", "ag@economy", "water@economy"])]
+    assert len(sol.infeasible_rows) == {8: 84, 20: 204}[horizon]
+    assert list(sol.infeasible_rows) == irreducible_infeasible_rows(build_full(problem))
 
 
 # --------------------------------------------------------------------------

@@ -146,6 +146,19 @@ def test_xml_numbers_take_no_digit_separators():
     assert (err.line, err.column) == (10, 3)
 
 
+# Arabic-Indic, fullwidth and Devanagari 12, and 1 before a no-break space
+@pytest.mark.parametrize("digits", ["\u0661\u0662", "\uff11\uff12", "\u0967\u0968", "1\u00a0"])
+def test_xml_numbers_are_ascii(digits):
+    # float and int read any Unicode decimal digits (and Unicode
+    # spaces): float("١٢") is 12.0 and int("٣") is 3
+    err = xml_error(MINIMAL.replace('coeff="2.0"', f'coeff="{digits}"'))
+    assert f"<input> attribute 'coeff' is not a number: {digits!r}" in str(err)
+    assert (err.line, err.column) == (7, 5)
+    err = xml_error(MINIMAL.replace('process="make"/>', f'process="make" duration="{digits}"/>'))
+    assert f"<capability> duration is not an integer: {digits!r}" in str(err)
+    assert (err.line, err.column) == (10, 3)
+
+
 def test_parsing_leaves_no_cyclic_garbage():
     # a loader kept alive by a reference cycle holds a whole model's
     # elements until the cyclic collector runs
