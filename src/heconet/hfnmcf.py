@@ -64,10 +64,12 @@ class StaticEioReduction:
         f_star = _optional(self.f_star, "f_star", (None, m.shape[1]))
         caps = tuple(self.capability_labels) or tuple(f"u{j + 1}" for j in range(m.shape[1]))
         rows = tuple(self.row_labels) or tuple(f"c{i + 1}" for i in range(m.shape[0]))
-        if len(caps) != m.shape[1] or len(rows) != m.shape[0]:
+        k = 0 if f_star is None else f_star.shape[0]
+        factors = tuple(self.factor_labels) or tuple(f"f{i + 1}" for i in range(k))
+        if len(caps) != m.shape[1] or len(rows) != m.shape[0] or len(factors) != k:
             raise ValueError("label lengths must match matrix dimensions")
         set_fields(self, m=m, c=c, cost=cost, f_star=f_star, capability_labels=caps,
-                   row_labels=rows, factor_labels=tuple(self.factor_labels))
+                   row_labels=rows, factor_labels=factors)
 
 
 def build_static(inc: IncidenceMatrices, y, f, pi) -> StaticEioReduction:
@@ -105,8 +107,7 @@ def solve_static(red: StaticEioReduction, relaxation: str = ">=",
     """Solve the reduction; results are keyed by capability labels."""
     program = static_lp(red, relaxation)
     result = lp_mod.solve_lp(program, tol)
-    t = red.m.shape[1]
-    k = red.f_star.shape[0] if red.f_star is not None else 0
+    t, k = red.m.shape[1], len(red.factor_labels)
     if result.status is not LpStatus.OPTIMAL:
         return RcotSolution(np.full(t, np.nan), np.nan, np.full(k, np.nan),
                             result.status, np.full(red.m.shape[0], np.nan),
@@ -246,9 +247,20 @@ class VariableLayout:
                      for k in range(steps) for entry in entries[axis])
 
 
+def _steps(horizon) -> int:
+    """``horizon`` as an int >= 1; booleans and fractions are refused."""
+    try:
+        k = int(horizon)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if isinstance(horizon, (bool, np.bool_)) or k is None or k != horizon or k < 1:
+        raise ValueError(f"horizon must be >= 1 and integral, got {horizon!r}")
+    return k
+
+
 def variable_layout(net: EngineeringSystemNet, operand_nets=(), horizon: int = 1) -> VariableLayout:
     return VariableLayout(
-        horizon=int(horizon),
+        horizon=_steps(horizon),
         n_places=net.n_places,
         n_transitions=net.n_transitions,
         operand_shapes=tuple((o.n_places, o.n_transitions) for o in operand_nets))
@@ -307,9 +319,7 @@ class HfnmcfProblem:
     upper: np.ndarray = None
 
     def __post_init__(self):
-        if int(self.horizon) < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        set_fields(self, horizon=int(self.horizon), operand_nets=tuple(self.operand_nets))
+        set_fields(self, horizon=_steps(self.horizon), operand_nets=tuple(self.operand_nets))
         layout = self.layout
         n_ul, nt, size = layout.sum_transitions, layout.n_transitions, layout.size
         set_fields(self, linear_cost=checked_array(self.linear_cost, "linear_cost", (size,)))
@@ -605,7 +615,7 @@ def _lifted_witness(problem: HfnmcfProblem, program: LinearProgram, tol: Toleran
     net, horizon, b = problem.net, problem.horizon, problem.boundary
     inc, n_p, n_t = net.incidence, net.n_places, net.n_transitions
     c = np.flatnonzero(net.durations < horizon)
-    if (problem.operand_nets or not c.size
+    if (problem.operand_nets
             or any(v is None for v in (b.q_b_initial, b.q_e_initial, b.q_e_final,
                                        problem.lower, problem.upper))
             or np.isnan(b.q_b_initial).any() or b.q_e_initial.any() or b.q_e_final.any()

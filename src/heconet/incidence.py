@@ -41,9 +41,12 @@ class IncidenceMatrices:
         shape = (len(self.operands) * len(self.buffers), len(self.capabilities))
         m_plus = checked_array(self.m_plus, "m_plus", shape, nonneg=True)
         m_minus = checked_array(self.m_minus, "m_minus", shape, nonneg=True)
-        set_fields(self, m_plus=m_plus, m_minus=m_minus, m=read_only(m_plus - m_minus),
-                   operands=tuple(self.operands), buffers=tuple(self.buffers),
-                   capabilities=tuple(self.capabilities))
+        ids = {name: tuple(getattr(self, name)) for name in ("operands", "buffers", "capabilities")}
+        for name, values in ids.items():
+            if len(set(values)) != len(values):
+                twice = next(v for i, v in enumerate(values) if v in values[:i])
+                raise ValueError(f"{name} must be distinct; {twice!r} is repeated")
+        set_fields(self, m_plus=m_plus, m_minus=m_minus, m=read_only(m_plus - m_minus), **ids)
 
     @property
     def n_places(self) -> int:

@@ -208,7 +208,9 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
       ``refactor_every`` basis changes.  So a pivot reads one row of
       ``binv`` and its columns at the entering column's rows.
 
-    Returns (status, iterations); bound flips count as iterations.
+    Returns (status, iterations, y), with y the duals last priced with
+    (on OPTIMAL the fresh c_B B^-1 of the final basis); bound flips
+    count as iterations.
     """
     rc_tol, pivot_tol, harris = tol.lp_reduced_cost, tol.lp_pivot, tol.lp_ratio_tie
     is_basic = np.zeros(a.shape[1], dtype=bool)
@@ -227,9 +229,9 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
                 y, fresh = _duals(c, basis, binv), True
                 continue
             _recompute_basics(a, b, x, basis, binv)
-            return OPTIMAL, iters
+            return OPTIMAL, iters, y
         if iters >= max_iter:
-            return ITERATION_LIMIT, iters
+            return ITERATION_LIMIT, iters, y
         bland = degenerate >= _DEGENERATE_RUN
         q = candidates[0] if bland else candidates[np.argmax(np.abs(d[candidates]))]
         sigma = 1.0 if d[q] < 0.0 else -1.0
@@ -250,7 +252,7 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
         span = upper[q] - lower[q]
         if span <= theta_max:
             if not np.isfinite(span):
-                return UNBOUNDED, iters
+                return UNBOUNDED, iters, y
             theta, leave = span, -1
         else:
             tied = blocking[room[blocking] <= theta_max]

@@ -12,8 +12,9 @@ the removal of redundant rows.  Pricing is Dantzig's rule with a
 fall-back to Bland's after a run of degenerate pivots, the ratio test
 is a two-pass Harris test, and the explicit basis inverse is eta-updated
 and periodically refactorized (see :func:`heconet.kernels.simplex_iterate`).
-Pivots update the duals (y += d_q rho); they are recomputed from the
-inverse on entry, after each refactorization and before optimality.
+Pivots update the duals (y += d_q rho); the kernel recomputes them from
+the inverse on entry, after each refactorization and before optimality,
+and returns them, so the reported duals are a fresh c_B B^-1.
 The crash basis and every refactorization are inverted from the sparse
 columns by :func:`heconet.kernels.basis_inverse`, which solves the
 triangular part by substitution and inverts only the remaining bump; the
@@ -100,7 +101,8 @@ class LinearProgram:
         n = cost.shape[0]
         if not isinstance(rows, kernels.SparseColumns):
             rows = kernels.SparseColumns.from_dense(
-                checked_array(rows if np.size(rows) else np.zeros((0, n)), "rows", (None, n)))
+                checked_array(rows if np.size(rows) or np.ndim(rows) == 2 else np.zeros((0, n)),
+                              "rows", (None, n)))
         elif rows.shape[1] != n:
             raise ValueError(f"rows must have shape (*, {n}), got {rows.shape}")
         elif not np.all(np.isfinite(rows.data) & (rows.data != 0.0)):
@@ -305,7 +307,7 @@ def _start(lp: LinearProgram) -> _Simplex:
 
 def _run_kernel(sx: _Simplex, c, tol: Tolerances, phase: str):
     try:
-        status, iters = kernels.simplex_iterate(
+        status, iters, y = kernels.simplex_iterate(
             sx.a, sx.b, c, sx.lower, sx.upper, sx.w, sx.basis, sx.binv, tol,
             tol.lp_refactor_every, tol.lp_max_iter)
     except np.linalg.LinAlgError as exc:
@@ -314,36 +316,27 @@ def _run_kernel(sx: _Simplex, c, tol: Tolerances, phase: str):
     if status == kernels.ITERATION_LIMIT:
         raise IterationLimitError(
             f"simplex exceeded {tol.lp_max_iter} iterations in {phase}")
-    return status, iters
+    return status, iters, y
 
 
 def _phase1(sx: _Simplex, tol: Tolerances):
     """Minimize the priced columns' sum c1'w from the current basis of ``sx``.
 
-    Returns (iterations, infeasible): the LP is infeasible when the
-    priced columns cannot reach zero, and :func:`_farkas_ray` then holds
-    the proof.  The kernel runs even when the crash needed no
-    artificial (it then prices once and stops), so every solve makes
-    one call per phase.
+    Returns (iterations, infeasible, ray).  The LP is infeasible when the
+    priced columns cannot reach zero, and the phase-1 duals c1_B B^-1
+    are then a Farkas ray of the rows: the reduced costs -(y'A)_j of the
+    unpriced columns have the signs their bounds allow, so y'b exceeds
+    the largest y'A w over the bounds by exactly the load.  The kernel
+    runs even when the crash needed no artificial (it then prices once
+    and stops), so every solve makes one call per phase.
     """
-    status, iters = _run_kernel(sx, sx.c1, tol, "phase 1")
+    status, iters, ray = _run_kernel(sx, sx.c1, tol, "phase 1")
     if status != kernels.OPTIMAL:
         # The phase-1 objective is bounded below by 0: no ray exists.
         raise PivotBreakdownError("phase 1 did not reach an optimum", sx.basis)
     load = float(np.sum(sx.w[sx.c1 > 0.0]))
     scale = 1.0 + (float(np.max(np.abs(sx.b))) if sx.b.size else 0.0)
-    return iters, load > tol.lp_feasibility * scale
-
-
-def _farkas_ray(sx: _Simplex) -> np.ndarray:
-    """The phase-1 duals c1_B B^-1.
-
-    At a phase-1 optimum with a positive load this is a Farkas ray of
-    the rows: the reduced costs -(y'A)_j of the unpriced columns have
-    the signs their bounds allow, so y'b exceeds the largest y'A w over
-    the bounds by exactly the load.
-    """
-    return np.sum(sx.binv[sx.c1[sx.basis] > 0.0], axis=0)
+    return iters, load > tol.lp_feasibility * scale, ray
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResult:
@@ -359,36 +352,32 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResul
     nan_vec = np.full(lp.n_vars, np.nan)
     nan_rows = np.full(lp.n_rows, np.nan)
     sx = _start(lp)
-    iters1, infeasible = _phase1(sx, tol)
+    iters1, infeasible, ray = _phase1(sx, tol)
     if infeasible:
         return _certified(lp, LpResult(LpStatus.INFEASIBLE, nan_vec, np.nan,
-                                       _farkas_ray(sx), nan_rows, iters1), tol)
+                                       ray, nan_rows, iters1), tol)
 
     # Artificials left in the basis stay there at zero; this replaces
     # the removal of redundant rows.
     sx.upper[sx.artificial] = 0.0
     c2 = np.zeros(sx.w.size)
     c2[:lp.n_vars] = lp.cost
-    status, iters2 = _run_kernel(sx, c2, tol, "phase 2")
+    status, iters2, duals = _run_kernel(sx, c2, tol, "phase 2")
     if status == kernels.UNBOUNDED:
         return LpResult(LpStatus.UNBOUNDED, nan_vec, np.nan, nan_rows, nan_rows,
                         iters1 + iters2)
-    duals = c2[sx.basis] @ sx.binv
-    return _finish(lp, sx.w[:lp.n_vars].copy(), duals, iters1 + iters2, tol)
+    x = sx.w[:lp.n_vars].copy()
+    ax = lp.matrix.matvec(x)
+    slacks = np.where(_sense_masks(lp)[0], ax - lp.rhs, lp.rhs - ax)
+    objective = float(lp.cost @ x) if lp.n_vars else 0.0
+    return _certified(lp, LpResult(LpStatus.OPTIMAL, x, objective, duals, slacks,
+                                   iters1 + iters2), tol)
 
 
 def _sense_masks(lp: LinearProgram):
     """Boolean masks of the ">=" and of the "<=" rows."""
     senses = np.array(lp.senses, dtype="<U2")
     return senses == GREATER_EQUAL, senses == LESS_EQUAL
-
-
-def _finish(lp: LinearProgram, x, duals, iterations, tol: Tolerances) -> LpResult:
-    ax = lp.matrix.matvec(x)
-    slacks = np.where(_sense_masks(lp)[0], ax - lp.rhs, lp.rhs - ax)
-    objective = float(lp.cost @ x) if lp.n_vars else 0.0
-    return _certified(lp, LpResult(LpStatus.OPTIMAL, x, objective, duals, slacks,
-                                   int(iterations)), tol)
 
 
 def _certified(lp: LinearProgram, result: LpResult, tol: Tolerances) -> LpResult:
@@ -539,13 +528,12 @@ def irreducible_infeasible_rows(lp: LinearProgram,
     # A view of c1: row 0 prices the +e_r columns, row 1 the -e_r ones.
     # Row r is active while they are priced.
     elastic = sx.c1[k:].reshape(2, m)
-    since_refactor, infeasible = _phase1(sx, tol)
+    since_refactor, infeasible, ray = _phase1(sx, tol)
     if not infeasible:
         return []
 
-    def drop_outside_support():
+    def drop_outside_support(ray):
         active = elastic[0] > 0.0
-        ray = _farkas_ray(sx)
         ray[~active] = 0.0
         support = np.abs(ray) > tol.lp_feasibility * np.max(np.abs(ray))
         ray[~support] = 0.0
@@ -553,7 +541,7 @@ def irreducible_infeasible_rows(lp: LinearProgram,
         if outside.size and all(c.passed for c in _farkas_checks(lp, ray, tol)):
             elastic[:, outside] = 0.0
 
-    drop_outside_support()
+    drop_outside_support(ray)
     for r in range(m):
         if not elastic[0, r]:
             continue
@@ -567,10 +555,10 @@ def irreducible_infeasible_rows(lp: LinearProgram,
                     f"singular basis during diagnosis refactorization: {exc}", sx.basis) from exc
             since_refactor = 0
         elastic[:, r] = 0.0
-        iters, infeasible = _phase1(sx, tol)
+        iters, infeasible, ray = _phase1(sx, tol)
         since_refactor += iters
         if infeasible:
-            drop_outside_support()
+            drop_outside_support(ray)
         else:
             elastic[:, r] = 1.0
     return [lp.row_labels[i] for i in np.flatnonzero(elastic[0])]

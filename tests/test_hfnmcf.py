@@ -135,8 +135,19 @@ def test_static_reduction_validation():
     with pytest.raises(ValueError, match="label lengths"):
         StaticEioReduction(m=m, c=np.zeros(2), cost=np.zeros(2),
                            capability_labels=("only-one",))
+    with pytest.raises(ValueError, match="label lengths"):
+        StaticEioReduction(m=m, c=np.zeros(2), cost=np.zeros(2), factor_labels=("water",))
     with pytest.raises(ValueError, match=r"m must have shape \(\*, \*\)"):
         StaticEioReduction(m=np.zeros(4), c=np.zeros(2), cost=np.zeros(2))
+
+
+def test_factor_labels_match_the_factor_rows(economy_incidence):
+    red = build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
+    with pytest.raises(ValueError, match="label lengths"):
+        dataclasses.replace(red, factor_labels=("capital",))
+    unnamed = dataclasses.replace(red, factor_labels=())
+    assert unnamed.factor_labels == ("f1", "f2")
+    assert len(solve_static(unnamed).phi) == 2
 
 
 def test_static_reduction_arrays_are_read_only():
@@ -226,6 +237,21 @@ def test_problem_rejects_bad_horizon():
     net = small_net()
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         HfnmcfProblem(net=net, horizon=0, linear_cost=np.zeros(1))
+
+
+@pytest.mark.parametrize("horizon", [2.7, True, np.bool_(True), "2", np.float64(1.5)])
+def test_a_horizon_that_is_no_step_count_is_rejected(economy_incidence, horizon):
+    net = small_net()
+    with pytest.raises(ValueError, match="horizon"):
+        HfnmcfProblem(net=net, horizon=horizon, linear_cost=np.zeros(1))
+    with pytest.raises(ValueError, match="horizon"):
+        embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, horizon)
+
+
+def test_numpy_integer_horizons_are_step_counts(economy_incidence):
+    problem = embed_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI, np.int64(2))
+    assert problem.horizon == 2 and type(problem.horizon) is int
+    assert problem.layout == variable_layout(problem.net, horizon=2)
 
 
 def test_problem_rejects_bad_cost():
@@ -599,10 +625,9 @@ def test_lifted_witness_is_certified_and_irreducible(problem):
     if sol.status is not LpStatus.INFEASIBLE:
         return
     if np.all(problem.net.durations >= problem.horizon):
-        # no transition completes: the filter runs on the full program
-        assert [p.row_labels for p, _ in diagnosed] == [build_full(problem).row_labels]
-    else:
-        assert_lifted(problem, sol, diagnosed, certified)
+        # no transition completes: the static program has no columns
+        assert [p.n_vars for p, _ in diagnosed] == [0]
+    assert_lifted(problem, sol, diagnosed, certified)
 
 
 def ledger(net):
@@ -684,18 +709,15 @@ def test_a_lift_that_fails_its_certificate_runs_the_filter(water_cut_problem, mo
 def test_a_horizon_within_the_durations(economy_incidence, horizon):
     # Durations 1 and 2: at K=2 only the one-step transitions complete
     # and the lift covers the others by their causality rows; at K=1 none
-    # completes and the filter runs on the full program.
+    # completes, so the static program has no columns and the lift covers
+    # every transition by its causality rows.
     problem = water_cut(economy_incidence, horizon)
     with diagnosis_spy() as (diagnosed, certified):
         sol = solve_quietly(problem)
     assert sol.status is LpStatus.INFEASIBLE
     if horizon == 1:
-        program = build_full(problem)
-        assert [p.row_labels for p, _ in diagnosed] == [program.row_labels]
-        assert_irreducible(program, [program.row_labels.index(label)
-                                     for label in sol.infeasible_rows])
-    else:
-        assert_lifted(problem, sol, diagnosed, certified)
+        assert [p.n_vars for p, _ in diagnosed] == [0]
+    assert_lifted(problem, sol, diagnosed, certified)
 
 
 @pytest.mark.parametrize("horizon", [8, 20])

@@ -349,6 +349,19 @@ def incidence_doc(**overrides):
     return json.dumps(doc)
 
 
+@pytest.mark.parametrize("field, ids", [("operands", ["a", "b", "a"]),
+                                        ("buffers", ["x", "x"]),
+                                        ("capabilities", ["c1", "c1"])])
+def test_incidence_json_refuses_repeated_ids(field, ids):
+    # A repeated id would collapse row_index and col_index.
+    doc = {"operands": ["a"], "buffers": ["x"], "capabilities": ["c1"], field: ids}
+    rows, cols = len(doc["operands"]) * len(doc["buffers"]), len(doc["capabilities"])
+    blob = incidence_doc(**doc, shape=[rows, cols], m_plus=[[1.0] * cols] * rows,
+                         m_minus=[[0.0] * cols] * rows)
+    with pytest.raises(ValueError, match=f"{field} must be distinct; '{ids[-1]}' is repeated"):
+        read_incidence_json(blob)
+
+
 def test_incidence_json_errors():
     with pytest.raises(JsonFormatError, match="schema mismatch"):
         read_incidence_json(incidence_doc(schema="nope/9"))

@@ -7,16 +7,17 @@ from heconet.config import DEFAULT_TOLERANCES
 from oracles import eig_radius
 
 def run_simplex(dense, b, c, lower, upper, x, basis, max_iter=1000, refactor_every=50):
-    """Run the kernel from ``basis``; returns (status, iterations, x, basis)."""
+    """Run the kernel from ``basis``; returns (status, iterations, x, basis,
+    duals)."""
     dense = np.asarray(dense, dtype=float)
     x = np.array(x, dtype=float)
     basis = np.array(basis, dtype=np.int64)
     binv = np.linalg.inv(dense[:, basis])
-    status, iters = kernels.simplex_iterate(
+    status, iters, y = kernels.simplex_iterate(
         kernels.SparseColumns.from_dense(dense), np.asarray(b, dtype=float), np.asarray(c, dtype=float),
         np.asarray(lower, dtype=float), np.asarray(upper, dtype=float),
         x, basis, binv, DEFAULT_TOLERANCES, refactor_every, max_iter)
-    return status, iters, x, basis
+    return status, iters, x, basis, y
 
 
 def slack_form(rng, m=4, n=6, boxed=0, free=0):
@@ -43,9 +44,10 @@ def slack_form(rng, m=4, n=6, boxed=0, free=0):
 @pytest.mark.parametrize("refactor_every", [1, 3, 50])
 def test_optimal_is_declared_on_fresh_duals(refactor_every, monkeypatch):
     # The last duals the kernel computes from its inverse are those of
-    # the final basis, pricing afresh from that basis finds nothing to
-    # enter, and the basic values solve the rows: OPTIMAL is declared on
-    # duals and values computed from an inverse, not on updated ones.
+    # the final basis and are the duals it returns, pricing afresh from
+    # that basis finds nothing to enter, and the basic values solve the
+    # rows: OPTIMAL is declared on duals and values computed from an
+    # inverse, not on updated ones.
     priced_bases = []
     duals = kernels._duals
 
@@ -58,13 +60,14 @@ def test_optimal_is_declared_on_fresh_duals(refactor_every, monkeypatch):
     optimal = 0
     for _ in range(60):
         a, b, c, lower, upper, x, basis = slack_form(rng, m=8, n=14, boxed=10, free=2)
-        status, _, x, basis = run_simplex(a, b, c, lower, upper, x, basis,
-                                          refactor_every=refactor_every)
+        status, _, x, basis, y = run_simplex(a, b, c, lower, upper, x, basis,
+                                             refactor_every=refactor_every)
         if status != kernels.OPTIMAL:
             continue
         optimal += 1
         assert np.array_equal(priced_bases[-1], basis)
         binv = np.linalg.inv(a[:, basis])
+        np.testing.assert_allclose(y, c[basis] @ binv, rtol=0, atol=1e-12)
         d = c - (c[basis] @ binv) @ a
         nonbasic = np.ones(c.size, dtype=bool)
         nonbasic[basis] = False
@@ -83,8 +86,8 @@ def test_simplex_solves_a_known_problem():
                   [1.0, 1.0, 0.0, 0.0, 1.0]])
     b = np.array([1.0, 1.0, 1.5])
     c = np.array([-1.0, -2.0, 0.0, 0.0, 0.0])
-    status, _, w, _ = run_simplex(a, b, c, np.zeros(5), np.full(5, np.inf),
-                                  [0.0, 0.0, 1.0, 1.0, 1.5], [2, 3, 4])
+    status, _, w, *_ = run_simplex(a, b, c, np.zeros(5), np.full(5, np.inf),
+                                   [0.0, 0.0, 1.0, 1.0, 1.5], [2, 3, 4])
     assert status == kernels.OPTIMAL
     assert np.allclose(w[:2], [0.5, 1.0], atol=1e-9)
     assert c @ w == pytest.approx(-2.5, abs=1e-9)
@@ -92,21 +95,21 @@ def test_simplex_solves_a_known_problem():
 
 def test_simplex_detects_unboundedness():
     # w0 - w1 = 0 with cost -w0: both can grow together
-    status, _, _, _ = run_simplex([[1.0, -1.0]], [0.0], [-1.0, 0.0], [0.0, 0.0],
-                                  [np.inf, np.inf], [0.0, 0.0], [1], max_iter=100)
+    status, *_ = run_simplex([[1.0, -1.0]], [0.0], [-1.0, 0.0], [0.0, 0.0],
+                            [np.inf, np.inf], [0.0, 0.0], [1], max_iter=100)
     assert status == kernels.UNBOUNDED
 
 
 def test_simplex_iteration_limit():
     a, b, c, lower, upper, x, basis = slack_form(np.random.default_rng(7))
-    status, iters, _, _ = run_simplex(a, b, c - 10.0, lower, upper, x, basis, max_iter=0)
+    status, iters, *_ = run_simplex(a, b, c - 10.0, lower, upper, x, basis, max_iter=0)
     assert status == kernels.ITERATION_LIMIT
     assert iters == 0
 
 
 def test_simplex_immediate_optimum_when_costs_nonnegative():
     a, b, c, lower, upper, x, basis = slack_form(np.random.default_rng(11))
-    status, iters, _, _ = run_simplex(a, b, np.abs(c), lower, upper, x, basis, max_iter=100)
+    status, iters, *_ = run_simplex(a, b, np.abs(c), lower, upper, x, basis, max_iter=100)
     assert status == kernels.OPTIMAL
     assert iters == 0
 
@@ -116,8 +119,8 @@ def test_simplex_bound_flip_keeps_the_basis():
     # bound: nothing blocks the decrease, so w0 flips to its lower bound
     # and s stays basic.  4.25 - (4.25 - 1.57) is not 1.57 in floating
     # point, so the flip must land on the bound itself.
-    status, iters, w, basis = run_simplex([[1.0, 1.0]], [10.0], [1.0, 0.0], [1.57, 0.0],
-                                          [4.25, np.inf], [4.25, 5.75], [1])
+    status, iters, w, basis, _ = run_simplex([[1.0, 1.0]], [10.0], [1.0, 0.0], [1.57, 0.0],
+                                             [4.25, np.inf], [4.25, 5.75], [1])
     assert status == kernels.OPTIMAL
     assert iters == 1
     assert list(basis) == [1]
@@ -128,8 +131,8 @@ def test_simplex_bound_flip_keeps_the_basis():
 def test_simplex_free_column_enters_downwards():
     # min w0 (free, nonbasic at 0) s.t. w0 - s = -3, s >= 0: w0 decreases
     # until s hits zero, then stays basic at -3.
-    status, iters, w, basis = run_simplex([[1.0, -1.0]], [-3.0], [1.0, 0.0],
-                                          [-np.inf, 0.0], [np.inf, np.inf], [0.0, 3.0], [1])
+    status, iters, w, basis, _ = run_simplex([[1.0, -1.0]], [-3.0], [1.0, 0.0],
+                                             [-np.inf, 0.0], [np.inf, np.inf], [0.0, 3.0], [1])
     assert status == kernels.OPTIMAL
     assert iters == 1
     assert list(basis) == [0]

@@ -166,7 +166,12 @@ def test_certificate_rejects_tampered_ray(tamper):
 
 
 def test_infeasible_result_failing_its_ray_raises(monkeypatch):
-    monkeypatch.setattr(lp, "_farkas_ray", lambda sx: np.zeros(sx.b.size))
+    phase1 = lp._phase1
+
+    def zero_ray(sx, tol):
+        iters, infeasible, ray = phase1(sx, tol)
+        return iters, infeasible, np.zeros_like(ray)
+    monkeypatch.setattr(lp, "_phase1", zero_ray)
     with pytest.raises(CertificationError, match="infeasible result failed certification"):
         solve_lp(infeasible_lp())
 
@@ -398,7 +403,7 @@ def irreducible_rows_by_restore(program, tol=DEFAULT_TOLERANCES) -> list:
     sx.upper = np.concatenate([sx.upper, np.zeros(m)])
     sx.w = np.concatenate([sx.w, np.zeros(m)])
     sx.c1 = np.concatenate([sx.c1, np.zeros(m)])
-    since_refactor, infeasible = lp._phase1(sx, tol)
+    since_refactor, infeasible, _ = lp._phase1(sx, tol)
     if not infeasible:
         return []
     active = np.ones(m, dtype=bool)
@@ -409,7 +414,8 @@ def irreducible_rows_by_restore(program, tol=DEFAULT_TOLERANCES) -> list:
         sx.upper[k + rows] = np.inf
 
     def drop_outside_support():
-        ray = lp._farkas_ray(sx)
+        # The phase-1 duals c1_B B^-1, read off the inverse.
+        ray = np.sum(sx.binv[sx.c1[sx.basis] > 0.0], axis=0)
         ray[~active] = 0.0
         support = np.abs(ray) > tol.lp_feasibility * np.max(np.abs(ray))
         ray[~support] = 0.0
@@ -426,7 +432,7 @@ def irreducible_rows_by_restore(program, tol=DEFAULT_TOLERANCES) -> list:
             since_refactor = 0
         saved = sx.w.copy(), sx.basis.copy(), sx.binv.copy()
         drop(r)
-        iters, infeasible = lp._phase1(sx, tol)
+        iters, infeasible, _ = lp._phase1(sx, tol)
         if infeasible:
             since_refactor += iters
             drop_outside_support()
@@ -472,9 +478,9 @@ def test_water_cut_diagnosis_pivots(water_cut_problem, monkeypatch):
     iterate = kernels.simplex_iterate
 
     def counted(*args):
-        status, iters = iterate(*args)
+        status, iters, y = iterate(*args)
         pivots.append(iters)
-        return status, iters
+        return status, iters, y
     monkeypatch.setattr(kernels, "simplex_iterate", counted)
     witness = irreducible_infeasible_rows(hfnmcf.build_full(water_cut_problem))
     assert len(witness) == 84
@@ -635,6 +641,19 @@ def test_degenerate_zero_size():
     result = solve_lp(program)
     assert result.status is LpStatus.OPTIMAL
     assert result.objective == 0.0
+
+
+def test_rows_without_columns():
+    # 0 >= 1 fails on its own, 0 >= 0 holds: the m x 0 matrix keeps its
+    # rows, and the ray is certified on the first row alone.
+    program = LinearProgram(cost=np.zeros(0), rows=np.zeros((3, 0)),
+                            senses=(lp.GREATER_EQUAL,) * 3, rhs=[1.0, 0.0, 0.0])
+    assert program.n_rows == 3
+    result = solve_lp(program)
+    assert result.status is LpStatus.INFEASIBLE
+    assert certify(program, result).passed
+    assert np.flatnonzero(result.duals).tolist() == [0]
+    assert irreducible_infeasible_rows(program) == ["r1"]
 
 
 @st.composite
