@@ -4,7 +4,8 @@
 read-only float copy of a known shape, and :func:`json_numbers` turns a
 parsed JSON value into a float array before any of it is used.  Both
 raise an error that names the field, so a bad entry is reported where
-it comes in and never turns into a wrong answer later.
+it comes in and never turns into a wrong answer later.  :func:`distinct`
+does the same for names that label rows and variables.
 
 A shape is a tuple with one entry per axis: an int fixes the length, a
 string stands for a length that must be the same on every axis with the
@@ -28,6 +29,16 @@ def set_fields(obj, **values):
     """Assign fields of a frozen dataclass instance (from ``__post_init__``)."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
+
+
+def distinct(values, name: str) -> tuple:
+    """``values`` as a tuple, or ``ValueError`` naming ``name`` and the
+    first value that is repeated."""
+    values = tuple(values)
+    if len(set(values)) != len(values):
+        twice = next(v for i, v in enumerate(values) if v in values[:i])
+        raise ValueError(f"{name} must be distinct; {twice!r} is repeated")
+    return values
 
 
 def _fits(shape: tuple, spec: tuple) -> bool:

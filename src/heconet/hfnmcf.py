@@ -27,13 +27,13 @@ import numpy as np
 
 from heconet import kernels
 from heconet import lp as lp_mod
-from heconet.checks import checked_array, set_fields
+from heconet.checks import checked_array, distinct, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 # build_incidence is unused here; perfbench's recorder test looks it up
 # under this module's name.
 from heconet.incidence import IncidenceMatrices, build_incidence  # noqa: F401
 from heconet.lp import LinearProgram, LpResult, LpStatus
-from heconet.petri import EngineeringSystemNet, OperandNet
+from heconet.petri import EngineeringSystemNet
 from heconet.rcot import RcotSolution
 
 
@@ -234,17 +234,24 @@ class VariableLayout:
         return s, e
 
     def names(self, net: EngineeringSystemNet, operand_nets=()) -> tuple:
-        """Label ``{prefix}[{k}]:{entry}`` per stacked variable; operand
-        entries read ``{operand}:{place or transition}``."""
-        entries = {
-            "places": net.incidence.place_names,
-            "transitions": net.transition_labels,
-            "operand places": [f"{o.operand}:{p}" for o in operand_nets for p in o.places],
-            "operand transitions": [f"{o.operand}:{t}" for o in operand_nets
-                                    for t in o.transitions]}
+        """Label ``{prefix}[{k}]:{entry}`` per stacked variable, with the
+        entry named by :func:`entry_names`."""
+        entries = entry_names(net, operand_nets)
         return tuple(f"{prefix}[{k}]:{entry}"
                      for prefix, axis, steps in self.families.values()
                      for k in range(steps) for entry in entries[axis])
+
+
+def entry_names(net: EngineeringSystemNet, operand_nets=()) -> dict:
+    """Axis -> the name of each entry of one step on that axis: places
+    ``operand@buffer``, transitions by capability, and operand entries
+    ``operand:place`` and ``operand:transition``, the nets concatenated
+    in order.  Every variable and row label ends in one of these."""
+    return {"places": net.incidence.place_names,
+            "transitions": net.transition_labels,
+            **{f"operand {axis}": [f"{o.operand}:{name}" for o in operand_nets
+                                   for name in getattr(o, axis)]
+               for axis in ("places", "transitions")}}
 
 
 def _steps(horizon) -> int:
@@ -278,8 +285,10 @@ def default_bounds(layout: VariableLayout) -> tuple:
 class BoundaryConditions:
     """Per-entry pins on initial (k=0) and final (k=K) markings.
 
-    Arrays use NaN for free entries; a None field leaves the whole
-    family free.
+    These are the only initial markings of the program: ``q_b``/``q_e``
+    for the system net and ``q_sl``/``q_el`` for the operand nets, whose
+    entries run over the nets concatenated in order.  Arrays use NaN for
+    free entries; a None field leaves the whole family free.
     """
 
     q_b_initial: np.ndarray = None
@@ -324,10 +333,7 @@ class HfnmcfProblem:
         n_ul, nt, size = layout.sum_transitions, layout.n_transitions, layout.size
         set_fields(self, linear_cost=checked_array(self.linear_cost, "linear_cost", (size,)))
 
-        for onet in self.operand_nets:
-            if onet.dt != self.net.dt:
-                raise ValueError(f"operand net {onet.operand!r} steps by dt={onet.dt}, "
-                                 f"the system net by dt={self.net.dt}")
+        distinct((o.operand for o in self.operand_nets), "operands of the operand nets")
         has_sync = self.sync_plus is not None or self.sync_minus is not None
         if self.operand_nets and not has_sync:
             raise ValueError("operand nets require sync_plus and sync_minus")
@@ -460,18 +466,17 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
     net = problem.net
     layout = problem.layout
     horizon = problem.horizon
-    place_names = net.incidence.place_names
-    trans_names = net.transition_labels
+    entries = entry_names(net, problem.operand_nets)
 
     blocks = _net_rows(layout, ("q_b", "q_e", "u_plus", "u_minus"), (0, 0),
                        net.incidence.m_plus, net.incidence.m_minus, net.durations,
-                       net.dt, place_names, trans_names, ("esn-", ""))
+                       net.dt, entries["places"], entries["transitions"], ("esn-", ""))
     for i, onet in enumerate(problem.operand_nets):
+        s_off, e_off = layout.operand_offset(i)
         blocks += _net_rows(layout, ("q_sl", "q_el", "ul_plus", "ul_minus"),
-                            layout.operand_offset(i), onet.m_plus, onet.m_minus,
-                            onet.durations, net.dt,
-                            [f"{onet.operand}:{p}" for p in onet.places],
-                            [f"{onet.operand}:{t}" for t in onet.transitions],
+                            (s_off, e_off), onet.m_plus, onet.m_minus, onet.durations, net.dt,
+                            entries["operand places"][s_off:s_off + onet.n_places],
+                            entries["operand transitions"][e_off:e_off + onet.n_transitions],
                             ("operand-", "operand-"))
 
     # Synchronization: operand-net firings follow system-net firings.
@@ -483,29 +488,24 @@ def build_full(problem: HfnmcfProblem, extra_rows=None) -> LinearProgram:
         rows = _stencil(layout, 2 * len(r), [
             ("ul_plus", 0, 2 * r, r, ones), ("u_plus", 0, 2 * p_r, p_c, p_v),
             ("ul_minus", 0, 2 * r + 1, r, ones), ("u_minus", 0, 2 * m_r + 1, m_c, m_v)])
-        labels = [f"sync-{sign}[{k}]:{o.operand}:{t}" for k in range(horizon)
-                  for o in problem.operand_nets for t in o.transitions
-                  for sign in ("plus", "minus")]
+        labels = [f"sync-{sign}[{k}]:{name}" for k in range(horizon)
+                  for name in entries["operand transitions"] for sign in ("plus", "minus")]
         blocks.append((*rows, np.zeros(len(labels)), labels))
 
-    # Pinned firings, then boundary values of the initial and final
-    # markings; operand entries are named by their index.
-    tags = {"places": place_names, "transitions": trans_names,
-            "operand places": range(layout.sum_places),
-            "operand transitions": range(layout.sum_transitions)}
+    # Pinned firings, then boundary values of the initial and final markings.
     for name, (_, axis, steps) in layout.families.items():
         values = getattr(problem.pins, name, None)       # firing families only
         if values is not None:
             cols = layout.index(name, np.arange(steps)[:, None], np.arange(layout.widths[name]))
             blocks.append(_pins(cols, values,
-                                lambda k, j: f"pin-{name}[{k}]:{tags[axis][j]}"))
+                                lambda k, j: f"pin-{name}[{k}]:{entries[axis][j]}"))
     for name, (_, axis, _) in layout.families.items():
         for end, k in (("initial", 0), ("final", horizon)):
             values = getattr(problem.boundary, f"{name}_{end}", None)   # markings only
             if values is not None:
                 cols = layout.index(name, k, np.arange(layout.widths[name]))
                 blocks.append(_pins(cols, values,
-                                    lambda j: f"boundary-{end}:{name}:{tags[axis][j]}"))
+                                    lambda j: f"boundary-{end}:{name}:{entries[axis][j]}"))
 
     xr_rows, xr_senses, xr_rhs, xr_labels = (
         (np.zeros((0, layout.size)), (), (), ()) if extra_rows is None else extra_rows)

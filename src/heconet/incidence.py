@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from heconet.checks import checked_array, read_only, set_fields
+from heconet.checks import checked_array, distinct, read_only, set_fields
 from heconet.core import SystemModel, buffer_set, require_valid
 
 
@@ -41,11 +41,8 @@ class IncidenceMatrices:
         shape = (len(self.operands) * len(self.buffers), len(self.capabilities))
         m_plus = checked_array(self.m_plus, "m_plus", shape, nonneg=True)
         m_minus = checked_array(self.m_minus, "m_minus", shape, nonneg=True)
-        ids = {name: tuple(getattr(self, name)) for name in ("operands", "buffers", "capabilities")}
-        for name, values in ids.items():
-            if len(set(values)) != len(values):
-                twice = next(v for i, v in enumerate(values) if v in values[:i])
-                raise ValueError(f"{name} must be distinct; {twice!r} is repeated")
+        ids = {name: distinct(getattr(self, name), name)
+               for name in ("operands", "buffers", "capabilities")}
         set_fields(self, m_plus=m_plus, m_minus=m_minus, m=read_only(m_plus - m_minus), **ids)
 
     @property

@@ -1,4 +1,4 @@
-"""Discrete-time dynamics of the system net and per-operand nets.
+"""Discrete-time dynamics of the system net, and the data of operand nets.
 
 The engineering system net is a timed Petri net whose places are the
 (operand, buffer) pairs of the incidence matrices and whose transitions
@@ -11,6 +11,12 @@ reals, not integers.  One step of length dt applies
 where u_minus starts executions (tokens move into flight) and u_plus
 completes them.  Place markings may go negative (deficits are how the
 static economic reduction encodes demand); tokens in flight may not.
+:func:`simulate` rolls the system net with :func:`kernels.esn_trajectory`.
+
+An :class:`OperandNet` is data only: its incidence and durations.  The
+full program (:func:`heconet.hfnmcf.build_full`) steps it by the same
+equation with the system net's dt, from the initial marking its
+``BoundaryConditions`` give.
 """
 
 import warnings
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from heconet import kernels
-from heconet.checks import checked_array, read_only, set_fields
+from heconet.checks import checked_array, distinct, read_only, set_fields
 from heconet.incidence import IncidenceMatrices
 
 # Tokens in flight must stay nonnegative up to roundoff.
@@ -99,28 +105,27 @@ class EngineeringSystemNet:
 
 @dataclass(frozen=True, eq=False)
 class OperandNet:
-    """Per-operand net tracking an operand's own state evolution."""
+    """Per-operand net: the incidence and durations of an operand's own
+    states.  The program gives its initial marking and steps it by the
+    system net's dt (see the module docstring)."""
 
     operand: str
     places: tuple[str, ...]
     transitions: tuple[str, ...]
     m_plus: np.ndarray
     m_minus: np.ndarray
-    marking: Marking
     durations: np.ndarray = None
-    dt: float = 1.0
 
     def __post_init__(self):
-        places = tuple(self.places)
-        transitions = tuple(self.transitions)
+        net = f"operand net {self.operand!r}"
+        places = distinct(self.places, f"places of {net}")
+        transitions = distinct(self.transitions, f"transitions of {net}")
         shape = (len(places), len(transitions))
         m_plus = checked_array(self.m_plus, "m_plus", shape, nonneg=True)
         m_minus = checked_array(self.m_minus, "m_minus", shape, nonneg=True)
-        if self.marking.q_b.shape != (len(places),) or self.marking.q_e.shape != (len(transitions),):
-            raise ValueError("marking shapes do not match places/transitions")
         durations = _check_durations(self.durations, len(transitions))
         set_fields(self, places=places, transitions=transitions, m_plus=m_plus,
-                   m_minus=m_minus, durations=durations, dt=_check_dt(self.dt))
+                   m_minus=m_minus, durations=durations)
 
     @property
     def n_places(self) -> int:
@@ -129,28 +134,6 @@ class OperandNet:
     @property
     def n_transitions(self) -> int:
         return len(self.transitions)
-
-
-def step_esn(net: EngineeringSystemNet, marking: Marking, u_minus, u_plus) -> Marking:
-    """Apply one state-transition step; the input marking is untouched."""
-    n = net.n_transitions
-    u_minus = checked_array(u_minus, "u_minus", (n,), nonneg=True)
-    u_plus = checked_array(u_plus, "u_plus", (n,), nonneg=True)
-    if marking.q_b.shape != (net.n_places,) or marking.q_e.shape != (n,):
-        raise ValueError("marking shapes do not match the net")
-    q_b = marking.q_b + net.dt * (net.incidence.m_plus @ u_plus - net.incidence.m_minus @ u_minus)
-    q_e = marking.q_e + net.dt * (u_minus - u_plus)
-    return Marking(q_b, q_e)
-
-
-def step_operand_net(onet: OperandNet, u_minus, u_plus) -> Marking:
-    """One step of an operand net from its stored marking."""
-    n = onet.n_transitions
-    u_minus = checked_array(u_minus, "u_minus", (n,), nonneg=True)
-    u_plus = checked_array(u_plus, "u_plus", (n,), nonneg=True)
-    q_b = onet.marking.q_b + onet.dt * (onet.m_plus @ u_plus - onet.m_minus @ u_minus)
-    q_e = onet.marking.q_e + onet.dt * (u_minus - u_plus)
-    return Marking(q_b, q_e)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from heconet import leontief, lp
+from heconet import kernels, leontief, lp
 from heconet.cli import main as cli_main
 from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
                             build_static, embed_static, solve_full,
@@ -28,7 +28,7 @@ from heconet.io import (parse_system_xml, read_incidence_json,
                         write_incidence_json, write_system_xml)
 from heconet.leontief import SquareEio
 from heconet.lp import LinearProgram, LpStatus, certify, solve_lp
-from heconet.petri import EngineeringSystemNet, Marking, simulate
+from heconet.petri import EngineeringSystemNet, Marking, OperandNet, simulate
 from heconet.rcot import rcot_from_square, solve_rcot
 
 from conftest import ECONOMY_F, ECONOMY_PI, ECONOMY_Y, record_criterion
@@ -273,6 +273,67 @@ def test_criterion_7_conservation_and_replay(warm_kernels):
         f"max replay deviation {worst_replay:.2e}")
     assert worst_cons <= 1e-8
     assert worst_replay <= 1e-8
+
+
+def test_criterion_7b_operand_nets_replay(warm_kernels):
+    # Each operand transition follows one capability (a 0/1 selection S,
+    # sync+ = sync- = S) and takes its duration; under a pinned system
+    # schedule the optimizer must roll the operand nets as the kernel does.
+    rng = np.random.default_rng(78)
+    worst = 0.0
+    for _ in range(50):
+        n_p = int(rng.integers(1, 4))
+        n_t = int(rng.integers(1, 4))
+        inc = IncidenceMatrices(
+            np.round(rng.random((n_p, n_t)) * 2, 2), np.round(rng.random((n_p, n_t)) * 2, 2),
+            operands=tuple(f"o{i}" for i in range(n_p)), buffers=("x",),
+            capabilities=tuple(f"t{j}" for j in range(n_t)))
+        durations = rng.integers(0, 4, n_t)
+        net = EngineeringSystemNet(incidence=inc, durations=durations,
+                                   dt=float(rng.choice([0.5, 1.0])))
+        horizon = int(rng.integers(3, 13))
+        onets, follows = [], []
+        for i in range(int(rng.integers(1, 3))):
+            n_s, n_l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            follow = rng.integers(0, n_t, n_l)
+            onets.append(OperandNet(
+                operand=f"op{i}", places=tuple(f"s{p}" for p in range(n_s)),
+                transitions=tuple(f"w{t}" for t in range(n_l)),
+                m_plus=np.round(rng.random((n_s, n_l)) * 2, 2),
+                m_minus=np.round(rng.random((n_s, n_l)) * 2, 2), durations=durations[follow]))
+            follows.append(follow)
+        layout = variable_layout(net, onets, horizon)
+        select = np.eye(n_t)[np.concatenate(follows)]
+        l_plus, l_minus = (np.zeros((layout.sum_places, layout.sum_transitions)) for _ in "+-")
+        for i, onet in enumerate(onets):
+            s, e = layout.operand_offset(i)
+            l_plus[s:s + onet.n_places, e:e + onet.n_transitions] = onet.m_plus
+            l_minus[s:s + onet.n_places, e:e + onet.n_transitions] = onet.m_minus
+        schedule = np.round(rng.random((horizon, n_t)), 2)
+        q_b0 = np.round(rng.random(n_p) * 5, 2)
+        q_sl0 = np.round(rng.random(layout.sum_places) * 5 - 2, 2)
+        q_el0 = np.round(rng.random(layout.sum_transitions), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = simulate(net, Marking(q_b0, np.zeros(n_t)), schedule)
+        ul_plus, ul_minus = run.u_plus @ select.T, schedule @ select.T
+        q_sl, q_el = kernels.esn_trajectory(l_plus, l_minus, q_sl0, q_el0,
+                                            ul_plus, ul_minus, net.dt)
+
+        problem = HfnmcfProblem(
+            net=net, horizon=horizon, linear_cost=np.zeros(layout.size),
+            operand_nets=onets, sync_plus=select, sync_minus=select,
+            pins=FiringPins(u_minus=schedule),
+            boundary=BoundaryConditions(q_b_initial=q_b0, q_e_initial=np.zeros(n_t),
+                                        q_sl_initial=q_sl0, q_el_initial=q_el0))
+        sol = solve_full(problem)
+        assert sol.status is LpStatus.OPTIMAL
+        worst = max(worst, *(float(np.max(np.abs(got - want), initial=0.0)) for got, want in (
+            (sol.q_sl, q_sl), (sol.q_el, q_el), (sol.ul_plus, ul_plus),
+            (sol.ul_minus, ul_minus), (sol.q_b, run.q_b), (sol.u_plus, run.u_plus))))
+    record_criterion("7b", "50 random operand nets: optimizer replay", worst <= 1e-8,
+                     f"max replay deviation {worst:.2e}")
+    assert worst <= 1e-8
 
 
 def test_criterion_8_surplus_identity(economy_incidence, warm_kernels):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -41,8 +42,7 @@ def small_operand_net():
     m_plus = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     m_minus = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     return OperandNet(operand="a", places=("s0", "s1", "s2"),
-                      transitions=("w1", "w2"), m_plus=m_plus, m_minus=m_minus,
-                      marking=Marking(np.zeros(3), np.zeros(2)))
+                      transitions=("w1", "w2"), m_plus=m_plus, m_minus=m_minus)
 
 
 # --------------------------------------------------------------------------
@@ -282,17 +282,15 @@ def test_problem_operand_nets_require_sync():
                       sync_minus=np.ones((3, 2)))
 
 
-def test_problem_rejects_an_operand_net_with_its_own_dt():
-    # The program steps every net by the system net's dt, while the
-    # simulator steps an operand net by its own.
-    net = small_net(dt=1.0)
-    base = small_operand_net()
-    onet = OperandNet(operand="a", places=base.places, transitions=base.transitions,
-                      m_plus=base.m_plus, m_minus=base.m_minus, marking=base.marking, dt=0.5)
-    cost = np.zeros(variable_layout(net, (onet,), horizon=2).size)
-    with pytest.raises(ValueError, match=r"operand net 'a' steps by dt=0\.5"):
-        HfnmcfProblem(net=net, horizon=2, linear_cost=cost, operand_nets=(onet,),
-                      sync_plus=np.eye(2), sync_minus=np.eye(2))
+def test_problem_rejects_repeated_operands():
+    # Two nets of one operand would give their entries the same labels.
+    net = small_net()
+    onets = (small_operand_net(), small_operand_net())
+    cost = np.zeros(variable_layout(net, onets, horizon=1).size)
+    with pytest.raises(ValueError,
+                       match="^operands of the operand nets must be distinct; 'a' is repeated$"):
+        HfnmcfProblem(net=net, horizon=1, linear_cost=cost, operand_nets=onets,
+                      sync_plus=np.ones((4, 2)), sync_minus=np.ones((4, 2)))
 
 
 def test_problem_rejects_bad_bounds_and_boundary():
@@ -460,8 +458,7 @@ def test_operand_net_follows_system_firings_under_identity_sync():
     net = small_net()
     onet = OperandNet(operand="a", places=("s0", "s1"), transitions=("w1", "w2"),
                       m_plus=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                      m_minus=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                      marking=Marking(np.zeros(2), np.zeros(2)))
+                      m_minus=np.array([[0.0, 1.0], [1.0, 0.0]]))
     horizon = 3
     layout = variable_layout(net, (onet,), horizon=horizon)
     schedule = np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 1.0]])
@@ -637,7 +634,36 @@ def ledger(net):
     return OperandNet(operand="ledger", places=("done", "busy"),
                       transitions=net.transition_labels,
                       m_plus=np.vstack([np.ones(n), np.zeros(n)]), m_minus=np.zeros((2, n)),
-                      marking=Marking(np.zeros(2), np.zeros(n)), durations=net.durations)
+                      durations=net.durations)
+
+
+def test_operand_rows_are_read_by_name():
+    # The ledger's done count cannot fall (its completions are >= 0), so a
+    # final count below the initial one conflicts with its place rows.
+    net = small_net(durations=[0, 1])
+    onet = ledger(net)
+    horizon = 2
+    layout = variable_layout(net, (onet,), horizon)
+    pin = np.full((horizon, 2), np.nan)
+    pin[1, 0] = 0.0
+    idle = np.zeros(2)
+    problem = HfnmcfProblem(
+        net=net, horizon=horizon, linear_cost=np.zeros(layout.size), operand_nets=(onet,),
+        sync_plus=np.eye(2), sync_minus=np.eye(2),
+        pins=FiringPins(ul_plus=pin, ul_minus=pin),
+        boundary=BoundaryConditions(q_sl_initial=[5.0, np.nan], q_sl_final=[1.0, np.nan],
+                                    q_el_initial=idle, q_el_final=idle))
+    program = build_full(problem)
+    assert not [label for label in program.var_labels + program.row_labels
+                if re.search(r":\d+$", label)]
+    assert {"pin-ul_plus[1]:ledger:t1", "pin-ul_minus[1]:ledger:t1",
+            "boundary-initial:q_el:ledger:t2", "boundary-final:q_el:ledger:t2"
+            } <= set(program.row_labels)
+    sol = solve_quietly(problem)
+    assert sol.status is LpStatus.INFEASIBLE
+    assert list(sol.infeasible_rows) == [
+        "operand-place[0]:ledger:done", "operand-place[1]:ledger:done",
+        "boundary-initial:q_sl:ledger:done", "boundary-final:q_sl:ledger:done"]
 
 
 def off_shape(problem, change):
@@ -854,10 +880,9 @@ def build_full_by_rows(problem, extra_rows=None):
                 rb.add_pin(f"operand-duration-causality[{k}]:{onet.operand}:{onet.transitions[t]}",
                            layout.ul_plus(k).start + e_off + t, 0.0)
 
+    sl_names = [f"{onet.operand}:{p}" for onet in problem.operand_nets for p in onet.places]
+    ul_names = [f"{onet.operand}:{t}" for onet in problem.operand_nets for t in onet.transitions]
     if problem.sync_plus is not None:
-        ul_names = []
-        for onet in problem.operand_nets:
-            ul_names.extend(f"{onet.operand}:{t}" for t in onet.transitions)
         for k in range(horizon):
             for r in range(layout.sum_transitions):
                 row = rb.add(f"sync-plus[{k}]:{ul_names[r]}")
@@ -870,30 +895,28 @@ def build_full_by_rows(problem, extra_rows=None):
     for name, slicer, width, labels in (
             ("u_plus", layout.u_plus, layout.n_transitions, trans_names),
             ("u_minus", layout.u_minus, layout.n_transitions, trans_names),
-            ("ul_plus", layout.ul_plus, layout.sum_transitions, None),
-            ("ul_minus", layout.ul_minus, layout.sum_transitions, None)):
+            ("ul_plus", layout.ul_plus, layout.sum_transitions, ul_names),
+            ("ul_minus", layout.ul_minus, layout.sum_transitions, ul_names)):
         pins = getattr(problem.pins, name)
         if pins is None:
             continue
         for k in range(horizon):
             for j in range(width):
                 if not np.isnan(pins[k, j]):
-                    tag = labels[j] if labels else str(j)
-                    rb.add_pin(f"pin-{name}[{k}]:{tag}", slicer(k).start + j, pins[k, j])
+                    rb.add_pin(f"pin-{name}[{k}]:{labels[j]}", slicer(k).start + j, pins[k, j])
 
     for fam, slicer, names in (
             ("q_b", layout.q_b, place_names),
             ("q_e", layout.q_e, trans_names),
-            ("q_sl", layout.q_sl, None),
-            ("q_el", layout.q_el, None)):
+            ("q_sl", layout.q_sl, sl_names),
+            ("q_el", layout.q_el, ul_names)):
         for tag, k in (("initial", 0), ("final", horizon)):
             vec = getattr(problem.boundary, f"{fam}_{tag}")
             if vec is None:
                 continue
             for j, value in enumerate(vec):
                 if not np.isnan(value):
-                    label = names[j] if names else str(j)
-                    rb.add_pin(f"boundary-{tag}:{fam}:{label}", slicer(k).start + j, value)
+                    rb.add_pin(f"boundary-{tag}:{fam}:{names[j]}", slicer(k).start + j, value)
 
     lower, upper = default_bounds(layout)
     if problem.lower is not None:
@@ -976,7 +999,6 @@ def test_build_full_matches_row_reference(data):
             transitions=tuple(f"w{t}" for t in range(n_t)),
             m_plus=_matrix(data, (n_p, n_t), COEFFICIENTS, "L+"),
             m_minus=_matrix(data, (n_p, n_t), COEFFICIENTS, "L-"),
-            marking=Marking(np.zeros(n_p), np.zeros(n_t)), dt=dt,
             durations=data.draw(st.lists(lengths, min_size=n_t, max_size=n_t))))
     layout = variable_layout(net, onets, horizon)
     sync = {}

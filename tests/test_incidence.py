@@ -28,6 +28,16 @@ def test_operand_major_row_order(economy_incidence):
     assert inc.row("water", "economy") == 4
 
 
+@pytest.mark.parametrize("field, ids", [("operands", ("a", "b", "a")),
+                                        ("buffers", ("x", "x")),
+                                        ("capabilities", ("c1", "c1"))])
+def test_incidence_rejects_repeated_ids(field, ids):
+    names = {"operands": ("a",), "buffers": ("x",), "capabilities": ("c1",), field: ids}
+    shape = (len(names["operands"]) * len(names["buffers"]), len(names["capabilities"]))
+    with pytest.raises(ValueError, match=f"^{field} must be distinct; '{ids[-1]}' is repeated$"):
+        IncidenceMatrices(np.zeros(shape), np.zeros(shape), **names)
+
+
 def test_support_masks(economy_incidence):
     plus, minus = economy_incidence.support()
     assert plus.dtype == bool and minus.dtype == bool

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heconet import kernels
 from heconet.incidence import IncidenceMatrices
 from heconet.petri import (EngineeringSystemNet, Marking, OperandNet,
-                           SimulationResult, derive_completions, simulate,
-                           step_esn, step_operand_net)
+                           SimulationResult, derive_completions, simulate)
 
 
 def chain_incidence():
@@ -51,55 +51,68 @@ def test_net_validation():
     assert list(net2.durations) == [2, 1]
 
 
-def test_step_esn_three_state_hand_trace():
+def test_esn_trajectory_three_state_hand_trace():
     net = EngineeringSystemNet(incidence=chain_incidence())
-    marking = Marking(np.array([10.0, 0.0, 0.0]), np.zeros(2))
-    # step 1: t1 starts and completes 4 units
-    marking = step_esn(net, marking, u_minus=np.array([4.0, 0.0]),
-                       u_plus=np.array([4.0, 0.0]))
-    assert np.allclose(marking.q_b, [6.0, 4.0, 0.0])
-    assert np.allclose(marking.q_e, [0.0, 0.0])
-    # step 2: t1 starts 3 that stay in flight, t2 moves 2 onward
-    marking = step_esn(net, marking, u_minus=np.array([3.0, 2.0]),
-                       u_plus=np.array([0.0, 2.0]))
-    assert np.allclose(marking.q_b, [3.0, 2.0, 2.0])
-    assert np.allclose(marking.q_e, [3.0, 0.0])
-    # step 3: the in-flight units complete
-    marking = step_esn(net, marking, u_minus=np.zeros(2),
-                       u_plus=np.array([3.0, 0.0]))
-    assert np.allclose(marking.q_b, [3.0, 5.0, 2.0])
-    assert np.allclose(marking.q_e, [0.0, 0.0])
+    inc = net.incidence
+    # step 0: t1 starts and completes 4 units
+    # step 1: t1 starts 3 that stay in flight, t2 moves 2 onward
+    # step 2: the in-flight units complete
+    # t1 completes within its step at k=0 but a step later at k=1, so no
+    # fixed durations give these completions: they are given directly
+    u_minus = np.array([[4.0, 0.0], [3.0, 2.0], [0.0, 0.0]])
+    u_plus = np.array([[4.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+    q_b, q_e = kernels.esn_trajectory(inc.m_plus, inc.m_minus, np.array([10.0, 0.0, 0.0]),
+                                      np.zeros(2), u_plus, u_minus, net.dt)
+    assert np.allclose(q_b[1], [6.0, 4.0, 0.0])
+    assert np.allclose(q_e[1], [0.0, 0.0])
+    assert np.allclose(q_b[2], [3.0, 2.0, 2.0])
+    assert np.allclose(q_e[2], [3.0, 0.0])
+    assert np.allclose(q_b[3], [3.0, 5.0, 2.0])
+    assert np.allclose(q_e[3], [0.0, 0.0])
 
 
-def test_step_esn_leaves_input_untouched():
+def test_simulate_leaves_input_untouched():
     net = EngineeringSystemNet(incidence=chain_incidence())
     start = Marking(np.array([1.0, 0.0, 0.0]), np.zeros(2))
-    step_esn(net, start, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    schedule = np.array([[1.0, 0.0]])
+    simulate(net, start, schedule)
     assert np.allclose(start.q_b, [1.0, 0.0, 0.0])
+    assert np.allclose(schedule, [[1.0, 0.0]])
 
 
-def test_step_esn_respects_dt():
+def test_simulate_respects_dt():
     net = EngineeringSystemNet(incidence=chain_incidence(), dt=0.5)
     marking = Marking(np.array([10.0, 0.0, 0.0]), np.zeros(2))
-    out = step_esn(net, marking, np.array([4.0, 0.0]), np.array([4.0, 0.0]))
-    assert np.allclose(out.q_b, [8.0, 2.0, 0.0])
+    out = simulate(net, marking, np.array([[4.0, 0.0]]))
+    assert np.allclose(out.q_b[1], [8.0, 2.0, 0.0])
 
 
 def test_operand_net_step():
     onet = OperandNet(
         operand="tok", places=("s1", "s2"), transitions=("go",),
-        m_plus=np.array([[0.0], [1.0]]), m_minus=np.array([[1.0], [0.0]]),
-        marking=Marking(np.array([2.0, 0.0]), np.zeros(1)))
-    out = step_operand_net(onet, u_minus=np.array([1.0]), u_plus=np.array([1.0]))
-    assert np.allclose(out.q_b, [1.0, 1.0])
-    assert np.allclose(onet.marking.q_b, [2.0, 0.0])
+        m_plus=np.array([[0.0], [1.0]]), m_minus=np.array([[1.0], [0.0]]))
+    q_b, q_e = kernels.esn_trajectory(onet.m_plus, onet.m_minus, np.array([2.0, 0.0]),
+                                      np.zeros(1), np.array([[1.0]]), np.array([[1.0]]), 1.0)
+    assert np.allclose(q_b, [[2.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(q_e, [[0.0], [0.0]])
 
 
 def test_operand_net_validation():
     with pytest.raises(ValueError):
         OperandNet(operand="tok", places=("s1",), transitions=("go",),
-                   m_plus=np.zeros((2, 1)), m_minus=np.zeros((1, 1)),
-                   marking=Marking(np.zeros(1), np.zeros(1)))
+                   m_plus=np.zeros((2, 1)), m_minus=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("axis, names, message", [
+    ("places", ("s1", "s2", "s1"),
+     "places of operand net 'tok' must be distinct; 's1' is repeated"),
+    ("transitions", ("go", "go"),
+     "transitions of operand net 'tok' must be distinct; 'go' is repeated")])
+def test_operand_net_rejects_a_repeated_name(axis, names, message):
+    entries = {"places": ("s1",), "transitions": ("go",), axis: names}
+    shape = (len(entries["places"]), len(entries["transitions"]))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OperandNet(operand="tok", m_plus=np.zeros(shape), m_minus=np.zeros(shape), **entries)
 
 
 def test_derive_completions_durations_and_drops():
@@ -212,7 +225,6 @@ def test_simulate_hand_trace_and_reporting():
 def test_simulate_no_warning_when_clean():
     net = EngineeringSystemNet(incidence=chain_incidence())
     initial = Marking(np.array([5.0, 0.0, 0.0]), np.zeros(2))
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = simulate(net, initial, np.array([[1.0, 0.0]]))
