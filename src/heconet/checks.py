@@ -2,16 +2,21 @@
 
 :func:`checked_array` turns a value handed to a constructor into a
 read-only float copy of a known shape, and :func:`json_numbers` turns a
-parsed JSON value into a float array before any of it is used.  Both
-raise an error that names the field, so a bad entry is reported where
-it comes in and never turns into a wrong answer later.  :func:`distinct`
-does the same for names that label rows and variables.
+parsed JSON value into a float array before any of it is used.
+:func:`counts` reads step counts, durations and iteration caps, and
+:func:`positive` step lengths and tolerances.  Each raises an error that
+names the field (or an array's first bad entry), so a bad entry is
+reported where it comes in and never turns into a wrong answer later.
+:func:`distinct` and :func:`checked_labels` do the same for names that
+label rows and variables.
 
 A shape is a tuple with one entry per axis: an int fixes the length, a
 string stands for a length that must be the same on every axis with the
 same string (``("n", "n")`` is a square matrix), and ``None`` accepts
 any length.
 """
+
+import math
 
 import numpy as np
 
@@ -39,6 +44,60 @@ def distinct(values, name: str) -> tuple:
         twice = next(v for i, v in enumerate(values) if v in values[:i])
         raise ValueError(f"{name} must be distinct; {twice!r} is repeated")
     return values
+
+
+def checked_labels(given, name: str, n: int, prefix: str) -> tuple:
+    """``tuple(given)``, or ``{prefix}1..{prefix}n`` when ``given`` is
+    empty; ``ValueError`` naming ``name`` unless there are ``n`` labels."""
+    labels = tuple(given) or tuple(f"{prefix}{i + 1}" for i in range(n))
+    if len(labels) != n:
+        raise ValueError(f"label lengths must match the matrix: {name} needs {n}, "
+                         f"got {len(labels)}")
+    return labels
+
+
+def _count(value, minimum: int):
+    """``value`` as an int in ``minimum``..2**63 - 1 (an int64), or None."""
+    try:
+        k = None if isinstance(value, (bool, np.bool_, str, bytes)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    return k if k is not None and k == value and minimum <= k < 2 ** 63 else None
+
+
+def counts(value, name: str, shape: tuple = (), minimum: int = 0,
+           error: type = ValueError):
+    """An int (``shape == ()``) or a read-only int64 array of one axis,
+    each an integer >= ``minimum`` and < 2**63, or ``error`` naming
+    ``name`` or the first bad entry.  An integral float reads as its
+    integer (``2.0`` is 2); booleans, fractions and strings are refused.
+    """
+    rule = f"an integer >= {minimum} and < 2**63"
+    if not shape:
+        k = _count(value, minimum)
+        if k is None:
+            raise error(f"{name} must be {rule}, got {value!r}")
+        return k
+    entries = np.array(value, dtype=object)
+    if not _fits(entries.shape, shape):
+        raise error(f"{name} must have shape {_spec_text(shape)}, got {entries.shape}")
+    ks = [_count(v, minimum) for v in entries.tolist()]
+    if None in ks:
+        i = ks.index(None)
+        raise error(f"{name}[{i}] must be {rule}, got {entries[i]!r}")
+    return read_only(np.array(ks, dtype=np.int64))
+
+
+def positive(value, name: str, error: type = ValueError) -> float:
+    """``value`` as a finite float > 0, or ``error`` naming ``name``;
+    booleans, strings and None are refused."""
+    try:
+        number = None if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not 0 < number < math.inf:
+        raise error(f"{name} must be a positive number (finite and > 0), got {value!r}")
+    return number
 
 
 def _fits(shape: tuple, spec: tuple) -> bool:

@@ -8,9 +8,9 @@ problem scales this package targets (tens to a few thousand variables).
 
 import dataclasses
 import json
-import math
-import numbers
 from dataclasses import dataclass
+
+from heconet.checks import counts, positive, set_fields
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,12 @@ class Tolerances:
     lp_max_iter:
         Simplex pivot cap per phase.
     demand_slack:
-        Demand rows must be satisfied to within this slack in
-        technology-choice solutions.
+        Gross outputs of a Leontief solve (:func:`heconet.leontief.solve`)
+        below ``-demand_slack`` raise a negative-output warning.
 
-    Every float must be finite and > 0 and every integer cap >= 1;
-    anything else raises ``ValueError`` at construction.
+    Every float must be finite and > 0 and every integer cap a count
+    >= 1 (:func:`heconet.checks.counts`); anything else raises
+    ``ValueError`` at construction.
     """
 
     spectral_tol: float = 1e-10
@@ -75,14 +76,9 @@ class Tolerances:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"tolerance {f.name!r} must be a number, got {value!r}")
-            if f.type is int:
-                if not isinstance(value, numbers.Integral) or value < 1:
-                    raise ValueError(f"tolerance {f.name!r} must be an integer >= 1, got {value!r}")
-            elif not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {f.name!r} must be finite and > 0, got {value!r}")
+            value, name = getattr(self, f.name), f"tolerance {f.name!r}"
+            set_fields(self, **{f.name: counts(value, name, minimum=1) if f.type is int
+                                else positive(value, name)})
 
     def replace(self, **changes) -> "Tolerances":
         return dataclasses.replace(self, **changes)

@@ -27,7 +27,7 @@ import numpy as np
 
 from heconet import kernels
 from heconet import lp as lp_mod
-from heconet.checks import checked_array, distinct, set_fields
+from heconet.checks import checked_array, checked_labels, counts, distinct, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 # build_incidence is unused here; perfbench's recorder test looks it up
 # under this module's name.
@@ -62,14 +62,12 @@ class StaticEioReduction:
         c = checked_array(self.c, "c", (m.shape[0],))
         cost = checked_array(self.cost, "cost", (m.shape[1],))
         f_star = _optional(self.f_star, "f_star", (None, m.shape[1]))
-        caps = tuple(self.capability_labels) or tuple(f"u{j + 1}" for j in range(m.shape[1]))
-        rows = tuple(self.row_labels) or tuple(f"c{i + 1}" for i in range(m.shape[0]))
         k = 0 if f_star is None else f_star.shape[0]
-        factors = tuple(self.factor_labels) or tuple(f"f{i + 1}" for i in range(k))
-        if len(caps) != m.shape[1] or len(rows) != m.shape[0] or len(factors) != k:
-            raise ValueError("label lengths must match matrix dimensions")
-        set_fields(self, m=m, c=c, cost=cost, f_star=f_star, capability_labels=caps,
-                   row_labels=rows, factor_labels=factors)
+        set_fields(self, m=m, c=c, cost=cost, f_star=f_star,
+                   capability_labels=checked_labels(self.capability_labels,
+                                                    "capability_labels", m.shape[1], "u"),
+                   row_labels=checked_labels(self.row_labels, "row_labels", m.shape[0], "c"),
+                   factor_labels=checked_labels(self.factor_labels, "factor_labels", k, "f"))
 
 
 def build_static(inc: IncidenceMatrices, y, f, pi) -> StaticEioReduction:
@@ -246,28 +244,18 @@ def entry_names(net: EngineeringSystemNet, operand_nets=()) -> dict:
     """Axis -> the name of each entry of one step on that axis: places
     ``operand@buffer``, transitions by capability, and operand entries
     ``operand:place`` and ``operand:transition``, the nets concatenated
-    in order.  Every variable and row label ends in one of these."""
+    in order.  Every variable and row label ends in one of these, so the
+    operand entries must be distinct."""
     return {"places": net.incidence.place_names,
             "transitions": net.transition_labels,
-            **{f"operand {axis}": [f"{o.operand}:{name}" for o in operand_nets
-                                   for name in getattr(o, axis)]
+            **{f"operand {axis}": distinct((f"{o.operand}:{name}" for o in operand_nets
+                                            for name in getattr(o, axis)), f"operand {axis}")
                for axis in ("places", "transitions")}}
-
-
-def _steps(horizon) -> int:
-    """``horizon`` as an int >= 1; booleans and fractions are refused."""
-    try:
-        k = int(horizon)
-    except (TypeError, ValueError, OverflowError):
-        k = None
-    if isinstance(horizon, (bool, np.bool_)) or k is None or k != horizon or k < 1:
-        raise ValueError(f"horizon must be >= 1 and integral, got {horizon!r}")
-    return k
 
 
 def variable_layout(net: EngineeringSystemNet, operand_nets=(), horizon: int = 1) -> VariableLayout:
     return VariableLayout(
-        horizon=_steps(horizon),
+        horizon=counts(horizon, "horizon", minimum=1),
         n_places=net.n_places,
         n_transitions=net.n_transitions,
         operand_shapes=tuple((o.n_places, o.n_transitions) for o in operand_nets))
@@ -328,12 +316,14 @@ class HfnmcfProblem:
     upper: np.ndarray = None
 
     def __post_init__(self):
-        set_fields(self, horizon=_steps(self.horizon), operand_nets=tuple(self.operand_nets))
+        set_fields(self, horizon=counts(self.horizon, "horizon", minimum=1),
+                   operand_nets=tuple(self.operand_nets))
         layout = self.layout
         n_ul, nt, size = layout.sum_transitions, layout.n_transitions, layout.size
         set_fields(self, linear_cost=checked_array(self.linear_cost, "linear_cost", (size,)))
 
         distinct((o.operand for o in self.operand_nets), "operands of the operand nets")
+        entry_names(self.net, self.operand_nets)          # composed names are distinct
         has_sync = self.sync_plus is not None or self.sync_minus is not None
         if self.operand_nets and not has_sync:
             raise ValueError("operand nets require sync_plus and sync_minus")

@@ -44,6 +44,7 @@ class IncidenceMatrices:
         ids = {name: distinct(getattr(self, name), name)
                for name in ("operands", "buffers", "capabilities")}
         set_fields(self, m_plus=m_plus, m_minus=m_minus, m=read_only(m_plus - m_minus), **ids)
+        distinct(self.place_names, "place names")
 
     @property
     def n_places(self) -> int:

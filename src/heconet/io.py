@@ -46,7 +46,7 @@ from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
-from heconet.checks import json_numbers
+from heconet.checks import checked_array, checked_labels, counts, json_numbers, positive
 from heconet.core import (Capability, Flow, Operand, Process, ProcessKind,
                           Resource, ResourceKind, SystemModel, require_valid)
 from heconet.incidence import IncidenceMatrices
@@ -371,11 +371,8 @@ def read_incidence_json(data) -> IncidenceMatrices:
     operands = _string_list(doc, "operands", "incidence")
     buffers = _string_list(doc, "buffers", "incidence")
     capabilities = _string_list(doc, "capabilities", "incidence")
-    shape = doc.get("shape")
-    if (not isinstance(shape, list) or len(shape) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in shape)):
-        raise JsonFormatError("incidence field 'shape' must be [rows, cols]")
-    rows, cols = shape
+    rows, cols = shape = counts(doc.get("shape"), "incidence field 'shape'", (2,),
+                                error=JsonFormatError).tolist()
     if rows == 0 or cols == 0:
         raise JsonFormatError(f"degenerate incidence shape {shape}")
     if rows != len(operands) * len(buffers):
@@ -393,7 +390,7 @@ def read_incidence_json(data) -> IncidenceMatrices:
 # --------------------------------------------------------------------------
 # Scenario JSON
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Economic data for one solve: named demand, factor availability and
     prices, plus optional horizon/boundary/pin data for time-domain runs
@@ -421,13 +418,6 @@ def _named_numbers(doc: dict, key: str) -> dict:
         if out[name] < 0:
             raise ScenarioError(f"{field_name} must be >= 0")
     return out
-
-
-def _positive(value, name: str, error: type) -> float:
-    value = float(json_numbers(value, name, (), error))
-    if value <= 0:
-        raise error(f"{name} must be a positive number")
-    return value
 
 
 def _time_domain(doc: dict, key: str, shapes: dict) -> dict:
@@ -464,10 +454,8 @@ def load_scenario(data) -> Scenario:
     if overlap:
         raise ScenarioError(
             f"operands cannot be both products and factors: {sorted(overlap)}")
-    horizon = doc.get("horizon", 1)
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ScenarioError("scenario 'horizon' must be a positive integer")
-    dt = _positive(doc.get("dt", 1.0), "scenario 'dt'", ScenarioError)
+    horizon = counts(doc.get("horizon", 1), "scenario 'horizon'", minimum=1, error=ScenarioError)
+    dt = positive(doc.get("dt", 1.0), "scenario 'dt'", ScenarioError)
     boundary = _time_domain(doc, "boundary", dict.fromkeys(
         ("q_b_initial", "q_e_initial", "q_b_final", "q_e_final"), (None,)))
     pins = _time_domain(doc, "pins", {"u_minus": (horizon, None)})
@@ -516,7 +504,7 @@ def load_schedule(data):
                 for key in ("q_b", "q_e"))
     dt = doc.get("dt")
     if dt is not None:
-        dt = _positive(dt, "schedule 'dt'", JsonFormatError)
+        dt = positive(dt, "schedule 'dt'", JsonFormatError)
     return u_minus, q_b, q_e, dt
 
 
@@ -542,16 +530,14 @@ def emit_results_csv(solution: RcotSolution) -> bytes:
     if total == 0.0:
         warnings.warn("all capability values are zero; percent column is 0.0%",
                       RuntimeWarning, stacklevel=2)
-    labels = solution.tech_labels or tuple(
-        f"u{j + 1}" for j in range(len(solution.x_star)))
+    labels = checked_labels(solution.tech_labels, "tech_labels", len(solution.x_star), "u")
     rows = [["capability", "value", "percent"]]
     for label, value in zip(labels, solution.x_star):
         pct = 100.0 * value / total if total else 0.0
         rows.append([label, f"{value:.4f}", f"{pct:.1f}%"])
     rows.append(["objective", f"{solution.z:.4f}", ""])
-    factor_labels = solution.factor_labels or tuple(
-        f"f{i + 1}" for i in range(len(solution.phi)))
-    for label, value in zip(factor_labels, solution.phi):
+    factors = checked_labels(solution.factor_labels, "factor_labels", len(solution.phi), "f")
+    for label, value in zip(factors, solution.phi):
         rows.append([f"use:{label}", f"{value:.4f}", ""])
     return _csv_bytes(rows)
 
@@ -577,16 +563,10 @@ def emit_results_json(solution: RcotSolution) -> bytes:
 def emit_chord_csv(a_star, sector_labels=(), tech_labels=(),
                    nonzero_only: bool = False) -> bytes:
     """Long-format edge list of a transaction matrix for chord tooling."""
-    a_star = np.asarray(a_star, dtype=float)
-    if a_star.ndim != 2:
-        raise ValueError("a_star must be a matrix")
-    if not np.all(np.isfinite(a_star)):
-        raise ValueError("a_star must be finite")
+    a_star = checked_array(a_star, "a_star", (None, None))
     n, t = a_star.shape
-    sector_labels = tuple(sector_labels) or tuple(f"s{i + 1}" for i in range(n))
-    tech_labels = tuple(tech_labels) or tuple(f"t{j + 1}" for j in range(t))
-    if len(sector_labels) != n or len(tech_labels) != t:
-        raise ValueError("label lengths must match the matrix shape")
+    sector_labels = checked_labels(sector_labels, "sector_labels", n, "s")
+    tech_labels = checked_labels(tech_labels, "tech_labels", t, "t")
     rows = [["source", "target", "coefficient"]]
     for i in range(n):
         for j in range(t):

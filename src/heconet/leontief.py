@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from heconet import kernels
-from heconet.checks import checked_array, set_fields
+from heconet.checks import checked_array, checked_labels, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -31,7 +31,7 @@ class SingularSystemError(RuntimeError):
     """The Leontief system could not be solved to the required residual."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquareEio:
     """One-technology-per-sector economy: coefficients plus factor rows."""
 
@@ -43,13 +43,9 @@ class SquareEio:
     def __post_init__(self):
         a = checked_array(self.a, "coefficient matrix", ("n", "n"), nonneg=True)
         f = checked_array(self.f, "factor matrix", (None, a.shape[0]), nonneg=True)
-        labels = tuple(self.labels) or tuple(f"s{i + 1}" for i in range(a.shape[0]))
-        factor_labels = tuple(self.factor_labels) or tuple(f"f{i + 1}" for i in range(f.shape[0]))
-        if len(labels) != a.shape[0]:
-            raise ValueError("labels must match the number of sectors")
-        if len(factor_labels) != f.shape[0]:
-            raise ValueError("factor_labels must match the number of factor rows")
-        set_fields(self, a=a, f=f, labels=labels, factor_labels=factor_labels)
+        set_fields(self, a=a, f=f, labels=checked_labels(self.labels, "labels", a.shape[0], "s"),
+                   factor_labels=checked_labels(self.factor_labels, "factor_labels",
+                                                f.shape[0], "f"))
 
     @property
     def n_sectors(self) -> int:

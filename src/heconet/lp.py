@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from heconet import kernels
-from heconet.checks import checked_array, read_only, set_fields
+from heconet.checks import checked_array, checked_labels, read_only, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 
 LESS_EQUAL = "<="
@@ -132,14 +132,9 @@ class LinearProgram:
         if np.any(lower > upper):
             bad = int(np.argmax(lower > upper))
             raise ValueError(f"lower bound exceeds upper bound for variable {bad}")
-        var_labels = tuple(var_labels) or tuple(f"x{j + 1}" for j in range(n))
-        row_labels = tuple(row_labels) or tuple(f"r{i + 1}" for i in range(m))
-        if len(var_labels) != n:
-            raise ValueError("var_labels must match the number of variables")
-        if len(row_labels) != m:
-            raise ValueError("row_labels must match the number of rows")
         set_fields(self, cost=cost, matrix=rows, senses=senses, rhs=rhs, lower=lower,
-                   upper=upper, var_labels=var_labels, row_labels=row_labels)
+                   upper=upper, var_labels=checked_labels(var_labels, "var_labels", n, "x"),
+                   row_labels=checked_labels(row_labels, "row_labels", m, "r"))
 
     @property
     def rows(self) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from heconet import kernels
-from heconet.checks import checked_array, distinct, read_only, set_fields
+from heconet.checks import checked_array, counts, distinct, positive, set_fields
 from heconet.incidence import IncidenceMatrices
 
 # Tokens in flight must stay nonnegative up to roundoff.
@@ -51,29 +51,6 @@ def _check_in_flight(q_e: np.ndarray):
         raise ValueError(f"tokens in flight must be nonnegative, got min {q_e.min():g}")
 
 
-def _check_durations(durations, n: int) -> np.ndarray:
-    """Nonnegative integer durations, all zero when ``durations`` is None."""
-    arr = np.zeros(n, dtype=np.int64) if durations is None else np.asarray(durations)
-    if arr.shape != (n,):
-        raise ValueError(f"durations must have shape ({n},), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        as_int = arr.astype(np.int64)
-        if not np.array_equal(as_int, arr):
-            raise ValueError("durations must be integers")
-        arr = as_int
-    arr = arr.astype(np.int64)
-    if np.any(arr < 0):
-        raise ValueError("durations must be nonnegative")
-    return read_only(arr)
-
-
-def _check_dt(dt) -> float:
-    dt = float(dt)
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-    return dt
-
-
 @dataclass(frozen=True, eq=False)
 class EngineeringSystemNet:
     """Incidence structure plus per-capability durations and step length."""
@@ -83,8 +60,10 @@ class EngineeringSystemNet:
     dt: float = 1.0
 
     def __post_init__(self):
-        durations = _check_durations(self.durations, len(self.incidence.capabilities))
-        set_fields(self, durations=durations, dt=_check_dt(self.dt))
+        n = len(self.incidence.capabilities)
+        durations = counts(np.zeros(n) if self.durations is None else self.durations,
+                           "durations", (n,))
+        set_fields(self, durations=durations, dt=positive(self.dt, "dt"))
 
     @property
     def n_places(self) -> int:
@@ -123,7 +102,8 @@ class OperandNet:
         shape = (len(places), len(transitions))
         m_plus = checked_array(self.m_plus, "m_plus", shape, nonneg=True)
         m_minus = checked_array(self.m_minus, "m_minus", shape, nonneg=True)
-        durations = _check_durations(self.durations, len(transitions))
+        durations = counts(np.zeros(shape[1]) if self.durations is None else self.durations,
+                           "durations", shape[1:])
         set_fields(self, places=places, transitions=transitions, m_plus=m_plus,
                    m_minus=m_minus, durations=durations)
 
@@ -160,7 +140,7 @@ def derive_completions(durations, schedule: np.ndarray):
     if schedule.ndim != 2:
         raise ValueError("schedule must be a K x n_transitions matrix")
     horizon, n = schedule.shape
-    durations = _check_durations(durations, n)
+    durations = counts(np.zeros(n) if durations is None else durations, "durations", (n,))
     u_plus = np.zeros_like(schedule)
     for j, d in enumerate(durations.tolist()):
         u_plus[d:, j] = schedule[:max(horizon - d, 0), j]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from heconet import lp
-from heconet.checks import checked_array, set_fields
+from heconet.checks import checked_array, checked_labels, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 from heconet.incidence import IncidenceMatrices
 from heconet.leontief import SquareEio
@@ -61,14 +61,10 @@ class RcotInstance:
         f = checked_array(self.f, "f", (k,), nonneg=True)
         pi = checked_array(self.pi, "pi", (k,), nonneg=True)
 
-        tech_labels = tuple(self.tech_labels) or tuple(f"t{j + 1}" for j in range(t))
-        sector_labels = tuple(self.sector_labels) or tuple(f"s{i + 1}" for i in range(n))
-        factor_labels = tuple(self.factor_labels) or tuple(f"f{i + 1}" for i in range(k))
-        if len(tech_labels) != t or len(sector_labels) != n or len(factor_labels) != k:
-            raise ValueError("label lengths must match matrix dimensions")
         set_fields(self, i_star=i_star, a_star=a_star, f_star=f_star, y=y, f=f, pi=pi,
-                   tech_labels=tech_labels, sector_labels=sector_labels,
-                   factor_labels=factor_labels)
+                   tech_labels=checked_labels(self.tech_labels, "tech_labels", t, "t"),
+                   sector_labels=checked_labels(self.sector_labels, "sector_labels", n, "s"),
+                   factor_labels=checked_labels(self.factor_labels, "factor_labels", k, "f"))
 
     @property
     def n_sectors(self) -> int:

@@ -527,6 +527,27 @@ def test_malformed_documents_exit_two(runner, tmp_path, command, model, source, 
     assert field in result.stderr
 
 
+HUGE = "99999999999999999999999"
+
+
+@pytest.mark.parametrize("command, model, old, new, data", [
+    ("simulate", CHAIN, 'duration="2"', f'duration="{HUGE}"', SCHEDULE),
+    ("hfnmcf-full", ECONOMY, 'id="c1" resource="economy" process="p1"',
+     f'id="c1" resource="economy" process="p1" duration="{HUGE}"', SCENARIO),
+], ids=["simulate", "hfnmcf-full"])
+def test_out_of_range_duration_exits_two(runner, tmp_path, command, model, old, new, data):
+    # a duration beyond int64 once escaped as an OverflowError (exit 1)
+    text = open(model, encoding="utf-8").read()
+    assert old in text
+    path = tmp_path / "model.xml"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    result = runner.invoke(main, [command, str(path), data])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"must be an integer >= 0 and < 2**63, got {HUGE}" in result.stderr
+    assert "durations[" in result.stderr and "Traceback" not in result.output
+
+
 def test_infeasible_program_exits_three(runner, tmp_path):
     scenario = json.loads((DATA / "three_sector_scenario.json").read_text())
     scenario["availability"]["water"] = 1.0  # far too little to meet demand

@@ -40,7 +40,7 @@ DELETE = object()
 # json.dumps has no form for an overflowing number.
 BAD_JSON = [DELETE, None, True, "x", [], {}, [1.0, [2.0]], [[1.0], [1.0, 2.0]],
             -1, 0, 1e300, "@@NaN@@", "@@Infinity@@", "@@-Infinity@@", "@@1e999@@"]
-BAD_XML = ["", "nan", "inf", "-1", "1e999", "abc", "0.5", "2"]
+BAD_XML = ["", "nan", "inf", "-1", "1e999", "abc", "0.5", "2", "99999999999999999999999"]
 
 JSON_CASES = [
     (SCENARIO_DOC, lambda path: ["rcot", ECONOMY, path]),
@@ -51,9 +51,14 @@ JSON_CASES = [
     (SCHEDULE_DOC, lambda path: ["simulate", CHAIN, path]),
     (TOLERANCE_DOC, lambda path: ["--tolerance-config", path, "rcot", ECONOMY, SCENARIO]),
 ]
+ECONOMY_XML = (DATA / "three_sector_economy.xml").read_text(encoding="utf-8")
 XML_CASES = [
-    (ECONOMY, lambda path: ["rcot", path, SCENARIO]),
-    (CHAIN, lambda path: ["simulate", path, SCHEDULE]),
+    (ECONOMY_XML, lambda path: ["rcot", path, SCENARIO]),
+    ((DATA / "two_node_chain.xml").read_text(encoding="utf-8"),
+     lambda path: ["simulate", path, SCHEDULE]),
+    # a stated zero duration, so that mutations reach the durations
+    (ECONOMY_XML.replace('process="p1"', 'process="p1" duration="0"'),
+     lambda path: ["hfnmcf-full", path, SCENARIO]),
 ]
 
 
@@ -87,8 +92,7 @@ def mutated(doc, path, value) -> str:
 def broken_inputs(draw):
     """(file text, function of the file's path giving the CLI arguments)."""
     if draw(st.integers(0, 3)) == 0:
-        source, args = draw(st.sampled_from(XML_CASES))
-        text = open(source, encoding="utf-8").read()
+        text, args = draw(st.sampled_from(XML_CASES))
         if draw(st.booleans()):
             lines = text.splitlines()
             del lines[draw(st.integers(0, len(lines) - 1))]

@@ -60,6 +60,8 @@ def test_from_json_rejects_non_numeric():
     {"spectral_max_iter": 2.5},
     {"lp_pivot": True},
     {"lp_max_iter": True},
+    {"lp_max_iter": 2**63},
+    {"lp_pivot": None},
 ])
 def test_out_of_range_values_rejected(changes):
     with pytest.raises(ValueError, match=next(iter(changes))):
@@ -73,6 +75,11 @@ def test_out_of_range_values_rejected(changes):
 def test_from_json_rejects_out_of_range(text):
     with pytest.raises(ValueError):
         Tolerances.from_json(text)
+
+
+def test_integral_float_caps_read_as_counts():
+    t = Tolerances.from_json('{"lp_max_iter": 3.0}')
+    assert t.lp_max_iter == 3 and type(t.lp_max_iter) is int
 
 
 def test_integer_valued_float_fields_accepted():

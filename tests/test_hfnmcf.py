@@ -235,7 +235,7 @@ def test_equality_relaxation_feasible_when_supply_matches_usage(economy_incidenc
 
 def test_problem_rejects_bad_horizon():
     net = small_net()
-    with pytest.raises(ValueError, match="horizon must be >= 1"):
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
         HfnmcfProblem(net=net, horizon=0, linear_cost=np.zeros(1))
 
 
@@ -291,6 +291,23 @@ def test_problem_rejects_repeated_operands():
                        match="^operands of the operand nets must be distinct; 'a' is repeated$"):
         HfnmcfProblem(net=net, horizon=1, linear_cost=cost, operand_nets=onets,
                       sync_plus=np.ones((4, 2)), sync_minus=np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("axis", ["places", "transitions"])
+def test_problem_rejects_colliding_operand_entry_names(axis):
+    # operand "a:b" with entry "c" and operand "a" with entry "b:c" both
+    # compose the name "a:b:c", which would label two variables alike
+    def onet(operand, name):
+        names = {"places": ("p",), "transitions": ("t",), axis: (name,)}
+        return OperandNet(operand=operand, m_plus=np.zeros((1, 1)),
+                          m_minus=np.zeros((1, 1)), **names)
+    net = small_net()
+    onets = (onet("a:b", "c"), onet("a", "b:c"))
+    cost = np.zeros(variable_layout(net, onets, horizon=1).size)
+    with pytest.raises(ValueError,
+                       match=f"^operand {axis} must be distinct; 'a:b:c' is repeated$"):
+        HfnmcfProblem(net=net, horizon=1, linear_cost=cost, operand_nets=onets,
+                      sync_plus=np.ones((2, 2)), sync_minus=np.ones((2, 2)))
 
 
 def test_problem_rejects_bad_bounds_and_boundary():

@@ -38,6 +38,14 @@ def test_incidence_rejects_repeated_ids(field, ids):
         IncidenceMatrices(np.zeros(shape), np.zeros(shape), **names)
 
 
+def test_incidence_rejects_colliding_place_names():
+    # operand "a@b" at buffer "c" and operand "a" at buffer "b@c" both
+    # compose the place name "a@b@c"
+    with pytest.raises(ValueError, match="^place names must be distinct; 'a@b@c' is repeated$"):
+        IncidenceMatrices(np.zeros((4, 1)), np.zeros((4, 1)), operands=("a@b", "a"),
+                          buffers=("c", "b@c"), capabilities=("t",))
+
+
 def test_support_masks(economy_incidence):
     plus, minus = economy_incidence.support()
     assert plus.dtype == bool and minus.dtype == bool

@@ -51,6 +51,22 @@ def test_net_validation():
     assert list(net2.durations) == [2, 1]
 
 
+@pytest.mark.parametrize("durations", [[True, False], [2**63, 0]])
+def test_nets_refuse_durations_that_are_no_counts(durations):
+    message = r"^durations\[0\] must be an integer >= 0 and < 2\*\*63, got "
+    with pytest.raises(ValueError, match=message):
+        EngineeringSystemNet(incidence=chain_incidence(), durations=durations)
+    with pytest.raises(ValueError, match=message):
+        OperandNet(operand="tok", places=("s1",), transitions=("go", "stop"),
+                   m_plus=np.zeros((1, 2)), m_minus=np.zeros((1, 2)), durations=durations)
+
+
+@pytest.mark.parametrize("dt", [True, "2", None])
+def test_net_refuses_a_dt_that_is_no_number(dt):
+    with pytest.raises(ValueError, match=r"^dt must be a positive number \(finite and > 0\)"):
+        EngineeringSystemNet(incidence=chain_incidence(), dt=dt)
+
+
 def test_esn_trajectory_three_state_hand_trace():
     net = EngineeringSystemNet(incidence=chain_incidence())
     inc = net.incidence
