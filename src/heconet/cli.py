@@ -138,9 +138,7 @@ def leontief_cmd(ctx, model_xml, scenario_json):
     sol = rcot.RcotSolution(
         x_star=x, z=float(pi @ phi), phi=phi, status=LpStatus.OPTIMAL,
         binding=np.concatenate([x - eio.a @ x - y, f - phi]),
-        tech_labels=products, row_labels=tuple(f"demand:{p}" for p in products)
-        + tuple(f"cap:{p}" for p in factors),
-        factor_labels=factors)
+        tech_labels=products, row_labels=inst.row_labels, factor_labels=factors)
     _write(ctx, _solution_payload(ctx, sol))
 
 

@@ -48,7 +48,8 @@ class Tolerances:
         Relative duality-gap bound, scaled by ``1 + |objective|``.
     lp_refactor_every:
         Number of eta updates between explicit refactorizations of the
-        basis inverse.
+        basis inverse, counted across phases and deletion-filter trials;
+        only the simplex kernel refactorizes.
     lp_max_iter:
         Simplex pivot cap per phase.
     demand_slack:

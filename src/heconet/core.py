@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
-from heconet.checks import set_fields
+from heconet.checks import counts, set_fields
 
 
 class ResourceKind(str, Enum):
@@ -230,8 +230,10 @@ def _violations(model: SystemModel) -> list[Violation]:
         proc = process_by_id.get(cap.process)
         if proc is None:
             out.append(Violation(where, f"unknown process {cap.process!r}"))
-        if not isinstance(cap.duration, int) or isinstance(cap.duration, bool) or cap.duration < 0:
-            out.append(Violation(f"{where}.duration", f"must be a non-negative integer, got {cap.duration!r}"))
+        try:
+            counts(cap.duration, "duration")
+        except ValueError as exc:
+            out.append(Violation(f"{where}.duration", str(exc)))
         for side, mapping in (("pull", cap.pull), ("push", cap.push)):
             flows = () if proc is None else (proc.inputs if side == "pull" else proc.outputs)
             needed = {fl.operand for fl in flows}

@@ -135,6 +135,13 @@ class VariableLayout:
     n_transitions: int
     operand_shapes: tuple          # (n_places_i, n_transitions_i) per net
 
+    def __post_init__(self):
+        set_fields(self, horizon=counts(self.horizon, "horizon", minimum=1),
+                   n_places=counts(self.n_places, "n_places"),
+                   n_transitions=counts(self.n_transitions, "n_transitions"),
+                   operand_shapes=tuple(tuple(counts(s, f"operand_shapes[{i}]", (2,)).tolist())
+                                        for i, s in enumerate(self.operand_shapes)))
+
     @property
     def sum_places(self) -> int:
         return sum(s for s, _ in self.operand_shapes)
@@ -255,7 +262,7 @@ def entry_names(net: EngineeringSystemNet, operand_nets=()) -> dict:
 
 def variable_layout(net: EngineeringSystemNet, operand_nets=(), horizon: int = 1) -> VariableLayout:
     return VariableLayout(
-        horizon=counts(horizon, "horizon", minimum=1),
+        horizon=horizon,
         n_places=net.n_places,
         n_transitions=net.n_transitions,
         operand_shapes=tuple((o.n_places, o.n_transitions) for o in operand_nets))

@@ -286,7 +286,7 @@ def write_system_xml(model: SystemModel) -> bytes:
         line = (f"  <capability{_attr('id', cap.id)}{_attr('resource', cap.resource)}"
                 f"{_attr('process', cap.process)}")
         if cap.duration:
-            line += _attr("duration", str(cap.duration))
+            line += _attr("duration", str(counts(cap.duration, "duration")))
         out.append(line + ">")
         for tag, routing in (("pull", cap.pull), ("push", cap.push)):
             for operand, buffer in routing.items():

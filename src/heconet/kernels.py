@@ -52,6 +52,15 @@ class SparseColumns:
         return (self.cols.nbytes + self.indices.nbytes + self.data.nbytes
                 + self.indptr.nbytes)
 
+    def with_units(self, rows, signs):
+        """This matrix with the columns ``signs[i] * e_{rows[i]}`` appended,
+        and the indices of those columns."""
+        m, k = self.shape
+        cols = k + np.arange(len(rows))
+        return SparseColumns((m, k + cols.size), np.concatenate([self.cols, cols]),
+                             np.concatenate([self.indices, rows]),
+                             np.concatenate([self.data, signs])), cols
+
     def column(self, j):
         """Rows and values of the nonzeros of column ``j``."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
@@ -154,13 +163,6 @@ def basis_inverse(a, basis):
     return binv
 
 
-def refactor(a, b, x, basis, binv):
-    """Invert the basis afresh (see :func:`basis_inverse`) and recompute
-    the basic values from it."""
-    binv[:, :] = basis_inverse(a, basis)
-    _recompute_basics(a, b, x, basis, binv)
-
-
 def _recompute_basics(a, b, x, basis, binv):
     """x_B = B^-1 (b - N x_N), which makes the row residuals exact."""
     nonbasic = x.copy()
@@ -176,7 +178,7 @@ def _duals(c, basis, binv):
 
 
 def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
-                    refactor_every, max_iter):
+                    refactor_every, max_iter, etas):
     """Bounded-variable revised simplex iterations.
 
     min c'x  s.t.  a x = b,  lower <= x <= upper, with ``a`` a
@@ -204,19 +206,19 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
       pivot (under Bland: the smallest basic column).  An entering
       column whose own bound range is shorter flips bound instead.
     * The basis inverse gets a rank-1 eta update on the rows where the
-      pivot column is nonzero, and is refactorized every
-      ``refactor_every`` basis changes.  So a pivot reads one row of
-      ``binv`` and its columns at the entering column's rows.
+      pivot column is nonzero, so a pivot reads one row of ``binv`` and
+      its columns at the entering column's rows.  ``etas`` counts the
+      updates ``binv`` holds since its last inversion, from earlier calls
+      too; at ``refactor_every`` it is refactorized here and nowhere else.
 
-    Returns (status, iterations, y), with y the duals last priced with
-    (on OPTIMAL the fresh c_B B^-1 of the final basis); bound flips
-    count as iterations.
+    Returns (status, iterations, y, etas): y the duals last priced with
+    (on OPTIMAL the fresh c_B B^-1 of the final basis), etas the count
+    for the next call.  Bound flips count as iterations but add no eta.
     """
     rc_tol, pivot_tol, harris = tol.lp_reduced_cost, tol.lp_pivot, tol.lp_ratio_tie
     is_basic = np.zeros(a.shape[1], dtype=bool)
     is_basic[basis] = True
     iters = 0
-    since_refactor = 0
     degenerate = 0
     y, fresh = _duals(c, basis, binv), True
     while True:
@@ -229,9 +231,9 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
                 y, fresh = _duals(c, basis, binv), True
                 continue
             _recompute_basics(a, b, x, basis, binv)
-            return OPTIMAL, iters, y
+            return OPTIMAL, iters, y, etas
         if iters >= max_iter:
-            return ITERATION_LIMIT, iters, y
+            return ITERATION_LIMIT, iters, y, etas
         bland = degenerate >= _DEGENERATE_RUN
         q = candidates[0] if bland else candidates[np.argmax(np.abs(d[candidates]))]
         sigma = 1.0 if d[q] < 0.0 else -1.0
@@ -252,7 +254,7 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
         span = upper[q] - lower[q]
         if span <= theta_max:
             if not np.isfinite(span):
-                return UNBOUNDED, iters, y
+                return UNBOUNDED, iters, y, etas
             theta, leave = span, -1
         else:
             tied = blocking[room[blocking] <= theta_max]
@@ -281,11 +283,11 @@ def simplex_iterate(a, b, c, lower, upper, x, basis, binv, tol,
         is_basic[out] = False
         is_basic[q] = True
         basis[leave] = q
-        since_refactor += 1
-        if since_refactor >= refactor_every:
-            refactor(a, b, x, basis, binv)
-            since_refactor = 0
-            y, fresh = _duals(c, basis, binv), True
+        etas += 1
+        if etas >= refactor_every:
+            binv[:, :] = basis_inverse(a, basis)
+            _recompute_basics(a, b, x, basis, binv)
+            y, fresh, etas = _duals(c, basis, binv), True, 0
 
 
 def esn_trajectory(m_plus, m_minus, qb0, qe0, u_plus, u_minus, dt):

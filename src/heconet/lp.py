@@ -10,12 +10,13 @@ value is feasible and by artificials elsewhere, and minimizes the
 artificials' sum; phase 2 fixes the artificials at zero, which replaces
 the removal of redundant rows.  Pricing is Dantzig's rule with a
 fall-back to Bland's after a run of degenerate pivots, the ratio test
-is a two-pass Harris test, and the explicit basis inverse is eta-updated
-and periodically refactorized (see :func:`heconet.kernels.simplex_iterate`).
+is a two-pass Harris test, and the explicit basis inverse is eta-updated;
+only the kernel (:func:`heconet.kernels.simplex_iterate`) inverts it afresh,
+on the eta count :class:`_Simplex` carries across phases and filter trials.
 Pivots update the duals (y += d_q rho); the kernel recomputes them from
-the inverse on entry, after each refactorization and before optimality,
+the inverse on entry, after each fresh inversion and before optimality,
 and returns them, so the reported duals are a fresh c_B B^-1.
-The crash basis and every refactorization are inverted from the sparse
+The crash basis and every later basis are inverted from the sparse
 columns by :func:`heconet.kernels.basis_inverse`, which solves the
 triangular part by substitution and inverts only the remaining bump; the
 crash basis is triangular, so it has no bump.
@@ -183,15 +184,17 @@ class Certificate:
 
 @dataclass
 class _Simplex:
-    """Computational form  A w = b,  lower <= w <= upper  of an LP.
+    """Computational form  A w = b,  lower <= w <= upper  of an LP, and
+    the one record of its simplex state.
 
-    The columns of ``a`` are the structural variables, one slack per
-    inequality row (bounds [0, inf) on "<=" rows, (-inf, 0] on ">="
-    rows) and the artificials of the crash basis, which occupy the
-    column range ``artificial``; the deletion filter appends two elastic
-    columns per row after them.  ``c1`` is the phase-1 cost, 1 on the
-    priced columns (the artificials) and 0 elsewhere.  ``w``, ``basis``
-    and ``binv`` are the simplex state the kernel updates in place.
+    The columns of ``a`` are the structural variables, then unit columns
+    (:meth:`append_units`): one slack per inequality row (bounds [0, inf)
+    on "<=" rows, (-inf, 0] on ">=" rows), the artificials of the crash
+    basis in the column range ``artificial``, and the deletion filter's
+    two elastic columns per row.  ``c1`` is the phase-1 cost, 1 on the
+    priced columns (the artificials) and 0 elsewhere.  The kernel updates
+    ``w``, ``basis``, ``binv`` and ``etas``, the count of eta updates
+    since ``binv`` was last inverted, across phases and filter trials.
     """
 
     a: kernels.SparseColumns
@@ -203,6 +206,17 @@ class _Simplex:
     w: np.ndarray
     basis: np.ndarray
     binv: np.ndarray
+    etas: int = 0
+
+    def append_units(self, rows, signs, lower, upper, price) -> np.ndarray:
+        """Append the columns ``signs[i] * e_{rows[i]}`` within [lower, upper]
+        (scalars or one entry per column), at value 0 and with phase-1 price
+        ``price``; returns their indices."""
+        self.a, cols = self.a.with_units(rows, signs)
+        self.lower, self.upper, self.w, self.c1 = (
+            np.concatenate([old, new + np.zeros(cols.size)]) for old, new in
+            ((self.lower, lower), (self.upper, upper), (self.w, 0.0), (self.c1, price)))
+        return cols
 
 
 def _crash(a: kernels.SparseColumns, free: np.ndarray, has_slack: np.ndarray) -> np.ndarray:
@@ -244,8 +258,7 @@ def _start(lp: LinearProgram) -> _Simplex:
     crash columns and unit columns on the uncovered rows) is triangular
     and is inverted by substitution from its sparse columns.
     """
-    m, n = lp.n_rows, lp.n_vars
-    structural = lp.matrix
+    n, structural = lp.n_vars, lp.matrix
     senses = np.asarray(lp.senses, dtype=object)
     has_slack = senses != EQUAL
     free = np.isinf(lp.lower) & np.isinf(lp.upper)
@@ -257,11 +270,10 @@ def _start(lp: LinearProgram) -> _Simplex:
     # values are then the row residuals left by the other columns.
     covered = owner >= 0
     uncovered = np.flatnonzero(~covered)
-    crash = kernels.SparseColumns(
-        (m, n + m), np.concatenate([structural.cols, n + uncovered]),
-        np.concatenate([structural.indices, uncovered]),
-        np.concatenate([structural.data, np.ones(uncovered.size)]))
-    binv = kernels.basis_inverse(crash, np.where(covered, owner, n + np.arange(m)))
+    crash, units = structural.with_units(uncovered, np.ones(uncovered.size))
+    basis = owner.copy()
+    basis[uncovered] = units
+    binv = kernels.basis_inverse(crash, basis)
     basic = binv @ (lp.rhs - structural.matvec(w))
     w[owner[covered]] = basic[covered]
 
@@ -273,38 +285,27 @@ def _start(lp: LinearProgram) -> _Simplex:
     negative = art_rows[art_sign < 0.0]
     binv[negative] = -binv[negative]
 
+    sx = _Simplex(a=structural, b=lp.rhs, lower=lp.lower, upper=lp.upper,
+                  artificial=slice(0), c1=np.zeros(n), w=w, basis=basis, binv=binv)
     slack_rows = np.flatnonzero(has_slack)
-    n_slack, n_art = slack_rows.size, art_rows.size
-    slack_col = np.full(m, -1, dtype=np.int64)
-    slack_col[slack_rows] = n + np.arange(n_slack)
-    art_cols = n + n_slack + np.arange(n_art)
-    a = kernels.SparseColumns(
-        (m, n + n_slack + n_art),
-        np.concatenate([structural.cols, slack_col[slack_rows], art_cols]),
-        np.concatenate([structural.indices, slack_rows, art_rows]),
-        np.concatenate([structural.data, np.ones(n_slack), art_sign]))
-
     below = senses[slack_rows] == LESS_EQUAL
-    lower = np.concatenate([lp.lower, np.where(below, 0.0, -np.inf), np.zeros(n_art)])
-    upper = np.concatenate([lp.upper, np.where(below, np.inf, 0.0), np.full(n_art, np.inf)])
-    basis = owner.copy()
-    basis[uncovered[slack_ok]] = slack_col[uncovered[slack_ok]]
+    slack_cols = sx.append_units(slack_rows, np.ones(slack_rows.size),
+                                 np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0), 0.0)
+    art_cols = sx.append_units(art_rows, art_sign, 0.0, np.inf, 1.0)
+    sx.artificial = slice(n + slack_rows.size, sx.a.shape[1])
+    by_slack = uncovered[slack_ok]
+    basis[by_slack] = slack_cols[np.searchsorted(slack_rows, by_slack)]
     basis[art_rows] = art_cols
-    w = np.concatenate([w, np.zeros(n_slack + n_art)])
-    w[slack_col[uncovered[slack_ok]]] = residual[slack_ok]
-    w[art_cols] = np.abs(residual[~slack_ok])
-    c1 = np.zeros(w.size)
-    c1[art_cols] = 1.0
-    return _Simplex(a=a, b=lp.rhs, lower=lower, upper=upper,
-                    artificial=slice(n + n_slack, n + n_slack + n_art),
-                    c1=c1, w=w, basis=basis, binv=binv)
+    sx.w[basis[by_slack]] = residual[slack_ok]
+    sx.w[art_cols] = np.abs(residual[~slack_ok])
+    return sx
 
 
 def _run_kernel(sx: _Simplex, c, tol: Tolerances, phase: str):
     try:
-        status, iters, y = kernels.simplex_iterate(
+        status, iters, y, sx.etas = kernels.simplex_iterate(
             sx.a, sx.b, c, sx.lower, sx.upper, sx.w, sx.basis, sx.binv, tol,
-            tol.lp_refactor_every, tol.lp_max_iter)
+            tol.lp_refactor_every, tol.lp_max_iter, sx.etas)
     except np.linalg.LinAlgError as exc:
         raise PivotBreakdownError(
             f"singular basis during {phase} refactorization: {exc}", sx.basis) from exc
@@ -511,19 +512,12 @@ def irreducible_infeasible_rows(lp: LinearProgram,
     """
     m = lp.n_rows
     sx = _start(lp)
-    a, k = sx.a, sx.a.shape[1]
-    sx.a = kernels.SparseColumns(
-        (m, k + 2 * m), np.concatenate([a.cols, k + np.arange(2 * m)]),
-        np.concatenate([a.indices, np.arange(m), np.arange(m)]),
-        np.concatenate([a.data, np.ones(m), -np.ones(m)]))
-    sx.lower = np.concatenate([sx.lower, np.zeros(2 * m)])
-    sx.upper = np.concatenate([sx.upper, np.full(2 * m, np.inf)])
-    sx.w = np.concatenate([sx.w, np.zeros(2 * m)])
-    sx.c1 = np.concatenate([sx.c1, np.ones(2 * m)])
+    k = sx.a.shape[1]
+    sx.append_units(np.tile(np.arange(m), 2), np.repeat([1.0, -1.0], m), 0.0, np.inf, 1.0)
     # A view of c1: row 0 prices the +e_r columns, row 1 the -e_r ones.
     # Row r is active while they are priced.
     elastic = sx.c1[k:].reshape(2, m)
-    since_refactor, infeasible, ray = _phase1(sx, tol)
+    _, infeasible, ray = _phase1(sx, tol)
     if not infeasible:
         return []
 
@@ -540,18 +534,8 @@ def irreducible_infeasible_rows(lp: LinearProgram,
     for r in range(m):
         if not elastic[0, r]:
             continue
-        # The kernel refactorizes within one call only; eta updates kept
-        # from earlier trials count here.
-        if since_refactor >= tol.lp_refactor_every:
-            try:
-                kernels.refactor(sx.a, sx.b, sx.w, sx.basis, sx.binv)
-            except np.linalg.LinAlgError as exc:
-                raise PivotBreakdownError(
-                    f"singular basis during diagnosis refactorization: {exc}", sx.basis) from exc
-            since_refactor = 0
         elastic[:, r] = 0.0
-        iters, infeasible, ray = _phase1(sx, tol)
-        since_refactor += iters
+        _, infeasible, ray = _phase1(sx, tol)
         if infeasible:
             drop_outside_support(ray)
         else:

@@ -78,6 +78,11 @@ class RcotInstance:
     def n_factors(self) -> int:
         return self.f_star.shape[0]
 
+    @property
+    def row_labels(self) -> tuple[str, ...]:
+        return tuple(f"demand:{s}" for s in self.sector_labels) \
+            + tuple(f"cap:{s}" for s in self.factor_labels)
+
 
 @dataclass
 class RcotSolution:
@@ -97,10 +102,8 @@ def build_rcot_lp(inst: RcotInstance) -> LinearProgram:
     rows = np.vstack([inst.i_star - inst.a_star, inst.f_star])
     senses = (lp.GREATER_EQUAL,) * inst.n_sectors + (lp.LESS_EQUAL,) * inst.n_factors
     rhs = np.concatenate([inst.y, inst.f])
-    row_labels = tuple(f"demand:{s}" for s in inst.sector_labels) \
-        + tuple(f"cap:{s}" for s in inst.factor_labels)
     return LinearProgram(cost=inst.pi @ inst.f_star, rows=rows, senses=senses,
-                         rhs=rhs, var_labels=inst.tech_labels, row_labels=row_labels)
+                         rhs=rhs, var_labels=inst.tech_labels, row_labels=inst.row_labels)
 
 
 def solve_rcot(inst: RcotInstance, tol: Tolerances = DEFAULT_TOLERANCES) -> RcotSolution:

@@ -267,6 +267,16 @@ def test_leontief_square_model(runner, square_files):
     assert "objective,44.2553," in lines
 
 
+def test_leontief_and_rcot_report_the_same_binding_rows(runner, square_files):
+    # both commands take the row labels from one rule in rcot
+    keys = []
+    for command in ("leontief", "rcot"):
+        result = runner.invoke(main, ["--format", "json", command, *square_files])
+        assert result.exit_code == 0, result.output
+        keys.append(list(json.loads(result.stdout)["binding"]))
+    assert keys[0] == keys[1] == ["demand:p1", "demand:p2", "cap:fac"]
+
+
 def test_leontief_rejects_non_square(runner):
     result = runner.invoke(main, ["leontief", ECONOMY, SCENARIO])
     assert result.exit_code == 2
@@ -530,22 +540,26 @@ def test_malformed_documents_exit_two(runner, tmp_path, command, model, source, 
 HUGE = "99999999999999999999999"
 
 
-@pytest.mark.parametrize("command, model, old, new, data", [
-    ("simulate", CHAIN, 'duration="2"', f'duration="{HUGE}"', SCHEDULE),
-    ("hfnmcf-full", ECONOMY, 'id="c1" resource="economy" process="p1"',
-     f'id="c1" resource="economy" process="p1" duration="{HUGE}"', SCENARIO),
-], ids=["simulate", "hfnmcf-full"])
-def test_out_of_range_duration_exits_two(runner, tmp_path, command, model, old, new, data):
-    # a duration beyond int64 once escaped as an OverflowError (exit 1)
+@pytest.mark.parametrize("command, model, cap, old, new, data", [
+    ("simulate", CHAIN, "cap-ship", 'duration="2"', f'duration="{HUGE}"', (SCHEDULE,)),
+    ("convert", CHAIN, "cap-ship", 'duration="2"', f'duration="{HUGE}"', ()),
+    ("hfnmcf-full", ECONOMY, "c1", 'id="c1" resource="economy" process="p1"',
+     f'id="c1" resource="economy" process="p1" duration="{HUGE}"', (SCENARIO,)),
+], ids=["simulate", "convert", "hfnmcf-full"])
+def test_out_of_range_duration_exits_two(runner, tmp_path, command, model, cap, old, new,
+                                         data):
+    # a duration beyond int64 once escaped as an OverflowError (exit 1);
+    # the model check refuses it before any net is built
     text = open(model, encoding="utf-8").read()
     assert old in text
     path = tmp_path / "model.xml"
     path.write_text(text.replace(old, new), encoding="utf-8")
-    result = runner.invoke(main, [command, str(path), data])
+    result = runner.invoke(main, [command, str(path), *data])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"must be an integer >= 0 and < 2**63, got {HUGE}" in result.stderr
-    assert "durations[" in result.stderr and "Traceback" not in result.output
+    assert f"invalid system model: capability[{cap}].duration: duration must be an " \
+        f"integer >= 0 and < 2**63, got {HUGE}" in result.stderr
+    assert "Traceback" not in result.output
 
 
 def test_infeasible_program_exits_three(runner, tmp_path):

@@ -96,6 +96,21 @@ def test_capability_duration_validation():
     assert any("duration" in str(v) for v in validate(model))
 
 
+@pytest.mark.parametrize("duration, valid", [
+    (2 ** 63, False), (True, False), (1.5, False), ("3", False),
+    (0, True), (2 ** 63 - 1, True),
+])
+def test_capability_duration_is_a_count(duration, valid):
+    # the model layer and every net read a duration by one rule: an int64 >= 0
+    good = tiny_model().capabilities[0]
+    model = tiny_model(capabilities=(
+        Capability("c1", good.resource, good.process, good.pull, good.push, duration),))
+    bad = [str(v) for v in validate(model) if v.path == "capability[c1].duration"]
+    assert bad == ([] if valid else [
+        f"capability[c1].duration: duration must be an integer >= 0 and < 2**63, "
+        f"got {duration!r}"])
+
+
 def test_pull_push_completeness():
     # missing pull for the input operand
     model = tiny_model(capabilities=(

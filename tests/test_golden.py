@@ -72,6 +72,13 @@ def test_case_file_validation(tmp_path):
     with pytest.raises(JsonFormatError, match="lacks 'factor_use'"):
         load_case(missing_key)
 
+    uses_not_an_object = tmp_path / "uses.json"
+    uses_not_an_object.write_text(json.dumps(
+        {"schema": "heconet-golden/1", "model": "m.xml", "scenario": "s.json",
+         "expected": {"objective": {}, "x": {}, "factor_use": []}}))
+    with pytest.raises(JsonFormatError, match="expected 'factor_use' must be an object"):
+        load_case(uses_not_an_object)
+
 
 def test_relative_paths_resolve_against_case_dir(tmp_path):
     case_dir = tmp_path / "cases"

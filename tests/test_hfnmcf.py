@@ -86,6 +86,18 @@ def test_layout_step_range_errors():
         layout.ul_minus(-1)
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"horizon": -1}, "horizon"), ({"horizon": 0}, "horizon"), ({"horizon": 2.5}, "horizon"),
+    ({"horizon": True}, "horizon"), ({"n_places": -1}, "n_places"),
+    ({"n_transitions": 2 ** 63}, "n_transitions"),
+    ({"operand_shapes": ((1, 1), (1, 0.5))}, "operand_shapes[1][1]"),
+])
+def test_layout_rejects_a_bad_count(changes, field):
+    fields = dict(horizon=2, n_places=2, n_transitions=1, operand_shapes=())
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer")):
+        VariableLayout(**{**fields, **changes})
+
+
 def test_layout_operand_offsets_accumulate():
     layout = VariableLayout(horizon=1, n_places=2, n_transitions=2,
                             operand_shapes=((3, 2), (1, 4)))

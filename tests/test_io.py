@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import json
 import re
@@ -312,6 +313,17 @@ def test_generated_models_round_trip_and_build_as_a_plain_loop(model):
     assert np.array_equal(inc.m_plus, m_plus)
 
 
+def test_xml_writer_writes_a_duration_as_a_count():
+    # the model check reads 2.0 as the count 2, and so does the writer
+    model = parse_system_xml(MINIMAL)
+    cap = model.capabilities[0]
+    model = dataclasses.replace(model, capabilities=(dataclasses.replace(cap, duration=2.0),))
+    assert validate(model) == []
+    text = write_system_xml(model).decode()
+    assert 'duration="2"' in text
+    assert parse_system_xml(text).capabilities[0].duration == 2
+
+
 def test_xml_writer_escapes_attribute_values():
     text = MINIMAL.replace('<operand id="a" unit="kg"/>',
                            '<operand id="a" unit="kg" name="a &amp; b &lt;raw&gt;"/>')
@@ -440,6 +452,12 @@ def test_scenario_errors():
         load_scenario(scenario_doc(demand={"a": -3}))
     with pytest.raises(JsonFormatError, match="schema mismatch"):
         load_scenario(scenario_doc(schema="other/1"))
+    with pytest.raises(ScenarioError, match="'boundary' must be an object"):
+        load_scenario(scenario_doc(boundary=[]))
+    with pytest.raises(ScenarioError, match="'boundary' has unknown keys: q_x"):
+        load_scenario(scenario_doc(boundary={"q_x": [1.0]}))
+    with pytest.raises(ScenarioError, match="holds a number too large for a float"):
+        load_scenario(scenario_doc(demand={"a": 10 ** 400}))
 
 
 def test_scenario_horizon_is_a_count():
@@ -515,6 +533,8 @@ def test_schedule_defaults_and_errors():
         load_schedule(schedule_doc(dt=0))
     with pytest.raises(JsonFormatError, match="'q_e' must be a non-empty list of numbers"):
         load_schedule(schedule_doc(q_e=7))
+    with pytest.raises(JsonFormatError, match="holds a number too large for a float"):
+        load_schedule(schedule_doc(u_minus=[[10 ** 400, 1.0]]))
     with pytest.raises(JsonFormatError, match="schema mismatch"):
         load_schedule(json.dumps({"schema": "x", "u_minus": [[1.0]]}))
 

@@ -13,10 +13,10 @@ def run_simplex(dense, b, c, lower, upper, x, basis, max_iter=1000, refactor_eve
     x = np.array(x, dtype=float)
     basis = np.array(basis, dtype=np.int64)
     binv = np.linalg.inv(dense[:, basis])
-    status, iters, y = kernels.simplex_iterate(
+    status, iters, y, _ = kernels.simplex_iterate(
         kernels.SparseColumns.from_dense(dense), np.asarray(b, dtype=float), np.asarray(c, dtype=float),
         np.asarray(lower, dtype=float), np.asarray(upper, dtype=float),
-        x, basis, binv, DEFAULT_TOLERANCES, refactor_every, max_iter)
+        x, basis, binv, DEFAULT_TOLERANCES, refactor_every, max_iter, 0)
     return status, iters, x, basis, y
 
 
@@ -208,7 +208,8 @@ def test_basis_inverse_rejects_a_singular_basis(dense, basis, message):
 
 def test_singular_refactorization_is_a_pivot_breakdown(monkeypatch):
     # The first inverse is the crash basis; every later one is a
-    # refactorization, here after each pivot.
+    # refactorization by the kernel, here after each pivot, in a solve
+    # and in the deletion filter alike.
     calls = []
     inverse = kernels.basis_inverse
 
@@ -221,12 +222,14 @@ def test_singular_refactorization_is_a_pivot_breakdown(monkeypatch):
     program = lp.LinearProgram(cost=[1.0, 1.0], rows=[[1.0, 1.0], [1.0, -1.0]],
                                senses=(lp.EQUAL, lp.EQUAL), rhs=[4.0, 2.0])
     tol = DEFAULT_TOLERANCES.replace(lp_refactor_every=1)
-    with pytest.raises(lp.PivotBreakdownError,
-                       match="singular basis during phase 1 refactorization") as caught:
-        lp.solve_lp(program, tol)
-    assert len(calls) == 2
-    assert len(caught.value.basis) == 2
-    assert "basis columns: " in str(caught.value)
+    for run in (lp.solve_lp, lp.irreducible_infeasible_rows):
+        calls.clear()
+        with pytest.raises(lp.PivotBreakdownError,
+                           match="singular basis during phase 1 refactorization") as caught:
+            run(program, tol)
+        assert len(calls) == 2
+        assert len(caught.value.basis) == 2
+        assert "basis columns: " in str(caught.value)
 
 
 def test_trajectory_recurrence_by_hand():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heconet.config import DEFAULT_TOLERANCES
-from heconet.leontief import (NonProductiveEconomyError, SquareEio,
+from heconet.leontief import (NonProductiveEconomyError, SingularSystemError, SquareEio,
                               coefficients_from_flows, leontief_inverse,
                               solve, spectral_radius)
 
@@ -55,6 +55,22 @@ def test_nonproductive_rejected():
     assert err.value.radius >= 1.0
     with pytest.raises(NonProductiveEconomyError):
         leontief_inverse(np.array([[0.5, 0.6], [0.6, 0.5]]))
+
+
+def test_power_iteration_warns_when_it_does_not_converge():
+    tol = DEFAULT_TOLERANCES.replace(spectral_max_iter=1)
+    with pytest.warns(RuntimeWarning, match="did not converge within 1 iterations"):
+        spectral_radius(np.array([[0.2, 0.3], [0.1, 0.4]]), tol)
+
+
+def test_residual_checks_raise_singular_system_error():
+    # round-off leaves residuals of about 1e-16 here, far above 1e-300
+    tol = DEFAULT_TOLERANCES.replace(inverse_residual=1e-300)
+    a = np.array([[0.2, 0.3], [0.4, 0.1]])
+    with pytest.raises(SingularSystemError, match="inverse residual .* exceeds 1.000e-300"):
+        leontief_inverse(a, tol)
+    with pytest.raises(SingularSystemError, match="solve residual .* exceeds tolerance"):
+        solve(SquareEio(a=a, f=np.ones((1, 2))), [3.0, 7.0], tol)
 
 
 def test_productivity_margin_boundary():

@@ -291,6 +291,13 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         LinearProgram(cost=[1.0], rows=[[np.inf]],
                       senses=(lp.LESS_EQUAL,), rhs=[1.0])
+    with pytest.raises(ValueError, match="senses must have length 1"):
+        LinearProgram(cost=[1.0], rows=[[1.0]], senses=(lp.LESS_EQUAL, lp.EQUAL), rhs=[1.0])
+    with pytest.raises(ValueError, match=r"lower bounds must be < \+inf"):
+        LinearProgram(cost=[1.0], rows=[[1.0]], senses=(lp.LESS_EQUAL,), rhs=[1.0],
+                      lower=[np.inf])
+    with pytest.raises(ValueError, match="cost must be an array of numbers"):
+        LinearProgram(cost="abc", rows=[[1.0]], senses=(lp.LESS_EQUAL,), rhs=[1.0])
 
 
 def test_caller_writes_do_not_reach_the_program():
@@ -390,20 +397,14 @@ def irreducible_rows_by_restore(program, tol=DEFAULT_TOLERANCES) -> list:
 
     Every row r gets one relaxation column e_r, fixed at [0, 0], and
     deleting r frees it.  A trial that turns feasible restores the
-    basis, point and inverse saved before it, so the next trial drains
-    the artificial load again from there.
+    basis, point, inverse and eta count saved before it, so the next
+    trial drains the artificial load again from there.
     """
     m = program.n_rows
     sx = lp._start(program)
-    a, k = sx.a, sx.a.shape[1]
-    sx.a = kernels.SparseColumns(
-        (m, k + m), np.concatenate([a.cols, k + np.arange(m)]),
-        np.concatenate([a.indices, np.arange(m)]), np.concatenate([a.data, np.ones(m)]))
-    sx.lower = np.concatenate([sx.lower, np.zeros(m)])
-    sx.upper = np.concatenate([sx.upper, np.zeros(m)])
-    sx.w = np.concatenate([sx.w, np.zeros(m)])
-    sx.c1 = np.concatenate([sx.c1, np.zeros(m)])
-    since_refactor, infeasible, _ = lp._phase1(sx, tol)
+    k = sx.a.shape[1]
+    sx.append_units(np.arange(m), np.ones(m), 0.0, 0.0, 0.0)
+    _, infeasible, _ = lp._phase1(sx, tol)
     if not infeasible:
         return []
     active = np.ones(m, dtype=bool)
@@ -427,17 +428,13 @@ def irreducible_rows_by_restore(program, tol=DEFAULT_TOLERANCES) -> list:
     for r in range(m):
         if not active[r]:
             continue
-        if since_refactor >= tol.lp_refactor_every:
-            kernels.refactor(sx.a, sx.b, sx.w, sx.basis, sx.binv)
-            since_refactor = 0
-        saved = sx.w.copy(), sx.basis.copy(), sx.binv.copy()
+        saved = sx.w.copy(), sx.basis.copy(), sx.binv.copy(), sx.etas
         drop(r)
-        iters, infeasible, _ = lp._phase1(sx, tol)
+        _, infeasible, _ = lp._phase1(sx, tol)
         if infeasible:
-            since_refactor += iters
             drop_outside_support()
         else:
-            sx.w, sx.basis, sx.binv = saved
+            sx.w, sx.basis, sx.binv, sx.etas = saved
             active[r] = True
             sx.lower[k + r] = sx.upper[k + r] = 0.0
     return [program.row_labels[i] for i in np.flatnonzero(active)]
@@ -478,9 +475,9 @@ def test_water_cut_diagnosis_pivots(water_cut_problem, monkeypatch):
     iterate = kernels.simplex_iterate
 
     def counted(*args):
-        status, iters, y = iterate(*args)
-        pivots.append(iters)
-        return status, iters, y
+        result = iterate(*args)
+        pivots.append(result[1])
+        return result
     monkeypatch.setattr(kernels, "simplex_iterate", counted)
     witness = irreducible_infeasible_rows(hfnmcf.build_full(water_cut_problem))
     assert len(witness) == 84
@@ -558,6 +555,32 @@ def test_time_expanded_solve_inverts_no_dense_matrix(economy_incidence, monkeypa
     result = solve_lp(program)
     assert result.status is LpStatus.OPTIMAL
     assert result.iterations == 21
+    assert result.objective == pytest.approx(ECONOMY_Z, rel=1e-9)
+
+
+def test_the_eta_count_runs_on_from_phase_1_into_phase_2(economy_instance, monkeypatch):
+    # 4 phase-1 pivots and 2 phase-2 pivots make 6 eta updates, so at
+    # lp_refactor_every=5 the basis is inverted once after the crash,
+    # although neither phase alone reaches 5.
+    from heconet import rcot
+    inverses, iterations = [], []
+    inverse, iterate = kernels.basis_inverse, kernels.simplex_iterate
+
+    def counted_inverse(a, basis):
+        inverses.append(len(basis))
+        return inverse(a, basis)
+
+    def counted_iterate(*args):
+        result = iterate(*args)
+        iterations.append(result[1])
+        return result
+    monkeypatch.setattr(kernels, "basis_inverse", counted_inverse)
+    monkeypatch.setattr(kernels, "simplex_iterate", counted_iterate)
+    tol = DEFAULT_TOLERANCES.replace(lp_refactor_every=5)
+    result = solve_lp(rcot.build_rcot_lp(economy_instance), tol)
+    assert result.status is LpStatus.OPTIMAL
+    assert iterations == [4, 2]
+    assert len(inverses) == 2
     assert result.objective == pytest.approx(ECONOMY_Z, rel=1e-9)
 
 

@@ -256,6 +256,10 @@ def test_simulate_validates_schedule():
         simulate(net, initial, np.array([[1.0, -1.0]]))
     with pytest.raises(ValueError):
         simulate(net, initial, np.array([[np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="initial marking shapes do not match the net"):
+        simulate(net, Marking(np.zeros(2), np.zeros(2)), np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="schedule must be a K x n_transitions matrix"):
+        derive_completions(net.durations, np.array([1.0, 0.0]))
 
 
 def test_simulation_result_sequence_protocol():

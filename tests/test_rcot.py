@@ -52,9 +52,9 @@ def test_instance_validation():
         RcotInstance(i_star=np.array([[1.0, 1.0], [0.0, 0.0]]),
                      a_star=np.zeros((2, 2)), f_star=np.ones((1, 2)),
                      y=[1, 1], f=[9], pi=[1])
-    with pytest.raises(ValueError):       # non-binary entries
-        RcotInstance(i_star=np.array([[0.5], [0.5]]),
-                     a_star=np.zeros((2, 1)), f_star=np.ones((1, 1)),
+    with pytest.raises(ValueError, match="i_star entries must be 0 or 1"):
+        RcotInstance(i_star=np.array([[0.5, 1.0], [0.5, 0.0]]),
+                     a_star=np.zeros((2, 2)), f_star=np.ones((1, 2)),
                      y=[1, 1], f=[9], pi=[1])
     with pytest.raises(ValueError):       # t < n
         RcotInstance(i_star=np.array([[1.0], [0.0]]),
