@@ -19,14 +19,10 @@ class Tolerances:
 
     Attributes
     ----------
-    spectral_tol:
-        Relative convergence threshold for the power-iteration spectral
-        radius estimate.
-    spectral_max_iter:
-        Iteration cap for power iteration.
     productive_margin:
-        An economy is rejected as non-productive when its spectral
-        radius exceeds ``1 - productive_margin``.
+        An economy is rejected as non-productive unless its spectral
+        radius is below ``1 - productive_margin``, decided exactly from
+        the pivots of ``(1 - productive_margin) I - A``.
     inverse_residual:
         Max-norm bound on ``(I - A) B - I`` accepted for a computed
         Leontief inverse ``B``.
@@ -61,8 +57,6 @@ class Tolerances:
     ``ValueError`` at construction.
     """
 
-    spectral_tol: float = 1e-10
-    spectral_max_iter: int = 10_000
     productive_margin: float = 1e-9
     inverse_residual: float = 1e-9
     lp_pivot: float = 1e-11

@@ -42,7 +42,6 @@ import math
 import warnings
 import xml.parsers.expat
 from dataclasses import dataclass, field
-from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -253,8 +252,17 @@ def parse_system_xml(data) -> SystemModel:
     return model
 
 
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                               "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
 def _attr(name: str, value: str) -> str:
-    return f" {name}={quoteattr(value)}"
+    # the bytes of xml.sax.saxutils.quoteattr, whose import pulls in urllib
+    value = value.translate(_ATTR_ESCAPES)
+    if '"' in value and "'" in value:
+        value = value.replace('"', "&quot;")
+    quote = "'" if '"' in value else '"'
+    return f" {name}={quote}{value}{quote}"
 
 
 def write_system_xml(model: SystemModel) -> bytes:

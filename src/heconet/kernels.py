@@ -1,8 +1,7 @@
 """Hot numeric loops, in plain numpy.
 
-The trajectory roll is one cumulative sum over the schedule, the
-spectral radius a shifted power iteration, and the simplex kernel works
-on sparse columns with numpy array operations.
+The trajectory roll is one cumulative sum over the schedule, and the
+simplex kernel works on sparse columns with numpy array operations.
 """
 
 import numpy as np
@@ -315,29 +314,3 @@ def esn_trajectory(m_plus, m_minus, qb0, qe0, u_plus, u_minus, dt):
     np.cumsum(qb, axis=0, out=qb)
     np.cumsum(qe, axis=0, out=qe)
     return qb, qe
-
-
-def nonneg_power_radius(a, tol, max_iter):
-    """Spectral radius of a nonnegative square matrix by power iteration.
-
-    Iterates on ``a + I`` instead of ``a``: the shift leaves the
-    dominant eigenvector unchanged, moves the dominant eigenvalue to
-    radius + 1, and makes the iteration converge even on periodic
-    structures (the shifted matrix has positive diagonal).  Returns
-    (radius, iterations, converged).
-    """
-    n = a.shape[0]
-    if n == 0:
-        return 0.0, 0, True
-    shifted = a + np.eye(n)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    est = 1.0
-    for it in range(1, max_iter + 1):
-        w = np.dot(shifted, v)
-        norm = np.linalg.norm(w)
-        v = w / norm
-        if it > 1 and abs(norm - est) <= tol * max(1.0, norm):
-            return norm - 1.0, it, True
-        est = norm
-    return est - 1.0, max_iter, False
-

@@ -2,8 +2,9 @@
 
 Given a nonnegative technical-coefficient matrix ``a`` with spectral
 radius below one (a productive economy), gross output solves
-``(I - a) x = y`` and factor use is ``phi = f x``.  The spectral radius
-is estimated by power iteration; linear systems are solved by LU
+``(I - a) x = y`` and factor use is ``phi = f x``.  Productivity is
+decided exactly, by the Hawkins-Simon pivots of ``(1 - m) I - a`` with
+``m`` the ``productive_margin``; linear systems are solved by LU
 factorization with an explicit residual check rather than by forming
 the inverse times the right-hand side.
 """
@@ -13,18 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from heconet import kernels
 from heconet.checks import checked_array, checked_labels, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 
 
 class NonProductiveEconomyError(ValueError):
-    """Spectral radius of the coefficient matrix is not below one."""
+    """Spectral radius of the coefficient matrix is not below ``threshold``,
+    which is ``1 - productive_margin``.
 
-    def __init__(self, radius: float):
+    The verdict is exact; ``radius`` comes from the eigenvalues for the
+    report, so a radius that rounds below the threshold is not claimed
+    to reach it.
+    """
+
+    def __init__(self, radius: float, threshold: float):
         self.radius = radius
-        super().__init__(
-            f"economy is not productive: spectral radius {radius:.12g} >= 1")
+        self.threshold = threshold
+        claim = f"spectral radius {radius:.12g} >= {threshold:.12g}" if radius >= threshold \
+            else f"spectral radius is not below {threshold:.12g} (eigenvalues give {radius:.12g})"
+        super().__init__(f"economy is not productive: {claim}")
 
 
 class SingularSystemError(RuntimeError):
@@ -67,23 +75,32 @@ def coefficients_from_flows(z, x) -> np.ndarray:
     return z / x[np.newaxis, :]
 
 
-def spectral_radius(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Power-iteration estimate of the spectral radius of nonnegative a."""
+def spectral_radius(a) -> float:
+    """Largest eigenvalue modulus of nonnegative a (0 for an empty matrix).
+
+    For reports only: productivity is decided without it.
+    """
     a = checked_array(a, "coefficient matrix", ("n", "n"), nonneg=True)
-    radius, _, converged = kernels.nonneg_power_radius(
-        a, tol.spectral_tol, tol.spectral_max_iter)
-    if not converged:
-        warnings.warn(
-            f"power iteration did not converge within {tol.spectral_max_iter} "
-            f"iterations; using last estimate {radius:.12g}",
-            RuntimeWarning, stacklevel=2)
-    return radius
+    return float(np.max(np.abs(np.linalg.eigvals(a)))) if a.size else 0.0
 
 
 def _require_productive(a, tol: Tolerances) -> None:
-    radius = spectral_radius(a, tol)
-    if radius >= 1.0 - tol.productive_margin:
-        raise NonProductiveEconomyError(radius)
+    """Raise unless rho(a) < s, with s = 1 - productive_margin.
+
+    For a >= 0, rho(a) < s exactly when s I - a is a nonsingular
+    M-matrix, which holds exactly when Gaussian elimination of s I - a
+    without pivoting meets only positive pivots (Hawkins & Simon,
+    Econometrica 1949; Berman & Plemmons 1994, ch. 6).  Each Schur
+    complement of an M-matrix is again one, so the elimination is stable
+    up to the first pivot that is not > 0, where it stops.
+    """
+    threshold = 1.0 - tol.productive_margin
+    m = threshold * np.eye(a.shape[0]) - a
+    for k in range(a.shape[0]):
+        pivot = m[k, k]
+        if not pivot > 0:
+            raise NonProductiveEconomyError(spectral_radius(a), threshold)
+        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / pivot, m[k, k + 1:])
 
 
 def leontief_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

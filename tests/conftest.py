@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,30 @@ ECONOMY_X = np.array([99.78831932773108, 0.0, 87.53639733674777,
                       0.0, 26.643903045734388, 71.95309718137257])
 ECONOMY_PHI_CAPITAL = 497.92408404382263
 ECONOMY_PHI_WATER = 342.0
+
+# A square two-product economy (one technology per product) for the
+# leontief command, with A = [[0, .3], [.2, 0]] and one factor.
+SQUARE_XML = """<?xml version='1.0'?>
+<system>
+  <operand id="p1" unit="M$"/>
+  <operand id="p2" unit="M$"/>
+  <operand id="fac" unit="M$"/>
+  <resource id="mill" kind="transformation"/>
+  <process id="t1"><output operand="p1" coeff="1.0"/>
+    <input operand="p2" coeff="0.2"/><input operand="fac" coeff="1.5"/></process>
+  <process id="t2"><output operand="p2" coeff="1.0"/>
+    <input operand="p1" coeff="0.3"/><input operand="fac" coeff="0.8"/></process>
+  <capability resource="mill" process="t1"/>
+  <capability resource="mill" process="t2"/>
+</system>
+"""
+
+SQUARE_SCENARIO = json.dumps({
+    "schema": "heconet-scenario/1",
+    "demand": {"p1": 10.0, "p2": 20.0},
+    "availability": {"fac": 100.0},
+    "prices": {"fac": 1.0},
+})
 
 PROCESS_NAMES = (
     "produces manufactured products",
@@ -130,14 +156,14 @@ def water_cut_problem(economy_incidence):
 def warm_kernels():
     """Run the solver and kernels once so timed assertions measure
     solves, not first calls."""
-    from heconet import kernels, lp
+    from heconet import kernels, leontief, lp
     from heconet.lp import LinearProgram, solve_lp
     program = LinearProgram(cost=[1.0], rows=[[1.0]], senses=(lp.GREATER_EQUAL,),
                             rhs=[1.0])
     solve_lp(program)
     kernels.esn_trajectory(np.ones((1, 1)), np.ones((1, 1)), np.zeros(1),
                            np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
-    kernels.nonneg_power_radius(np.array([[0.5]]), 1e-10, 100)
+    leontief.leontief_inverse(np.array([[0.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 These deliberately avoid the package's own algorithms: the LP oracle
 enumerates basic solutions geometrically, the series oracle sums the
 Neumann expansion, and the radius oracle calls the dense eigenvalue
-routine.
+routine on each irreducible block.
 """
 
 import itertools
@@ -95,4 +95,22 @@ def neumann_output(a, y, terms: int = 400) -> np.ndarray:
 
 
 def eig_radius(a) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a, dtype=float)))))
+    """Spectral radius of nonnegative ``a``: the largest over the strongly
+    connected components of its graph of the dense eigenvalue radius of
+    that diagonal block (0 for an empty matrix).
+
+    The eigenvalues of the whole matrix are not used: where blocks of
+    nearly equal radius are coupled they are ill-conditioned, and on
+    block-triangular matrices scaled to a radius of 1 +- 1e-6 they were
+    off by up to 2.4e-7, while each block on its own is well conditioned.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    reach = (a > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    radius = 0.0
+    for component in np.unique(reach & reach.T, axis=0):
+        block = np.ix_(component, component)
+        radius = max(radius, float(np.max(np.abs(np.linalg.eigvals(a[block])))))
+    return radius

@@ -13,35 +13,13 @@ import heconet
 from heconet.cli import main
 from heconet.io import read_incidence_json
 
-from conftest import ECONOMY_Z
+from conftest import ECONOMY_Z, SQUARE_SCENARIO, SQUARE_XML
 
 DATA = resources.files("heconet") / "data"
 ECONOMY = str(DATA / "three_sector_economy.xml")
 SCENARIO = str(DATA / "three_sector_scenario.json")
 CHAIN = str(DATA / "two_node_chain.xml")
 SCHEDULE = str(DATA / "two_node_schedule.json")
-
-SQUARE_XML = """<?xml version='1.0'?>
-<system>
-  <operand id="p1" unit="M$"/>
-  <operand id="p2" unit="M$"/>
-  <operand id="fac" unit="M$"/>
-  <resource id="mill" kind="transformation"/>
-  <process id="t1"><output operand="p1" coeff="1.0"/>
-    <input operand="p2" coeff="0.2"/><input operand="fac" coeff="1.5"/></process>
-  <process id="t2"><output operand="p2" coeff="1.0"/>
-    <input operand="p1" coeff="0.3"/><input operand="fac" coeff="0.8"/></process>
-  <capability resource="mill" process="t1"/>
-  <capability resource="mill" process="t2"/>
-</system>
-"""
-
-SQUARE_SCENARIO = json.dumps({
-    "schema": "heconet-scenario/1",
-    "demand": {"p1": 10.0, "p2": 20.0},
-    "availability": {"fac": 100.0},
-    "prices": {"fac": 1.0},
-})
 
 
 @pytest.fixture()
@@ -283,6 +261,31 @@ def test_leontief_rejects_non_square(runner):
     assert "square analysis needs exactly one technology" in result.stderr
 
 
+def test_leontief_rejects_a_block_economy_beyond_one(runner, tmp_path):
+    # 30 sectors that use 0.999 / 30 of each other's output, beside one
+    # sector that uses 1.000001 of its own: rho = 1.000001
+    a = np.zeros((31, 31))
+    a[:30, :30] = 0.999 / 30
+    a[30, 30] = 1.000001
+    processes = "".join(
+        f'<process id="t{j}"><output operand="p{j}" coeff="1.0"/>'
+        + "".join(f'<input operand="p{i}" coeff="{float(a[i, j])!r}"/>' for i in np.flatnonzero(a[:, j]))
+        + '<input operand="fac" coeff="1.0"/></process>\n' for j in range(31))
+    model = tmp_path / "block.xml"
+    model.write_text(
+        "<system>\n" + "".join(f'<operand id="p{j}" unit="M$"/>\n' for j in range(31))
+        + '<operand id="fac" unit="M$"/>\n<resource id="mill" kind="transformation"/>\n' + processes
+        + "".join(f'<capability resource="mill" process="t{j}"/>\n' for j in range(31))
+        + "</system>\n")
+    scenario = tmp_path / "block.json"
+    scenario.write_text(json.dumps({
+        "schema": "heconet-scenario/1", "demand": {f"p{j}": 1.0 for j in range(31)},
+        "availability": {"fac": 1e9}, "prices": {"fac": 1.0}}))
+    result = runner.invoke(main, ["leontief", str(model), str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert "economy is not productive: spectral radius 1.000001 >=" in result.stderr
+
+
 def test_convert_incidence_round_trips(runner, economy_incidence):
     result = runner.invoke(main, ["convert", ECONOMY])
     assert result.exit_code == 0, result.output
@@ -470,6 +473,16 @@ def test_bad_tolerance_config(runner, tmp_path):
     assert "bad tolerance config" in result.stderr
 
 
+@pytest.mark.parametrize("key", ["spectral_tol", "spectral_max_iter"])
+def test_removed_tolerance_keys_exit_two(runner, tmp_path, key):
+    # a file that still names a removed knob is refused, not ignored
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({key: 1e-10}))
+    result = runner.invoke(main, ["--tolerance-config", str(cfg), "golden"])
+    assert result.exit_code == 2
+    assert f"unknown tolerance keys: {key}" in result.stderr
+
+
 @pytest.mark.parametrize("text", ['{"lp_pivot": NaN}', '{"lp_max_iter": -5}'])
 def test_out_of_range_tolerance_config_exits_two(runner, tmp_path, text):
     cfg = tmp_path / "tol.json"
@@ -585,6 +598,18 @@ def test_hfnmcf_full_prints_conflicting_rows_once(tmp_path):
     assert out.stderr.count("conflicting rows") == 1
     assert out.stderr.startswith("conflicting rows: ")
     assert "water@economy" in out.stderr
+
+
+def test_cli_import_does_not_pull_in_xml_sax_or_urllib():
+    # xml.sax.saxutils would pull in urllib.request, http.client, ssl and
+    # email at every process start; the XML writer escapes on its own
+    package_root = os.path.dirname(os.path.dirname(heconet.__file__))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, heconet.cli; "
+                          "print(*(m in sys.modules for m in ('xml.sax', 'urllib.request')))"],
+                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_cli_import_does_not_pull_in_scipy():

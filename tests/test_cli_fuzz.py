@@ -12,12 +12,16 @@ import copy
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heconet.cli import main
+
+from conftest import SQUARE_SCENARIO, SQUARE_XML
 
 DATA = resources.files("heconet") / "data"
 ECONOMY = str(DATA / "three_sector_economy.xml")
@@ -33,7 +37,16 @@ TIMED_SCENARIO_DOC = dict(
               "q_b_final": [0.0, 0.0, 0.0, None, None]},
     pins={"u_minus": [[None] * 6, [0, 0, 0, 0, 0, 0]]})
 SCHEDULE_DOC = json.loads((DATA / "two_node_schedule.json").read_text())
-TOLERANCE_DOC = {"lp_pivot": 1e-11, "lp_max_iter": 50_000, "spectral_max_iter": 10_000}
+TOLERANCE_DOC = {"lp_pivot": 1e-11, "lp_max_iter": 50_000, "lp_refactor_every": 50}
+SQUARE_SCENARIO_DOC = json.loads(SQUARE_SCENARIO)
+
+
+def beside(path, name, text) -> str:
+    """Write ``text`` to the file ``name`` next to ``path``; its path."""
+    other = Path(path).with_name(name)
+    other.write_text(text, encoding="utf-8")
+    return str(other)
+
 
 DELETE = object()
 # "@@...@@" strings are written as the bare literal between the markers:
@@ -46,7 +59,10 @@ JSON_CASES = [
     (SCENARIO_DOC, lambda path: ["rcot", ECONOMY, path]),
     (SCENARIO_DOC, lambda path: ["hfnmcf-static", ECONOMY, path]),
     (SCENARIO_DOC, lambda path: ["hfnmcf-full", ECONOMY, path]),
-    (SCENARIO_DOC, lambda path: ["leontief", ECONOMY, path]),
+    # leontief needs one technology per product, which the bundled
+    # economy does not have
+    (SQUARE_SCENARIO_DOC,
+     lambda path: ["leontief", beside(path, "square.xml", SQUARE_XML), path]),
     (TIMED_SCENARIO_DOC, lambda path: ["hfnmcf-full", ECONOMY, path]),
     (SCHEDULE_DOC, lambda path: ["simulate", CHAIN, path]),
     (TOLERANCE_DOC, lambda path: ["--tolerance-config", path, "rcot", ECONOMY, SCENARIO]),
@@ -59,6 +75,8 @@ XML_CASES = [
     # a stated zero duration, so that mutations reach the durations
     (ECONOMY_XML.replace('process="p1"', 'process="p1" duration="0"'),
      lambda path: ["hfnmcf-full", path, SCENARIO]),
+    (SQUARE_XML,
+     lambda path: ["leontief", path, beside(path, "square.json", SQUARE_SCENARIO)]),
 ]
 
 
@@ -86,6 +104,18 @@ def mutated(doc, path, value) -> str:
     elif value is not DELETE:
         doc = value
     return re.sub(r'"@@(.*?)@@"', r"\1", json.dumps(doc))
+
+
+@pytest.mark.parametrize("text, args", [
+    *(pytest.param(json.dumps(doc), args, id=f"json{i}") for i, (doc, args) in enumerate(JSON_CASES)),
+    *(pytest.param(text, args, id=f"xml{i}") for i, (text, args) in enumerate(XML_CASES))])
+def test_unbroken_inputs_exit_zero(tmp_path, text, args):
+    # a base case that fails unmutated would let no mutation reach the
+    # command it names
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, args(str(path)))
+    assert result.exit_code == 0, f"{args(str(path))}\n{result.output}"
 
 
 @st.composite

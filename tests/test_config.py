@@ -8,8 +8,8 @@ from heconet.config import DEFAULT_TOLERANCES, Tolerances
 
 def test_defaults():
     t = DEFAULT_TOLERANCES
-    assert t.spectral_tol == 1e-10
-    assert t.spectral_max_iter == 10000
+    assert t.productive_margin == 1e-9
+    assert t.inverse_residual == 1e-9
     assert t.lp_pivot == 1e-11
     assert t.lp_feasibility == 1e-7
     assert t.lp_complementarity == 1e-6
@@ -27,7 +27,7 @@ def test_replace_returns_new_instance():
 
 def test_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        DEFAULT_TOLERANCES.spectral_tol = 1.0
+        DEFAULT_TOLERANCES.productive_margin = 1.0
 
 
 def test_from_json_roundtrip():
@@ -35,7 +35,7 @@ def test_from_json_roundtrip():
     t = Tolerances.from_json(text)
     assert t.lp_pivot == 1e-9
     assert t.lp_max_iter == 123
-    assert t.spectral_tol == DEFAULT_TOLERANCES.spectral_tol
+    assert t.productive_margin == DEFAULT_TOLERANCES.productive_margin
 
 
 def test_from_json_rejects_unknown_key():
@@ -57,7 +57,7 @@ def test_from_json_rejects_non_numeric():
     {"demand_slack": -1e-6},
     {"lp_max_iter": -5},
     {"lp_refactor_every": 0},
-    {"spectral_max_iter": 2.5},
+    {"lp_refactor_every": 2.5},
     {"lp_pivot": True},
     {"lp_max_iter": True},
     {"lp_max_iter": 2**63},

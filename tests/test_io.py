@@ -332,6 +332,28 @@ def test_xml_writer_escapes_attribute_values():
     assert again.operands[0].name == "a & b <raw>"
 
 
+@pytest.mark.parametrize("name, written", [
+    ('say "hi"', """name='say "hi"'"""),
+    ("it's", '''name="it's"'''),
+    ('both " and \'', 'name="both &quot; and \'"'),
+    ("a<b & c>d", 'name="a&lt;b &amp; c&gt;d"'),
+    ("one\ntwo\tthree\rfour", 'name="one&#10;two&#9;three&#13;four"'),
+])
+def test_xml_writer_pins_attribute_bytes(name, written):
+    model = parse_system_xml(MINIMAL)
+    named = dataclasses.replace(model.operands[0], name=name)
+    model = dataclasses.replace(model, operands=(named,) + model.operands[1:])
+    text = write_system_xml(model).decode()
+    assert f'  <operand id="a" {written} unit="kg"/>' in text.splitlines()
+    assert parse_system_xml(text).operands[0].name == name
+
+
+@given(st.text(st.sampled_from("a&<>\"'\n\r\t") | st.characters()))
+def test_xml_writer_quotes_attributes_as_the_standard_library(value):
+    from xml.sax.saxutils import quoteattr
+    assert io._attr("name", value) == f" name={quoteattr(value)}"
+
+
 # --------------------------------------------------------------------------
 # Incidence JSON
 

@@ -4,7 +4,6 @@ import pytest
 from heconet import kernels, lp
 from heconet.config import DEFAULT_TOLERANCES
 
-from oracles import eig_radius
 
 def run_simplex(dense, b, c, lower, upper, x, basis, max_iter=1000, refactor_every=50):
     """Run the kernel from ``basis``; returns (status, iterations, x, basis,
@@ -265,33 +264,3 @@ def test_trajectory_matches_step_loop(seed):
     # may round differently, by a few ulps per step
     assert np.allclose(qb, qb_ref, rtol=0, atol=1e-12 * k)
     assert np.allclose(qe, qe_ref, rtol=0, atol=1e-12 * k)
-
-
-def test_power_radius_matches_dense_eigenvalues():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a = rng.random((5, 5))
-        radius, _, converged = kernels.nonneg_power_radius(a, 1e-12, 10_000)
-        assert converged
-        assert radius == pytest.approx(eig_radius(a), abs=1e-8)
-
-
-def test_power_radius_handles_periodic_structure():
-    # plain power iteration cycles on this matrix; the +I shift does not
-    a = np.array([[0.0, 0.9], [0.9, 0.0]])
-    radius, _, converged = kernels.nonneg_power_radius(a, 1e-12, 10_000)
-    assert converged
-    assert radius == pytest.approx(0.9, abs=1e-10)
-
-
-def test_power_radius_empty_matrix():
-    assert kernels.nonneg_power_radius(np.zeros((0, 0)), 1e-10, 10) == (0.0, 0, True)
-
-
-def test_power_radius_reports_non_convergence():
-    # nearly equal eigenvalues: the estimate keeps drifting past any
-    # realistic tolerance within a 3-step budget
-    a = np.array([[1.0, 0.0], [0.0, 1.0 - 1e-6]])
-    _, iters, converged = kernels.nonneg_power_radius(a, 1e-16, 3)
-    assert not converged
-    assert iters == 3
