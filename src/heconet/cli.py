@@ -61,7 +61,7 @@ def main(ctx, tolerance_config, output, fmt):
     tol = DEFAULT_TOLERANCES
     if tolerance_config is not None:
         try:
-            tol = Tolerances.from_json(Path(tolerance_config).read_text())
+            tol = Tolerances.from_json(Path(tolerance_config).read_bytes())
         except ValueError as exc:
             click.echo(f"error: bad tolerance config: {exc}", err=True)
             sys.exit(2)

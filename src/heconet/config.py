@@ -7,10 +7,9 @@ problem scales this package targets (tens to a few thousand variables).
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
-from heconet.checks import counts, positive, set_fields
+from heconet.checks import as_given, counts, json_document, positive, set_fields
 
 
 @dataclass(frozen=True)
@@ -80,19 +79,10 @@ class Tolerances:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Tolerances":
-        """Build a record from a JSON object of overrides.
-
-        Unknown keys are rejected so that typos in a tolerance file do
-        not silently fall back to defaults.
-        """
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("tolerance config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {', '.join(unknown)}")
-        return cls(**raw)
+        """Build a record from a JSON object of overrides; a key that names
+        no field is refused, so a typo does not fall back to a default."""
+        fields = {f.name: (as_given, f.default) for f in dataclasses.fields(cls)}
+        return cls(**json_document(text, "tolerance", fields, ValueError))
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -8,16 +8,17 @@ checks that both produce the same activity vector.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 from heconet import hfnmcf, rcot
-from heconet.checks import json_numbers
+from heconet.checks import (REQUIRED, JsonFormatError, json_document, json_map, json_numbers,
+                            json_object, json_string)
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 from heconet.core import SystemModel, capability_label
 from heconet.incidence import build_incidence
-from heconet.io import (JsonFormatError, Scenario, _expect_schema, _load_json,
-                        load_scenario, parse_system_xml, vectors_from_scenario)
+from heconet.io import Scenario, load_scenario, parse_system_xml, vectors_from_scenario
 
 GOLDEN_SCHEMA = "heconet-golden/1"
 PIPELINE_AGREEMENT = 1e-6
@@ -77,53 +78,32 @@ class GoldenReport:
         return "\n".join([head] + [f"  {v}" for v in self.values])
 
 
-def _numbers(block, name: str, shapes: dict) -> dict:
-    """The entries of the object ``block`` named in ``shapes``, read as
-    JSON numbers: a float for shape (), a list of floats for (None,).
-    Every block has a ``tolerance``, which must be >= 0."""
-    if not isinstance(block, dict):
-        raise JsonFormatError(f"{name} must be an object")
-    out = {key: json_numbers(block.get(key), f"{name} {key!r}", shape,
-                             JsonFormatError).tolist()
-           for key, shape in shapes.items()}
-    if out["tolerance"] < 0:
-        raise JsonFormatError(f"{name} 'tolerance' must be >= 0")
-    return out
-
-
-def _expected_block(doc: dict, case_name: str) -> dict:
-    """The expected values with every number checked: a mistyped entry is
-    a malformed case, never a failed comparison."""
-    exp = doc.get("expected")
-    if not isinstance(exp, dict):
-        raise JsonFormatError(f"case {case_name!r} has no 'expected' object")
-    for key in ("objective", "x", "factor_use"):
-        if key not in exp:
-            raise JsonFormatError(f"case {case_name!r} expected block lacks {key!r}")
-    uses = exp["factor_use"]
-    if not isinstance(uses, dict):
-        raise JsonFormatError("expected 'factor_use' must be an object")
-    pair = {"value": (), "tolerance": ()}
-    return {"objective": _numbers(exp["objective"], "expected 'objective'", pair),
-            "x": _numbers(exp["x"], "expected 'x'", {"values": (None,), "tolerance": ()}),
-            "factor_use": {name: _numbers(block, f"expected 'factor_use' {name!r}", pair)
-                           for name, block in uses.items()}}
+# Every number of the expected values is checked on reading: a mistyped
+# entry is a malformed case, never a failed comparison.
+_TOLERANCE = (partial(json_numbers, shape=(), nonneg=True), REQUIRED)
+_SOURCE = (json_string, None)          # where an expected value comes from
+_POINT = partial(json_object, fields={"value": (partial(json_numbers, shape=()), REQUIRED),
+                                      "tolerance": _TOLERANCE, "source": _SOURCE})
+_SERIES = partial(json_object, fields={
+    "values": (lambda value, name, error: json_numbers(value, name, (None,), error).tolist(),
+               REQUIRED), "tolerance": _TOLERANCE, "source": _SOURCE})
+_EXPECTED = {"objective": (_POINT, REQUIRED), "x": (_SERIES, REQUIRED),
+             "factor_use": (partial(json_map, read=_POINT), REQUIRED)}
+_CASE = {"name": (json_string, None), "model": (json_string, REQUIRED),
+         "scenario": (json_string, REQUIRED),
+         "expected": (partial(json_object, fields=_EXPECTED), REQUIRED)}
 
 
 def load_case(path) -> GoldenCase:
     """Read a case document; relative model/scenario paths resolve
-    against the case file's directory."""
+    against the case file's directory, and the name defaults to the
+    file's stem."""
     path = Path(path)
-    doc = _load_json(path.read_bytes(), "golden case")
-    _expect_schema(doc, GOLDEN_SCHEMA, "golden case")
-    for key in ("model", "scenario"):
-        if not isinstance(doc.get(key), str):
-            raise JsonFormatError(f"golden case {key!r} must be a file path")
-    name = doc.get("name", path.stem)
-    base = path.parent
-    return GoldenCase(name=name, model_path=base / doc["model"],
-                      scenario_path=base / doc["scenario"],
-                      expected=_expected_block(doc, name))
+    doc = json_document(path.read_bytes(), "golden case", _CASE, JsonFormatError,
+                        GOLDEN_SCHEMA)
+    return GoldenCase(name=doc.get("name", path.stem),
+                      model_path=path.parent / doc["model"],
+                      scenario_path=path.parent / doc["scenario"], expected=doc["expected"])
 
 
 def bundled_case(name: str = "three_sector_golden.json") -> GoldenCase:
@@ -164,15 +144,15 @@ def run_golden(case: GoldenCase, pipeline: str = "both",
     ex_x = exp["x"]
     if len(ex_x["values"]) != len(primary.x_star):
         raise JsonFormatError(
-            f"expected 'x' 'values' has {len(ex_x['values'])} entries for "
+            f"golden case 'expected'['x']['values'] has {len(ex_x['values'])} entries for "
             f"{len(primary.x_star)} capabilities")
     for j, expected in enumerate(ex_x["values"]):
         values.append(GoldenValue(f"x[{j}]", expected, float(primary.x_star[j]),
                                   ex_x["tolerance"]))
     for fname, block in exp["factor_use"].items():
         if fname not in factors:
-            raise JsonFormatError(f"expected 'factor_use' {fname!r} is not a factor "
-                                  f"of the scenario ({', '.join(factors)})")
+            raise JsonFormatError(f"golden case 'expected'['factor_use'][{fname!r}] is not "
+                                  f"a factor of the scenario ({', '.join(factors)})")
         values.append(GoldenValue(f"use:{fname}", block["value"],
                                   float(primary.phi[factors.index(fname)]),
                                   block["tolerance"]))

@@ -38,14 +38,16 @@ decimal point, ',' as the separator, and '\\n' line endings.
 import csv
 import io as _io
 import json
-import math
 import warnings
 import xml.parsers.expat
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from heconet.checks import checked_array, checked_labels, counts, json_numbers, positive
+from heconet.checks import (REQUIRED, JsonFormatError, as_given, checked_array,
+                            checked_labels, counts, json_document, json_map,
+                            json_numbers, json_object, json_strings, positive)
 from heconet.core import (Capability, Flow, Operand, Process, ProcessKind,
                           Resource, ResourceKind, SystemModel, require_valid)
 from heconet.incidence import IncidenceMatrices
@@ -63,10 +65,6 @@ class XmlFormatError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
-
-
-class JsonFormatError(ValueError):
-    pass
 
 
 class ScenarioError(ValueError):
@@ -324,63 +322,17 @@ def write_incidence_json(inc: IncidenceMatrices) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def _nonfinite_path(node, path=""):
-    """Path of the first non-finite number in a parsed document, or None."""
-    if isinstance(node, float) and not math.isfinite(node):
-        return path
-    items = node.items() if isinstance(node, dict) \
-        else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        found = _nonfinite_path(child, f"{path}[{key!r}]" if path else repr(key))
-        if found is not None:
-            return found
-    return None
-
-
-def _load_json(data, what: str) -> dict:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    constants = []
-
-    def constant(name):
-        constants.append(name)
-        return float(name)
-
-    try:
-        doc = json.loads(data, parse_constant=constant)
-    except json.JSONDecodeError as exc:
-        raise JsonFormatError(f"invalid {what} JSON: {exc}") from None
-    if constants:
-        raise JsonFormatError(
-            f"{what} field {_nonfinite_path(doc) or '(the whole document)'} "
-            f"is not a finite number: {constants[0]}")
-    if not isinstance(doc, dict):
-        raise JsonFormatError(f"{what} document must be a JSON object")
-    return doc
-
-
-def _expect_schema(doc: dict, expected: str, what: str):
-    got = doc.get("schema")
-    if got != expected:
-        raise JsonFormatError(
-            f"{what} schema mismatch: expected {expected!r}, got {got!r}")
-
-
-def _string_list(doc: dict, key: str, what: str) -> list:
-    value = doc.get(key)
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise JsonFormatError(f"{what} field {key!r} must be a list of strings")
-    return value
+_LABELS = (json_strings, REQUIRED)
+# the matrices are read once their shape is known
+_INCIDENCE = {"operands": _LABELS, "buffers": _LABELS, "capabilities": _LABELS,
+              "shape": (partial(counts, shape=(2,)), REQUIRED),
+              "m_plus": (as_given, REQUIRED), "m_minus": (as_given, REQUIRED)}
 
 
 def read_incidence_json(data) -> IncidenceMatrices:
-    doc = _load_json(data, "incidence")
-    _expect_schema(doc, INCIDENCE_SCHEMA, "incidence")
-    operands = _string_list(doc, "operands", "incidence")
-    buffers = _string_list(doc, "buffers", "incidence")
-    capabilities = _string_list(doc, "capabilities", "incidence")
-    rows, cols = shape = counts(doc.get("shape"), "incidence field 'shape'", (2,),
-                                error=JsonFormatError).tolist()
+    doc = json_document(data, "incidence", _INCIDENCE, JsonFormatError, INCIDENCE_SCHEMA)
+    operands, buffers, capabilities = doc["operands"], doc["buffers"], doc["capabilities"]
+    rows, cols = shape = doc["shape"].tolist()
     if rows == 0 or cols == 0:
         raise JsonFormatError(f"degenerate incidence shape {shape}")
     if rows != len(operands) * len(buffers):
@@ -388,7 +340,7 @@ def read_incidence_json(data) -> IncidenceMatrices:
             f"shape {shape} disagrees with {len(operands)} operands x {len(buffers)} buffers")
     if cols != len(capabilities):
         raise JsonFormatError(f"shape {shape} disagrees with {len(capabilities)} capabilities")
-    m_plus, m_minus = (json_numbers(doc.get(key), f"incidence field {key!r}", (rows, cols),
+    m_plus, m_minus = (json_numbers(doc[key], f"incidence {key!r}", (rows, cols),
                                     JsonFormatError) for key in ("m_plus", "m_minus"))
     return IncidenceMatrices(
         m_plus=m_plus, m_minus=m_minus, operands=tuple(operands), buffers=tuple(buffers),
@@ -413,33 +365,15 @@ class Scenario:
     pins: dict = field(default_factory=dict)
 
 
-def _named_numbers(doc: dict, key: str) -> dict:
-    value = doc.get(key)
-    if value is None:
-        raise ScenarioError(f"scenario is missing required field {key!r}")
-    if not isinstance(value, dict):
-        raise ScenarioError(f"scenario field {key!r} must be an object")
-    out = {}
-    for name, v in value.items():
-        field_name = f"scenario field {key!r}[{name!r}]"
-        out[name] = float(json_numbers(v, field_name, (), ScenarioError))
-        if out[name] < 0:
-            raise ScenarioError(f"{field_name} must be >= 0")
-    return out
-
-
-def _time_domain(doc: dict, key: str, shapes: dict) -> dict:
-    """The arrays of the optional ``boundary`` or ``pins`` object; null
-    entries are read as NaN (left free)."""
-    block = doc.get(key, {})
-    if not isinstance(block, dict):
-        raise ScenarioError(f"scenario field {key!r} must be an object")
-    unknown = sorted(set(block) - set(shapes))
-    if unknown:
-        raise ScenarioError(f"scenario field {key!r} has unknown keys: {', '.join(unknown)}")
-    return {name: json_numbers(value, f"scenario field {key!r}[{name!r}]", shapes[name],
-                               ScenarioError, null_ok=True)
-            for name, value in block.items()}
+_FREE = partial(json_numbers, null_ok=True)     # a null entry is NaN: left free
+_BOUNDARY = {key: (partial(_FREE, shape=(None,)), None)
+             for key in ("q_b_initial", "q_e_initial", "q_b_final", "q_e_final")}
+_AMOUNTS = (partial(json_map, read=partial(json_numbers, shape=(), nonneg=True)), REQUIRED)
+_PINS = {"u_minus": (partial(_FREE, shape=(None, None)), None)}
+_SCENARIO = {"demand": _AMOUNTS, "availability": _AMOUNTS, "prices": _AMOUNTS,
+             "horizon": (partial(counts, minimum=1), 1), "dt": (positive, 1.0),
+             "boundary": (partial(json_object, fields=_BOUNDARY), None),
+             "pins": (partial(json_object, fields=_PINS), None)}
 
 
 def load_scenario(data) -> Scenario:
@@ -450,25 +384,18 @@ def load_scenario(data) -> Scenario:
     with ``horizon`` rows; a null entry is free.  Their widths are
     checked against the model when the time-domain problem is built.
     """
-    doc = _load_json(data, "scenario")
-    _expect_schema(doc, SCENARIO_SCHEMA, "scenario")
-    demand = _named_numbers(doc, "demand")
-    availability = _named_numbers(doc, "availability")
-    prices = _named_numbers(doc, "prices")
-    if set(availability) != set(prices):
+    doc = json_document(data, "scenario", _SCENARIO, ScenarioError, SCENARIO_SCHEMA)
+    if set(doc["availability"]) != set(doc["prices"]):
         raise ScenarioError(
             "scenario 'availability' and 'prices' must name the same factors")
-    overlap = set(demand) & set(availability)
+    overlap = set(doc["demand"]) & set(doc["availability"])
     if overlap:
         raise ScenarioError(
             f"operands cannot be both products and factors: {sorted(overlap)}")
-    horizon = counts(doc.get("horizon", 1), "scenario 'horizon'", minimum=1, error=ScenarioError)
-    dt = positive(doc.get("dt", 1.0), "scenario 'dt'", ScenarioError)
-    boundary = _time_domain(doc, "boundary", dict.fromkeys(
-        ("q_b_initial", "q_e_initial", "q_b_final", "q_e_final"), (None,)))
-    pins = _time_domain(doc, "pins", {"u_minus": (horizon, None)})
-    return Scenario(demand=demand, availability=availability, prices=prices,
-                    horizon=horizon, dt=dt, boundary=boundary, pins=pins)
+    horizon, pins = doc["horizon"], doc.get("pins", {})
+    if "u_minus" in pins and len(pins["u_minus"]) != horizon:
+        raise ScenarioError(f"scenario 'pins'['u_minus'] must be a list of {horizon} rows")
+    return Scenario(**doc)
 
 
 def vectors_from_scenario(model: SystemModel, scenario: Scenario):
@@ -497,23 +424,19 @@ def vectors_from_scenario(model: SystemModel, scenario: Scenario):
     return y, f, pi, tuple(products), tuple(factors)
 
 
+_MARKING = (partial(json_numbers, shape=(None,)), None)
+_SCHEDULE = {"u_minus": (partial(json_numbers, shape=(None, None)), REQUIRED),
+             "q_b": _MARKING, "q_e": _MARKING, "dt": (positive, None)}
+
+
 def load_schedule(data):
     """Read a firing schedule: {"schema": ..., "u_minus": [[...], ...],
     optional "q_b"/"q_e" initial marking vectors, optional "dt"}.
 
     Returns (u_minus, q_b0 or None, q_e0 or None, dt or None).
     """
-    doc = _load_json(data, "schedule")
-    _expect_schema(doc, SCHEDULE_SCHEMA, "schedule")
-    u_minus = json_numbers(doc.get("u_minus"), "schedule 'u_minus'", (None, None),
-                           JsonFormatError)
-    q_b, q_e = (None if doc.get(key) is None
-                else json_numbers(doc[key], f"schedule {key!r}", (None,), JsonFormatError)
-                for key in ("q_b", "q_e"))
-    dt = doc.get("dt")
-    if dt is not None:
-        dt = positive(dt, "schedule 'dt'", JsonFormatError)
-    return u_minus, q_b, q_e, dt
+    doc = json_document(data, "schedule", _SCHEDULE, JsonFormatError, SCHEDULE_SCHEMA)
+    return doc["u_minus"], doc.get("q_b"), doc.get("q_e"), doc.get("dt")
 
 
 # --------------------------------------------------------------------------

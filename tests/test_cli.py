@@ -409,27 +409,36 @@ def _set(path, value):
 
 
 @pytest.mark.parametrize("path, value, field", [
-    (["expected", "objective"], 5, "expected 'objective' must be an object"),
-    (["expected", "objective", "value"], True, "expected 'objective' 'value' is not a number"),
+    (["expected", "objective"], 5, "golden case 'expected'['objective'] must be an object"),
+    (["expected", "objective", "value"], True,
+     "golden case 'expected'['objective']['value'] is not a number"),
     (["expected", "objective", "tolerance"], "0.1",
-     "expected 'objective' 'tolerance' is not a number"),
-    (["expected", "x", "values"], 5, "expected 'x' 'values' must be a non-empty list"),
-    (["expected", "x", "values", 1], None, "expected 'x' 'values'[1] is not a number"),
+     "golden case 'expected'['objective']['tolerance'] is not a number"),
+    (["expected", "x", "values"], 5,
+     "golden case 'expected'['x']['values'] must be a non-empty list"),
+    (["expected", "x", "values", 1], None,
+     "golden case 'expected'['x']['values'][1] is not a number"),
     (["expected", "x", "values"], [1.0] * 7,
-     "expected 'x' 'values' has 7 entries for 6 capabilities"),
-    (["expected", "x", "tolerance"], [0.1], "expected 'x' 'tolerance' is not a number"),
+     "golden case 'expected'['x']['values'] has 7 entries for 6 capabilities"),
+    (["expected", "x", "tolerance"], [0.1],
+     "golden case 'expected'['x']['tolerance'] is not a number"),
     (["expected", "factor_use", "water"], 342.0,
-     "expected 'factor_use' 'water' must be an object"),
+     "golden case 'expected'['factor_use']['water'] must be an object"),
     (["expected", "factor_use", "capital", "value"], True,
-     "expected 'factor_use' 'capital' 'value' is not a number"),
-    (["model"], 5, "golden case 'model' must be a file path"),
+     "golden case 'expected'['factor_use']['capital']['value'] is not a number"),
+    (["model"], 5, "golden case 'model' must be a string"),
     (["expected", "objective", "tolerance"], -1,
-     "expected 'objective' 'tolerance' must be >= 0"),
+     "golden case 'expected'['objective']['tolerance'] must be >= 0"),
     (["expected", "factor_use", "steel"], {"value": 1.0, "tolerance": 0.1},
-     "expected 'factor_use' 'steel' is not a factor of the scenario (capital, water)"),
+     "golden case 'expected'['factor_use']['steel'] is not a factor of the scenario "
+     "(capital, water)"),
+    (["nmae"], "three-sector-economy", "golden case has unknown keys: nmae"),
+    (["name"], 7, "golden case 'name' must be a string"),
+    (["expected", "x", "sourse"], "table", "golden case 'expected'['x'] has unknown keys: sourse"),
 ], ids=["objective-int", "objective-bool", "objective-tol-str", "x-int", "x-null-entry",
         "x-too-long", "x-tol-list", "factor-number", "factor-bool",
-        "model-int", "objective-tol-negative", "factor-unknown"])
+        "model-int", "objective-tol-negative", "factor-unknown", "misspelt-key", "name-int",
+        "misspelt-block-key"])
 def test_golden_mistyped_case_exits_two(runner, tmp_path, path, value, field):
     # a malformed case is an input error (2), never a failed comparison (1)
     def edit(doc):
@@ -480,7 +489,7 @@ def test_removed_tolerance_keys_exit_two(runner, tmp_path, key):
     cfg.write_text(json.dumps({key: 1e-10}))
     result = runner.invoke(main, ["--tolerance-config", str(cfg), "golden"])
     assert result.exit_code == 2
-    assert f"unknown tolerance keys: {key}" in result.stderr
+    assert f"tolerance has unknown keys: {key}" in result.stderr
 
 
 @pytest.mark.parametrize("text", ['{"lp_pivot": NaN}', '{"lp_max_iter": -5}'])
@@ -541,13 +550,33 @@ def test_infinite_availability_exits_two(runner, tmp_path, literal):
      "'boundary'['q_b_initial']"),
     ("hfnmcf-full", ECONOMY, SCENARIO, {"horizon": 2, "pins": {"u_minus": 3}},
      "'pins'['u_minus']"),
-], ids=["q_b-null", "q_b-nested", "q_b-bool", "boundary-scalar", "pins-scalar"])
+    # unknown keys and null dt were once read as absent: one step, or dt = 1
+    ("hfnmcf-full", ECONOMY, SCENARIO, {"horizn": 8}, "scenario has unknown keys: horizn"),
+    ("simulate", CHAIN, SCHEDULE, {"DT": 0.5}, "schedule has unknown keys: DT"),
+    ("simulate", CHAIN, SCHEDULE, {"dt": None}, "schedule 'dt' must be a positive number"),
+], ids=["q_b-null", "q_b-nested", "q_b-bool", "boundary-scalar", "pins-scalar",
+        "horizon-misspelt", "dt-capitalised", "dt-null"])
 def test_malformed_documents_exit_two(runner, tmp_path, command, model, source, changes,
                                       field):
     path = changed_copy(tmp_path, source, lambda doc: doc.update(changes))
     result = runner.invoke(main, [command, model, path])
     assert result.exit_code == 2, result.output
     assert field in result.stderr
+
+
+@pytest.mark.parametrize("command, model, source, key", [
+    ("hfnmcf-full", ECONOMY, SCENARIO, "horizon"),
+    ("simulate", CHAIN, SCHEDULE, "dt"),
+], ids=["scenario", "schedule"])
+def test_repeated_key_exits_two(runner, tmp_path, command, model, source, key):
+    # the last of two entries was once taken silently
+    text = open(source, encoding="utf-8").read()
+    assert text.count(f'"{key}": 1') == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(f'"{key}": 1', f'"{key}": 8, "{key}": 1'), encoding="utf-8")
+    result = runner.invoke(main, [command, model, str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"{key!r} is repeated" in result.stderr
 
 
 HUGE = "99999999999999999999999"

@@ -5,7 +5,8 @@ schedule or tolerance file), breaks one field of it (a wrong type, a
 null, a non-finite or overflowing number, a ragged row, a missing key)
 and runs a command on it.  Whatever the input, the command must exit
 0, 2, 3 or 4 through ``sys.exit``: never with a traceback, and never
-with 1, which means a failed golden-case comparison.
+with 1, which means a failed golden-case comparison.  A key added to or
+repeated in any object of a JSON document must exit 2.
 """
 
 import copy
@@ -116,6 +117,36 @@ def test_unbroken_inputs_exit_zero(tmp_path, text, args):
     path.write_text(text, encoding="utf-8")
     result = CliRunner().invoke(main, args(str(path)))
     assert result.exit_code == 0, f"{args(str(path))}\n{result.output}"
+
+
+def entry(doc, path):
+    """The entry of ``doc`` at the key path ``path``."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def repeated(doc, path) -> str:
+    """``doc`` as JSON text in which the object at ``path`` gives its first
+    key twice, which json.dumps cannot write."""
+    first = next(iter(entry(doc, path)))
+    text = mutated(doc, (*path, "%%again%%"), entry(doc, path)[first])
+    assert text.count('"%%again%%"') == 1
+    return text.replace('"%%again%%"', json.dumps(first))
+
+
+@pytest.mark.parametrize("doc, args, path", [
+    pytest.param(doc, args, path, id=f"json{i}-{'.'.join(map(str, path)) or 'root'}")
+    for i, (doc, args) in enumerate(JSON_CASES) for path in paths(doc)
+    if isinstance(entry(doc, path), dict)])
+@pytest.mark.parametrize("mutation", ["unknown", "repeated"])
+def test_unknown_and_repeated_keys_exit_two(tmp_path, doc, args, path, mutation):
+    text = mutated(doc, (*path, "zz_unknown"), 1.0) if mutation == "unknown" \
+        else repeated(doc, path)
+    input_path = tmp_path / "input"
+    input_path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, args(str(input_path)))
+    assert result.exit_code == 2, f"{args(str(input_path))}\n{text}\n{result.output}"
 
 
 @st.composite

@@ -62,21 +62,24 @@ def test_case_file_validation(tmp_path):
     no_expected = tmp_path / "no_expected.json"
     no_expected.write_text(json.dumps(
         {"schema": "heconet-golden/1", "model": "m.xml", "scenario": "s.json"}))
-    with pytest.raises(JsonFormatError, match="has no 'expected' object"):
+    with pytest.raises(JsonFormatError, match="is missing required field 'expected'"):
         load_case(no_expected)
 
     missing_key = tmp_path / "missing.json"
     missing_key.write_text(json.dumps(
         {"schema": "heconet-golden/1", "model": "m.xml", "scenario": "s.json",
          "expected": {"objective": {}, "x": {}}}))
-    with pytest.raises(JsonFormatError, match="lacks 'factor_use'"):
+    with pytest.raises(JsonFormatError,
+                       match=r"'expected' is missing required field 'factor_use'"):
         load_case(missing_key)
 
     uses_not_an_object = tmp_path / "uses.json"
     uses_not_an_object.write_text(json.dumps(
         {"schema": "heconet-golden/1", "model": "m.xml", "scenario": "s.json",
-         "expected": {"objective": {}, "x": {}, "factor_use": []}}))
-    with pytest.raises(JsonFormatError, match="expected 'factor_use' must be an object"):
+         "expected": {"objective": {"value": 1.0, "tolerance": 0.0},
+                      "x": {"values": [1.0], "tolerance": 0.0}, "factor_use": []}}))
+    with pytest.raises(JsonFormatError,
+                       match=r"^golden case 'expected'\['factor_use'\] must be an object"):
         load_case(uses_not_an_object)
 
 

@@ -403,7 +403,7 @@ def test_incidence_json_errors():
     with pytest.raises(JsonFormatError, match="must be a list of strings"):
         read_incidence_json(incidence_doc(operands=[1]))
     with pytest.raises(JsonFormatError,
-                       match=r"^incidence field 'shape'\[0\] must be an integer >= 0"):
+                       match=r"^incidence 'shape'\[0\] must be an integer >= 0"):
         read_incidence_json(incidence_doc(shape=[1.5, 1]))
     with pytest.raises(JsonFormatError, match="degenerate incidence shape"):
         read_incidence_json(incidence_doc(shape=[0, 0], operands=[],
@@ -420,6 +420,8 @@ def test_incidence_json_errors():
         read_incidence_json(b"{not json")
     with pytest.raises(JsonFormatError, match="must be a JSON object"):
         read_incidence_json(b"[1, 2]")
+    with pytest.raises(JsonFormatError, match="^incidence has unknown keys: extra"):
+        read_incidence_json(incidence_doc(extra=[]))
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +458,11 @@ def scenario_doc(**overrides):
 
 
 def test_scenario_errors():
-    with pytest.raises(ScenarioError, match="missing required field 'demand'"):
+    missing = json.loads(scenario_doc())
+    del missing["demand"]
+    with pytest.raises(ScenarioError, match="^scenario is missing required field 'demand'"):
+        load_scenario(json.dumps(missing))
+    with pytest.raises(ScenarioError, match="^scenario 'demand' must be an object"):
         load_scenario(scenario_doc(demand=None))
     with pytest.raises(ScenarioError, match="must name the same factors"):
         load_scenario(scenario_doc(prices={"g": 0.5}))
