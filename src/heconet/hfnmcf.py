@@ -34,7 +34,7 @@ from heconet.config import DEFAULT_TOLERANCES, Tolerances
 from heconet.incidence import IncidenceMatrices, build_incidence  # noqa: F401
 from heconet.lp import LinearProgram, LpResult, LpStatus
 from heconet.petri import EngineeringSystemNet
-from heconet.rcot import RcotSolution
+from heconet.rcot import RcotSolution, leontief_start
 
 
 class InfeasibilityWarning(RuntimeWarning):
@@ -102,9 +102,11 @@ def static_lp(red: StaticEioReduction, relaxation: str = ">=") -> LinearProgram:
 
 def solve_static(red: StaticEioReduction, relaxation: str = ">=",
                  tol: Tolerances = DEFAULT_TOLERANCES) -> RcotSolution:
-    """Solve the reduction; results are keyed by capability labels."""
+    """Solve the reduction from :func:`heconet.rcot.leontief_start` on m;
+    results are keyed by capability labels."""
     program = static_lp(red, relaxation)
-    result = lp_mod.solve_lp(program, tol)
+    result = lp_mod.solve_lp(program, tol,
+                             leontief_start(red.m, red.cost, program.n_rows, tol))
     t, k = red.m.shape[1], len(red.factor_labels)
     if result.status is not LpStatus.OPTIMAL:
         return RcotSolution(np.full(t, np.nan), np.nan, np.full(k, np.nan),

@@ -5,18 +5,20 @@ An LP holds its constraint matrix by columns in sparse index arrays
 computational form  A w = b,  lower <= w <= upper: each inequality row
 gets one slack column, and variable bounds stay inside the simplex (free
 columns are not split, boxed ones may flip bound).  Phase 1 starts from a
-triangular crash basis of free columns, completed by slacks where their
-value is feasible and by artificials elsewhere, and minimizes the
-artificials' sum; phase 2 fixes the artificials at zero, which replaces
-the removal of redundant rows.  Pricing is Dantzig's rule with a
-fall-back to Bland's after a run of degenerate pivots, the ratio test
-is a two-pass Harris test, and the explicit basis inverse is eta-updated;
-only the kernel (:func:`heconet.kernels.simplex_iterate`) inverts it afresh,
-on the eta count :class:`_Simplex` carries across phases and filter trials.
+triangular crash basis of free columns, or from the ``start`` basis
+given to :func:`solve_lp` when its basic values are within their bounds,
+completed by slacks where their value is feasible and by artificials
+elsewhere, and minimizes the artificials' sum; phase 2 fixes the
+artificials at zero, which replaces the removal of redundant rows.
+Pricing is Dantzig's rule with a fall-back to Bland's after a run of
+degenerate pivots, the ratio test is a two-pass Harris test, and the
+explicit basis inverse is eta-updated; only the kernel
+(:func:`heconet.kernels.simplex_iterate`) inverts it afresh, on the eta
+count :class:`_Simplex` carries across phases and filter trials.
 Pivots update the duals (y += d_q rho); the kernel recomputes them from
 the inverse on entry, after each fresh inversion and before optimality,
 and returns them, so the reported duals are a fresh c_B B^-1.
-The crash basis and every later basis are inverted from the sparse
+The start basis and every later basis are inverted from the sparse
 columns by :func:`heconet.kernels.basis_inverse`, which solves the
 triangular part by substitution and inverts only the remaining bump; the
 crash basis is triangular, so it has no bump.
@@ -247,34 +249,66 @@ def _crash(a: kernels.SparseColumns, free: np.ndarray, has_slack: np.ndarray) ->
     return np.array(owner, dtype=np.int64)
 
 
-def _start(lp: LinearProgram) -> _Simplex:
-    """Computational form of ``lp`` with its crash basis.
+def _start(lp: LinearProgram, start=None) -> _Simplex:
+    """Computational form of ``lp`` with its start basis.
 
     Nonbasic structural columns sit at their lower bound, else at their
-    upper bound, else (free) at 0.  Free columns stay feasible at any
-    value, so they are placed first; a row they leave uncovered takes
-    its slack when the slack's value is within its bounds, and an
-    artificial, signed to start >= 0, otherwise.  The crash basis (the
-    crash columns and unit columns on the uncovered rows) is triangular
-    and is inverted by substitution from its sparse columns.
+    upper bound, else (free) at 0.  The basic structural columns are
+    ``start`` when it is given: one structural column or -1 per row,
+    the shape :func:`_crash` returns.  The crash columns are taken
+    instead when there is no start, when the start's basis is singular
+    (it repeats a column, or :func:`heconet.kernels.basis_inverse`
+    raises) and when it puts a basic value outside its column's bounds
+    (compared exactly, with no tolerance); free crash columns are
+    feasible at any value.  A nearly singular start is not detected
+    here: the caller vouches for its conditioning, as
+    :func:`heconet.rcot.leontief_start` does with the Hawkins-Simon
+    pivots.  A row the basis leaves uncovered takes its slack when the
+    slack's value is within its bounds, and an artificial, signed to
+    start >= 0, otherwise.  The basis (the basic structural columns and
+    unit columns on the uncovered rows) is inverted from its sparse
+    columns; the crash basis is triangular.
     """
     n, structural = lp.n_vars, lp.matrix
     senses = np.asarray(lp.senses, dtype=object)
     has_slack = senses != EQUAL
-    free = np.isinf(lp.lower) & np.isinf(lp.upper)
-    owner = _crash(structural, free, has_slack)
-
     w = np.where(np.isfinite(lp.lower), lp.lower,
                  np.where(np.isfinite(lp.upper), lp.upper, 0.0))
-    # Invert the basis with unit columns on the uncovered rows; their
-    # values are then the row residuals left by the other columns.
+
+    def inverted(owner):
+        # The basis with unit columns on the uncovered rows, its inverse
+        # and its basic values: on the uncovered rows, the row residuals
+        # left by the other columns.
+        uncovered = np.flatnonzero(owner < 0)
+        a, units = structural.with_units(uncovered, np.ones(uncovered.size))
+        basis = owner.copy()
+        basis[uncovered] = units
+        binv = kernels.basis_inverse(a, basis)
+        nonbasic = w.copy()
+        nonbasic[owner[owner >= 0]] = 0.0
+        return basis, binv, binv @ (lp.rhs - structural.matvec(nonbasic))
+
+    if start is not None:
+        owner = np.array(start, dtype=np.int64)
+        if owner.shape != (lp.n_rows,) or np.any((owner < -1) | (owner >= n)):
+            raise ValueError(f"start must hold one column in -1..{n - 1} per row")
+        cols = owner[owner >= 0]
+        usable = np.unique(cols).size == cols.size     # a repeated column is singular
+        if usable:
+            try:
+                basis, binv, basic = inverted(owner)
+            except np.linalg.LinAlgError:
+                usable = False
+            else:
+                values = basic[owner >= 0]
+                usable = np.all((lp.lower[cols] <= values) & (values <= lp.upper[cols]))
+        if not usable:
+            start = None
+    if start is None:
+        owner = _crash(structural, np.isinf(lp.lower) & np.isinf(lp.upper), has_slack)
+        basis, binv, basic = inverted(owner)
     covered = owner >= 0
     uncovered = np.flatnonzero(~covered)
-    crash, units = structural.with_units(uncovered, np.ones(uncovered.size))
-    basis = owner.copy()
-    basis[uncovered] = units
-    binv = kernels.basis_inverse(crash, basis)
-    basic = binv @ (lp.rhs - structural.matvec(w))
     w[owner[covered]] = basic[covered]
 
     residual = basic[uncovered]
@@ -335,9 +369,14 @@ def _phase1(sx: _Simplex, tol: Tolerances):
     return iters, load > tol.lp_feasibility * scale, ray
 
 
-def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResult:
+def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES,
+             start=None) -> LpResult:
     """Solve an LP; optimal and infeasible results are certified before
     being returned.
+
+    ``start`` is an optional start basis: one structural column or -1
+    per row (see :func:`_start`, which falls back to the crash basis
+    when it is unusable).  Without it the solve starts from the crash.
 
     Raises :class:`PivotBreakdownError` / :class:`IterationLimitError`
     on numeric failure and :class:`CertificationError` when an optimal
@@ -347,7 +386,7 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResul
     """
     nan_vec = np.full(lp.n_vars, np.nan)
     nan_rows = np.full(lp.n_rows, np.nan)
-    sx = _start(lp)
+    sx = _start(lp, start)
     iters1, infeasible, ray = _phase1(sx, tol)
     if infeasible:
         return _certified(lp, LpResult(LpStatus.INFEASIBLE, nan_vec, np.nan,

@@ -15,7 +15,7 @@ from heconet import lp
 from heconet.checks import checked_array, checked_labels, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 from heconet.incidence import IncidenceMatrices
-from heconet.leontief import SquareEio
+from heconet.leontief import SquareEio, is_productive
 from heconet.lp import LinearProgram, LpStatus
 
 
@@ -106,10 +106,42 @@ def build_rcot_lp(inst: RcotInstance) -> LinearProgram:
                          rhs=rhs, var_labels=inst.tech_labels, row_labels=inst.row_labels)
 
 
+def leontief_start(m, cost, n_rows: int, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Start basis of a technology-choice LP for :func:`heconet.lp.solve_lp`.
+
+    ``m`` holds the LP's first rows, net output per unit of each
+    technology (I* - A*, or M of the static reduction, whose factor rows
+    -F* have no positive entry).  On each row where some technology has
+    a positive net output, the start takes the one of least unit cost
+    ``cost``, ties to the lowest index; the other rows of the
+    ``n_rows`` get -1.  The chosen square m_S, scaled to a unit diagonal,
+    is I - A_S; the start is None (the solve starts from the crash)
+    unless A_S >= 0 (no chosen technology produces on another chosen
+    row, so no column repeats) and A_S is productive by
+    :func:`heconet.leontief.is_productive`.  Then x = (I - A_S)^-1 y >= 0
+    meets every demand y >= 0, and by the non-substitution theorem
+    (Samuelson 1951) the optimum is such a square whenever no factor
+    binds.
+    """
+    m = np.asarray(m)
+    produces = m > 0.0
+    rows = np.flatnonzero(produces.any(axis=1))
+    cols = np.argmin(np.where(produces[rows], cost, np.inf), axis=1)
+    square = m[np.ix_(rows, cols)]
+    a_s = np.eye(rows.size) - square / np.diag(square)
+    if np.any(a_s < 0.0) or not is_productive(a_s, tol):
+        return None
+    owner = np.full(n_rows, -1, dtype=np.int64)
+    owner[rows] = cols
+    return owner
+
+
 def solve_rcot(inst: RcotInstance, tol: Tolerances = DEFAULT_TOLERANCES) -> RcotSolution:
-    """Solve the technology-choice LP; status is never silently defaulted."""
+    """Solve the technology-choice LP from :func:`leontief_start`; status
+    is never silently defaulted."""
     program = build_rcot_lp(inst)
-    result = lp.solve_lp(program, tol)
+    start = leontief_start(inst.i_star - inst.a_star, program.cost, program.n_rows, tol)
+    result = lp.solve_lp(program, tol, start)
     if result.status is not LpStatus.OPTIMAL:
         nan_t = np.full(inst.n_technologies, np.nan)
         nan_k = np.full(inst.n_factors, np.nan)

@@ -146,6 +146,34 @@ def water_cut(inc, horizon):
     return time_expanded(inc, durations, horizon, f)
 
 
+MAX_DEMAND = 50.0
+
+
+def rectangular_economy(rng):
+    """A technology-choice instance of 2-8 sectors with 1-3 technologies
+    each, 1-3 factors and demand in [1, MAX_DEMAND).
+
+    Every column of A* sums to at most 0.9, so every square of one
+    technology per sector is productive and its output has
+    1'x <= 1'y / (1 - 0.9).  Each factor covers that much output of the
+    technology that uses it most, for any demand up to MAX_DEMAND, so no
+    factor binds.
+    """
+    from heconet.rcot import RcotInstance
+    n = int(rng.integers(2, 9))
+    sector = np.repeat(np.arange(n), rng.integers(1, 4, size=n))
+    t = sector.size
+    i_star = np.zeros((n, t))
+    i_star[sector, np.arange(t)] = 1.0
+    a_star = rng.random((n, t))
+    a_star *= rng.uniform(0.1, 0.9, size=t) / a_star.sum(axis=0)
+    f_star = rng.uniform(0.1, 3.0, size=(int(rng.integers(1, 4)), t))
+    f = f_star.max(axis=1) * (n * MAX_DEMAND / (1.0 - 0.9))
+    return RcotInstance(i_star=i_star, a_star=a_star, f_star=f_star,
+                        y=rng.uniform(1.0, MAX_DEMAND, size=n), f=f,
+                        pi=rng.uniform(0.5, 2.0, size=f_star.shape[0]))
+
+
 @pytest.fixture(scope="session")
 def water_cut_problem(economy_incidence):
     """:func:`water_cut` at K=8."""

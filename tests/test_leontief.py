@@ -39,6 +39,31 @@ def test_spectral_radius_periodic_structure():
     assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
+def test_spectral_radius_of_block_triangular_matrices():
+    # Every diagonal block is positive with rows summing to its radius,
+    # so the radius of the whole is the largest block radius by
+    # construction.  The blocks come within 1e-6 of each other and are
+    # coupled above the diagonal, where the eigenvalues of the whole
+    # matrix are ill-conditioned.
+    rng = np.random.default_rng(49)
+    for _ in range(50):
+        sizes = rng.integers(1, 16, size=int(rng.integers(2, 5)))
+        radii = 1.0 - rng.uniform(0.0, 1e-6, size=sizes.size)
+        n = int(sizes.sum())
+        a = np.triu(rng.random((n, n)) * rng.uniform(0.0, 0.5))
+        for start, size, radius in zip(np.cumsum(sizes) - sizes, sizes, radii):
+            block = rng.uniform(0.1, 1.0, size=(size, size))
+            a[start:start + size, start:start + size] = \
+                block * (radius / block.sum(axis=1, keepdims=True))
+        order = rng.permutation(n)
+        a = a[np.ix_(order, order)]
+        assert spectral_radius(a) == pytest.approx(radii.max(), abs=1e-9)
+        assert eig_radius(a) == pytest.approx(radii.max(), abs=1e-9)
+    with pytest.raises(NonProductiveEconomyError) as err:
+        leontief_inverse(a * (1.0 + 2e-6))
+    assert err.value.radius == pytest.approx(radii.max() * (1.0 + 2e-6), abs=1e-9)
+
+
 def test_inverse_identity_for_zero_coefficients():
     assert np.allclose(leontief_inverse(np.zeros((3, 3))), np.eye(3))
 

@@ -646,6 +646,77 @@ def test_start_memory_at_k160(economy_incidence):
     assert peak <= 100e6
 
 
+def two_sector_lp(y=(10.0, 10.0)) -> LinearProgram:
+    """Sector 0 has technologies t0 and t1, sector 1 has t2, and one
+    factor row is slack.  t0 is the cheapest, but its net output is
+    -0.2 per unit, so no square with it is productive."""
+    rows = [[-0.2, 0.9, -0.3], [-0.1, -0.2, 0.9], [1.0, 2.0, 1.0]]
+    return LinearProgram(cost=[0.5, 1.0, 1.0], rows=rows,
+                         senses=(lp.GREATER_EQUAL,) * 2 + (lp.LESS_EQUAL,), rhs=[*y, 1000.0])
+
+
+def test_a_productive_start_is_taken_without_artificials():
+    sx = lp._start(two_sector_lp(), [1, 2, -1])
+    assert sx.basis[:2].tolist() == [1, 2]
+    assert sx.artificial.start == sx.artificial.stop
+    x = np.linalg.solve([[0.9, -0.3], [-0.2, 0.9]], [10.0, 10.0])
+    assert np.allclose(sx.w[[1, 2]], x, rtol=1e-12)
+    with pytest.raises(ValueError, match="start must hold"):
+        lp._start(two_sector_lp(), [1, 3, -1])
+    with pytest.raises(ValueError, match="start must hold"):
+        solve_lp(two_sector_lp(), start=[1, 2])
+
+
+@pytest.mark.parametrize("start, y", [([1, 1, -1], (10.0, 10.0)),
+                                      ([0, 2, -1], (10.0, 10.0)),
+                                      ([1, 2, -1], (10.0, -5.0))],
+                         ids=["repeated-column", "not-productive", "negative-demand"])
+def test_an_unusable_start_falls_back_to_the_crash(start, y):
+    program = two_sector_lp(y)
+    crashed, sx = lp._start(program), lp._start(program, start)
+    for field in ("basis", "binv", "w", "c1"):
+        assert np.array_equal(getattr(sx, field), getattr(crashed, field)), field
+    result, reference = solve_lp(program, start=start), solve_lp(program)
+    assert result.status is LpStatus.OPTIMAL
+    assert result.objective == pytest.approx(reference.objective, rel=1e-9)
+    assert np.allclose(result.x, reference.x, atol=1e-9)
+    assert certify(program, result).passed
+
+
+def test_a_repeated_column_is_refused_before_inversion():
+    # kernels.basis_inverse returns entries of 3.6e16 for this exactly
+    # singular basis instead of raising, and free columns have no bounds
+    # to catch its values, so only the check on repeated columns refuses
+    # the start.
+    rows = np.vstack([ECONOMY_M_PLUS[:3] - ECONOMY_M_MINUS[:3], ECONOMY_M_MINUS[3:]])
+    program = LinearProgram(cost=ECONOMY_PI @ ECONOMY_M_MINUS[3:], rows=rows,
+                            senses=(lp.GREATER_EQUAL,) * 3 + (lp.LESS_EQUAL,) * 2,
+                            rhs=np.concatenate([ECONOMY_Y, ECONOMY_F]), lower=np.full(6, -np.inf))
+    crashed, sx = lp._start(program), lp._start(program, [0, 4, 4, -1, -1])
+    for field in ("basis", "binv", "w", "c1"):
+        assert np.array_equal(getattr(sx, field), getattr(crashed, field)), field
+
+
+def test_a_factor_row_the_start_overdraws_keeps_its_artificial():
+    # The cheapest technologies of the reference economy need 355.2 of
+    # the 342 units of water: the start is kept, and only the water row
+    # starts on an artificial, so phase 1 runs on that row alone.
+    from heconet import rcot
+    program = economy_lp()
+    start = rcot.leontief_start(ECONOMY_M_PLUS[:3] - ECONOMY_M_MINUS[:3], program.cost,
+                               program.n_rows)
+    assert start.tolist() == [0, 2, 4, -1, -1]
+    sx = lp._start(program, start)
+    assert sx.basis[:3].tolist() == [0, 2, 4]
+    assert sx.artificial.stop - sx.artificial.start == 1
+    assert sx.a.column(sx.artificial.start)[0].tolist() == [4]
+    assert sx.w[sx.artificial.start] == pytest.approx(355.1700256416402 - ECONOMY_F[1], rel=1e-9)
+    result = solve_lp(program, start=start)
+    assert result.objective == pytest.approx(ECONOMY_Z, rel=1e-9)
+    assert np.allclose(result.x, ECONOMY_X, atol=1e-9)
+    assert certify(program, result).passed
+
+
 def test_duals_flip_with_row_sign():
     # multiplying a >= row by -1 yields a <= row with mirrored dual
     base = LinearProgram(cost=[1.0, 2.0], rows=[[1.0, 1.0]],

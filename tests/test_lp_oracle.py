@@ -5,8 +5,11 @@ Random LPs mix every kind of variable bound and row sense, including
 duplicate and redundant rows, and the status must agree, the
 objective must agree to 1e-9 relative, and every optimum must pass
 ``certify``.  The time-expanded program of the reference economy is
-checked against HiGHS and against the static (rcot) optimum.
+checked against HiGHS and against the static (rcot) optimum, and so are
+generated technology-choice programs solved from their Leontief start.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from heconet import hfnmcf, lp, rcot
 from heconet.lp import (LinearProgram, LpStatus, certify, irreducible_infeasible_rows,
                         solve_lp)
 
-from conftest import ECONOMY_F, ECONOMY_PI, ECONOMY_Y, ECONOMY_Z, row_subset, time_expanded
+from conftest import (ECONOMY_F, ECONOMY_PI, ECONOMY_Y, ECONOMY_Z, rectangular_economy,
+                      row_subset, time_expanded)
 
 OBJECTIVE_RTOL = 1e-9
 HIGHS_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
@@ -183,3 +187,30 @@ def test_time_expanded_program_agrees_with_highs_and_rcot(economy_incidence, hor
         economy_incidence, ECONOMY_Y.size, ECONOMY_Y, ECONOMY_F, ECONOMY_PI))
     assert static.z == pytest.approx(ECONOMY_Z, abs=1e-9)
     assert_agrees(program, LpStatus.OPTIMAL, static.z)
+
+
+def test_rcot_from_the_leontief_start_agrees_with_highs():
+    # Availabilities drawn around what the start's square uses, so the
+    # start often overdraws a factor: the program is then infeasible, or
+    # phase 1 substitutes technologies on that factor's row.
+    rng = np.random.default_rng(2011)
+    statuses, overdrawn = set(), 0
+    for _ in range(60):
+        inst = rectangular_economy(rng)
+        n = inst.n_sectors
+        start = rcot.leontief_start(inst.i_star - inst.a_star, inst.pi @ inst.f_star,
+                                    n + inst.n_factors)
+        square = start[:n]
+        use = inst.f_star[:, square] @ np.linalg.solve(np.eye(n) - inst.a_star[:, square], inst.y)
+        inst = dataclasses.replace(inst, f=use * rng.uniform(0.7, 1.3, size=use.size))
+        program = rcot.build_rcot_lp(inst)
+        status, objective = highs(program)
+        result, sol = solve_lp(program, start=start), rcot.solve_rcot(inst)
+        assert result.status is sol.status is status
+        assert certify(program, result).passed
+        statuses.add(status)
+        if status is LpStatus.OPTIMAL:
+            overdrawn += bool(np.any(inst.f < use))
+            for z in (result.objective, sol.z):
+                assert abs(z - objective) <= OBJECTIVE_RTOL * max(1.0, abs(objective))
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE} and overdrawn >= 5

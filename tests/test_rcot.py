@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from heconet import lp
+from heconet.hfnmcf import StaticEioReduction, solve_static, static_lp
 from heconet.incidence import build_incidence
 from heconet.leontief import SquareEio, solve as leontief_solve
-from heconet.lp import LpStatus
+from heconet.lp import LpStatus, certify
 from heconet.rcot import (RcotInstance, build_rcot_lp, instance_from_incidence,
-                          rcot_from_square, solve_rcot)
+                          leontief_start, rcot_from_square, solve_rcot)
 
 from conftest import (ECONOMY_F, ECONOMY_M_MINUS, ECONOMY_M_PLUS, ECONOMY_PI,
-                      ECONOMY_PHI_CAPITAL, ECONOMY_X, ECONOMY_Y, ECONOMY_Z)
+                      ECONOMY_PHI_CAPITAL, ECONOMY_X, ECONOMY_Y, ECONOMY_Z, MAX_DEMAND,
+                      rectangular_economy)
 from test_incidence import two_buffer_model
 
 
@@ -135,3 +140,112 @@ def test_instance_from_incidence_rejects_produced_factor(economy_incidence):
     with pytest.raises(ValueError, match="factor rows"):
         instance_from_incidence(economy_incidence, 2, ECONOMY_Y[:2],
                                 np.ones(3), np.ones(3))
+
+
+def test_leontief_start_takes_each_sectors_cheapest_technology():
+    inst = reference_instance()
+    program = build_rcot_lp(inst)
+    # unit costs 3.18 | 5.18, 3.07 | 2.37, 1.79, 2.39 by sector
+    assert leontief_start(inst.i_star - inst.a_star, program.cost, 5).tolist() == \
+        [0, 2, 4, -1, -1]
+    # ties go to the lowest index; a row where nothing has a positive net
+    # output gets -1, and t3, which uses more than it makes, is passed over
+    m = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.1]])
+    assert leontief_start(m, np.array([2.0, 2.0, 1.0, 0.5]), 3).tolist() == [0, -1, -1]
+
+
+def test_a_nearly_singular_square_is_not_a_start():
+    # The cheapest square, t0 and t2, has rho(A_S) = 1 - 5e-13: its
+    # outputs (I - A_S)^-1 y are about 2e13 and within x >= 0, so the LP
+    # alone takes that start.  The Hawkins-Simon pivots refuse it, and
+    # the solve starts from the crash.
+    inst = RcotInstance(i_star=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                        a_star=np.array([[0.0, 0.0, 1.0], [1.0 - 1e-12, 0.5, 0.0]]),
+                        f_star=np.array([[1.0, 2.0, 1.0]]), y=np.array([10.0, 10.0]),
+                        f=np.array([1e15]), pi=np.array([1.0]))
+    program = build_rcot_lp(inst)
+    assert lp._start(program, [0, 2, -1]).basis[:2].tolist() == [0, 2]
+    assert leontief_start(inst.i_star - inst.a_star, program.cost, 3) is None
+    sol, crashed = solve_rcot(inst), lp.solve_lp(program)
+    assert sol.status is crashed.status is LpStatus.OPTIMAL
+    assert sol.z == pytest.approx(crashed.objective, rel=1e-9)
+    assert np.allclose(sol.x_star, crashed.x, atol=1e-9) and sol.x_star[0] == 0.0
+
+
+@pytest.mark.parametrize("cost", [[1.0, 2.0, 2.0], [1.0, 2.0, 0.5]],
+                         ids=["repeated-column", "produces-on-another-row"])
+def test_a_joint_production_square_is_not_a_start(cost):
+    # c0 produces both products and is the cheapest on the first row:
+    # chosen on both rows it repeats a column, and beside c2 it puts a
+    # positive entry off the diagonal, so A_S >= 0 fails either way.
+    red = StaticEioReduction(m=np.array([[1.0, 1.0, 0.0], [0.5, 0.0, 1.0],
+                                         [-1.0, -1.0, -1.0]]),
+                             c=np.array([10.0, 10.0, -1000.0]), cost=np.array(cost),
+                             f_star=np.array([[1.0, 1.0, 1.0]]))
+    program = static_lp(red)
+    assert leontief_start(red.m, red.cost, program.n_rows) is None
+    sol, crashed = solve_static(red), lp.solve_lp(program)
+    assert sol.status is crashed.status is LpStatus.OPTIMAL
+    assert sol.z == pytest.approx(crashed.objective, rel=1e-9)
+    assert np.allclose(sol.x_star, crashed.x, atol=1e-9)
+
+
+def test_productive_economies_start_without_phase_1(monkeypatch):
+    # solve_rcot and solve_static (both relaxations) from the Leontief
+    # start: no phase-1 pivot, the crash-started optimum, and every
+    # result certified.  The "=" relaxation keeps only the demand rows:
+    # its factor rows would be equalities that the start leaves on
+    # artificials.
+    run_kernel, solve = lp._run_kernel, lp.solve_lp
+    pivots, solved = [], []
+
+    def counted(sx, c, tol, phase):
+        status, iters, y = run_kernel(sx, c, tol, phase)
+        if phase == "phase 1":
+            pivots.append(iters)
+        return status, iters, y
+
+    def recorded(program, tol=lp.DEFAULT_TOLERANCES, start=None):
+        solved.append((program, solve(program, tol, start)))
+        return solved[-1][1]
+    monkeypatch.setattr(lp, "_run_kernel", counted)
+    monkeypatch.setattr(lp, "solve_lp", recorded)
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        inst = rectangular_economy(rng)
+        cost = inst.pi @ inst.f_star
+        full = StaticEioReduction(m=np.vstack([inst.i_star - inst.a_star, -inst.f_star]),
+                                  c=np.concatenate([inst.y, -inst.f]), cost=cost,
+                                  f_star=inst.f_star)
+        exact = StaticEioReduction(m=inst.i_star - inst.a_star, c=inst.y, cost=cost)
+        started = ((solve_rcot(inst).z, build_rcot_lp(inst)),
+                   (solve_static(full).z, static_lp(full)),
+                   (solve_static(exact, "=").z, static_lp(exact, "=")))
+        assert pivots == [0, 0, 0]
+        for z, program in started:
+            crashed = solve(program)
+            assert abs(z - crashed.objective) <= 1e-9 * abs(crashed.objective)
+        pivots.clear()
+    assert len(solved) == 150
+    for program, result in solved:
+        assert result.status is LpStatus.OPTIMAL
+        assert certify(program, result).passed
+
+
+def test_technology_choice_does_not_depend_on_demand():
+    # The non-substitution theorem (Samuelson 1951): with prices fixed and
+    # no factor binding, one technology per sector is optimal for every
+    # positive demand.
+    rng = np.random.default_rng(1951)
+    for _ in range(50):
+        inst = rectangular_economy(rng)
+        chosen = set()
+        for _ in range(5):
+            sol = solve_rcot(dataclasses.replace(
+                inst, y=rng.uniform(0.01, MAX_DEMAND, size=inst.n_sectors)))
+            assert sol.status is LpStatus.OPTIMAL
+            assert np.all(sol.binding[inst.n_sectors:] > 0.0)
+            support = sol.x_star > 1e-9
+            assert np.array_equal(inst.i_star[:, support].sum(axis=1), np.ones(inst.n_sectors))
+            chosen.add(tuple(np.flatnonzero(support)))
+        assert len(chosen) == 1, chosen
