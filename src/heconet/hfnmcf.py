@@ -34,7 +34,7 @@ from heconet.config import DEFAULT_TOLERANCES, Tolerances
 from heconet.incidence import IncidenceMatrices, build_incidence  # noqa: F401
 from heconet.lp import LinearProgram, LpResult, LpStatus
 from heconet.petri import EngineeringSystemNet
-from heconet.rcot import RcotSolution, leontief_start
+from heconet.rcot import RcotSolution, solve_choice
 
 
 class InfeasibilityWarning(RuntimeWarning):
@@ -52,7 +52,7 @@ class StaticEioReduction:
     m: np.ndarray
     c: np.ndarray
     cost: np.ndarray
-    f_star: np.ndarray = None
+    f_star: np.ndarray = None          # missing: (0, t), no factor rows
     capability_labels: tuple[str, ...] = ()
     row_labels: tuple[str, ...] = ()
     factor_labels: tuple[str, ...] = ()
@@ -61,13 +61,14 @@ class StaticEioReduction:
         m = checked_array(self.m, "m", (None, None))
         c = checked_array(self.c, "c", (m.shape[0],))
         cost = checked_array(self.cost, "cost", (m.shape[1],))
-        f_star = _optional(self.f_star, "f_star", (None, m.shape[1]))
-        k = 0 if f_star is None else f_star.shape[0]
+        f_star = checked_array(np.zeros((0, m.shape[1])) if self.f_star is None
+                               else self.f_star, "f_star", (None, m.shape[1]))
         set_fields(self, m=m, c=c, cost=cost, f_star=f_star,
                    capability_labels=checked_labels(self.capability_labels,
                                                     "capability_labels", m.shape[1], "u"),
                    row_labels=checked_labels(self.row_labels, "row_labels", m.shape[0], "c"),
-                   factor_labels=checked_labels(self.factor_labels, "factor_labels", k, "f"))
+                   factor_labels=checked_labels(self.factor_labels, "factor_labels",
+                                                f_star.shape[0], "f"))
 
 
 def build_static(inc: IncidenceMatrices, y, f, pi) -> StaticEioReduction:
@@ -102,22 +103,9 @@ def static_lp(red: StaticEioReduction, relaxation: str = ">=") -> LinearProgram:
 
 def solve_static(red: StaticEioReduction, relaxation: str = ">=",
                  tol: Tolerances = DEFAULT_TOLERANCES) -> RcotSolution:
-    """Solve the reduction from :func:`heconet.rcot.leontief_start` on m;
-    results are keyed by capability labels."""
-    program = static_lp(red, relaxation)
-    result = lp_mod.solve_lp(program, tol,
-                             leontief_start(red.m, red.cost, program.n_rows, tol))
-    t, k = red.m.shape[1], len(red.factor_labels)
-    if result.status is not LpStatus.OPTIMAL:
-        return RcotSolution(np.full(t, np.nan), np.nan, np.full(k, np.nan),
-                            result.status, np.full(red.m.shape[0], np.nan),
-                            red.capability_labels, red.row_labels,
-                            red.factor_labels, result.iterations)
-    x = result.x
-    phi = red.f_star @ x if red.f_star is not None else np.zeros(0)
-    return RcotSolution(x, float(red.cost @ x), phi, result.status,
-                        result.slacks, red.capability_labels, red.row_labels,
-                        red.factor_labels, result.iterations)
+    """Solve the reduction by :func:`heconet.rcot.solve_choice` with all
+    of m as net-output rows; results are keyed by capability labels."""
+    return solve_choice(static_lp(red, relaxation), red.m, red.f_star, red.factor_labels, tol)
 
 
 # --------------------------------------------------------------------------

@@ -86,7 +86,11 @@ def basis_inverse(a, basis):
     the row singletons, taken from a dense inverse of the bump alone,
     and substituted backward through the column singletons.  Raises
     ``np.linalg.LinAlgError`` when a row or column is left empty (the
-    basis is structurally singular) and when the bump is singular.
+    basis is structurally singular), when ``np.linalg.inv`` meets an
+    exactly zero pivot of the bump, and when max|bump| max|bump^-1| eps
+    >= 1 with eps the machine epsilon: that product is a lower bound on
+    cond(bump), so the bump is singular to working precision.  A tiny
+    pivot among the peeled singletons is not checked.
     """
     m = len(basis)
     # The entries of the basis columns, in basis order.
@@ -156,7 +160,11 @@ def basis_inverse(a, basis):
             block[i, row_cols[r]] = row_vals[r]
         rhs = -(block @ binv)
         rhs[np.arange(len(bump_rows)), bump_rows] += 1.0
-        binv[bump_cols] = np.linalg.inv(block[:, bump_cols]) @ rhs
+        bump = block[:, bump_cols]
+        bump_inv = np.linalg.inv(bump)
+        if np.max(np.abs(bump)) * np.max(np.abs(bump_inv)) * np.finfo(float).eps >= 1.0:
+            raise np.linalg.LinAlgError("singular bump: condition beyond 1/eps")
+        binv[bump_cols] = bump_inv @ rhs
     for r, p in reversed(backward):
         substitute(r, p)
     return binv

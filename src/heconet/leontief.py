@@ -6,7 +6,7 @@ radius below one (a productive economy), gross output solves
 decided exactly, by the Hawkins-Simon pivots of ``(1 - m) I - a`` with
 ``m`` the ``productive_margin``; linear systems are solved by LU
 factorization with an explicit residual check rather than by forming
-the inverse times the right-hand side.
+the inverse times the right-hand side, in one checked solve.
 """
 
 import warnings
@@ -157,42 +157,39 @@ def _require_productive(a, tol: Tolerances) -> None:
         raise NonProductiveEconomyError(spectral_radius(a), 1.0 - tol.productive_margin)
 
 
+def _solve(a, rhs, bound: float, what: str) -> np.ndarray:
+    """(I - a)^-1 rhs by LU; :class:`SingularSystemError` when LU fails
+    or max|(I - a) x - rhs| exceeds ``bound``."""
+    i_minus_a = np.eye(a.shape[0]) - a
+    try:
+        x = np.linalg.solve(i_minus_a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"I - a is numerically singular: {exc}") from exc
+    residual = np.max(np.abs(i_minus_a @ x - rhs), initial=0.0)
+    if residual > bound:
+        raise SingularSystemError(f"{what} residual {residual:.3e} exceeds {bound:.3e}")
+    return x
+
+
 def leontief_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Total-requirements matrix (I - a)^-1 for a productive economy."""
     a = checked_array(a, "coefficient matrix", ("n", "n"), nonneg=True)
     _require_productive(a, tol)
-    n = a.shape[0]
-    eye = np.eye(n)
-    try:
-        inverse = np.linalg.solve(eye - a, eye)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"I - a is numerically singular: {exc}") from exc
-    residual = np.max(np.abs((eye - a) @ inverse - eye)) if n else 0.0
-    if residual > tol.inverse_residual:
-        raise SingularSystemError(
-            f"inverse residual {residual:.3e} exceeds {tol.inverse_residual:.3e}")
-    return inverse
+    return _solve(a, np.eye(a.shape[0]), tol.inverse_residual, "inverse")
 
 
 def solve(eio: SquareEio, y, tol: Tolerances = DEFAULT_TOLERANCES):
     """Gross output and factor use for final demand y.
 
-    Returns (x, phi) with (I - a) x = y and phi = f x.  Demand must be
+    Returns (x, phi) with (I - a) x = y, to a residual of at most
+    ``inverse_residual * (1 + max|y|)``, and phi = f x.  Demand must be
     nonnegative; a negative computed output (possible only through
     numeric degeneracy) is reported as a warning, not silently clipped.
     """
     y = checked_array(y, "demand", (eio.n_sectors,), nonneg=True)
     _require_productive(eio.a, tol)
-    eye = np.eye(eio.n_sectors)
-    try:
-        x = np.linalg.solve(eye - eio.a, y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"I - a is numerically singular: {exc}") from exc
-    residual = np.max(np.abs((eye - eio.a) @ x - y)) if eio.n_sectors else 0.0
-    scale = 1.0 + (np.max(np.abs(y)) if y.size else 0.0)
-    if residual > tol.inverse_residual * scale:
-        raise SingularSystemError(
-            f"solve residual {residual:.3e} exceeds tolerance")
+    bound = tol.inverse_residual * (1.0 + np.max(np.abs(y), initial=0.0))
+    x = _solve(eio.a, y, bound, "solve")
     if np.any(x < -tol.demand_slack):
         warnings.warn("computed gross output has negative entries",
                       RuntimeWarning, stacklevel=2)

@@ -4,7 +4,8 @@ Each sector may operate any number of alternative technologies; the
 program picks activity levels x* >= 0 minimizing price-weighted factor
 use pi' F* x* subject to net output covering final demand,
 (I* - A*) x* >= y, and factor use staying within availability,
-F* x* <= f.
+F* x* <= f.  It and the static reduction of :mod:`heconet.hfnmcf` share
+one Leontief-started solve, :func:`solve_choice`.
 """
 
 from dataclasses import dataclass
@@ -136,25 +137,23 @@ def leontief_start(m, cost, n_rows: int, tol: Tolerances = DEFAULT_TOLERANCES):
     return owner
 
 
+def solve_choice(program: LinearProgram, net_output, f_star, factor_labels,
+                 tol: Tolerances = DEFAULT_TOLERANCES) -> RcotSolution:
+    """Solve a technology-choice LP from :func:`leontief_start` on its
+    net-output rows (I* - A*, or M of the static reduction): z is the
+    certified objective and phi = F* x.  Off the optimum, x and the
+    slacks are NaN, and so are z and phi; the status is never defaulted."""
+    result = lp.solve_lp(program, tol,
+                         leontief_start(net_output, program.cost, program.n_rows, tol))
+    return RcotSolution(result.x, float(result.objective), f_star @ result.x, result.status,
+                        result.slacks, program.var_labels, program.row_labels,
+                        factor_labels, result.iterations)
+
+
 def solve_rcot(inst: RcotInstance, tol: Tolerances = DEFAULT_TOLERANCES) -> RcotSolution:
-    """Solve the technology-choice LP from :func:`leontief_start`; status
-    is never silently defaulted."""
-    program = build_rcot_lp(inst)
-    start = leontief_start(inst.i_star - inst.a_star, program.cost, program.n_rows, tol)
-    result = lp.solve_lp(program, tol, start)
-    if result.status is not LpStatus.OPTIMAL:
-        nan_t = np.full(inst.n_technologies, np.nan)
-        nan_k = np.full(inst.n_factors, np.nan)
-        return RcotSolution(nan_t, np.nan, nan_k, result.status,
-                            np.full(program.n_rows, np.nan),
-                            inst.tech_labels, program.row_labels,
-                            inst.factor_labels, result.iterations)
-    x = result.x
-    phi = inst.f_star @ x
-    z = float(inst.pi @ phi)
-    return RcotSolution(x, z, phi, result.status, result.slacks,
-                        inst.tech_labels, program.row_labels,
-                        inst.factor_labels, result.iterations)
+    """Solve the technology-choice LP by :func:`solve_choice`."""
+    return solve_choice(build_rcot_lp(inst), inst.i_star - inst.a_star, inst.f_star,
+                        inst.factor_labels, tol)
 
 
 def rcot_from_square(eio: SquareEio, y, f, pi) -> RcotInstance:

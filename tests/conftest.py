@@ -132,18 +132,23 @@ def row_subset(program, keep):
                          rhs=program.rhs[keep], lower=program.lower, upper=program.upper)
 
 
-def water_cut(inc, horizon):
-    """The reference economy as a full program over ``horizon`` steps,
-    with water availability cut in 10 % steps until the static economy
-    (rcot) is infeasible; the full program is then infeasible too."""
+def water_cut_supply(inc):
+    """Factor supply of the reference economy with water availability
+    cut in 10 % steps until the static economy (rcot) is infeasible."""
     from heconet import rcot
     from heconet.lp import LpStatus
     f = ECONOMY_F.copy()
     while rcot.solve_rcot(rcot.instance_from_incidence(
             inc, ECONOMY_Y.size, ECONOMY_Y, f, ECONOMY_PI)).status is LpStatus.OPTIMAL:
         f[-1] *= 0.9
+    return f
+
+
+def water_cut(inc, horizon):
+    """The reference economy as a full program over ``horizon`` steps
+    with :func:`water_cut_supply`; the full program is infeasible too."""
     durations = np.random.default_rng(8).integers(1, 3, size=inc.m_plus.shape[1])
-    return time_expanded(inc, durations, horizon, f)
+    return time_expanded(inc, durations, horizon, water_cut_supply(inc))
 
 
 MAX_DEMAND = 50.0

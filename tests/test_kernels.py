@@ -4,6 +4,8 @@ import pytest
 from heconet import kernels, lp
 from heconet.config import DEFAULT_TOLERANCES
 
+from conftest import ECONOMY_M_MINUS, ECONOMY_M_PLUS
+
 
 def run_simplex(dense, b, c, lower, upper, x, basis, max_iter=1000, refactor_every=50):
     """Run the kernel from ``basis``; returns (status, iterations, x, basis,
@@ -203,6 +205,17 @@ def test_basis_inverse_rejects_a_singular_basis(dense, basis, message):
     a = kernels.SparseColumns.from_dense(np.array(dense))
     with pytest.raises(np.linalg.LinAlgError, match=message):
         kernels.basis_inverse(a, np.array(basis))
+
+
+def test_basis_inverse_rejects_a_bump_singular_to_working_precision():
+    # The reference rcot columns and the two factor slacks: the basis
+    # repeats column 4, and rounding leaves the bump's LU a tiny pivot
+    # rather than a zero one, so only its conditioning shows it singular.
+    rows = np.vstack([ECONOMY_M_PLUS[:3] - ECONOMY_M_MINUS[:3], ECONOMY_M_MINUS[3:]])
+    a, slacks = kernels.SparseColumns.from_dense(rows).with_units(np.array([3, 4]),
+                                                                  np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match="singular bump"):
+        kernels.basis_inverse(a, np.array([0, 4, 4, *slacks]))
 
 
 def test_singular_refactorization_is_a_pivot_breakdown(monkeypatch):

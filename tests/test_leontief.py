@@ -137,7 +137,8 @@ def test_residual_checks_raise_singular_system_error():
     a = np.array([[0.2, 0.3], [0.4, 0.1]])
     with pytest.raises(SingularSystemError, match="inverse residual .* exceeds 1.000e-300"):
         leontief_inverse(a, tol)
-    with pytest.raises(SingularSystemError, match="solve residual .* exceeds tolerance"):
+    # the solve's bound is inverse_residual (1 + max|y|) = 8e-300
+    with pytest.raises(SingularSystemError, match="solve residual .* exceeds 8.000e-300"):
         solve(SquareEio(a=a, f=np.ones((1, 2))), [3.0, 7.0], tol)
 
 

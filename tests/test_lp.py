@@ -684,10 +684,10 @@ def test_an_unusable_start_falls_back_to_the_crash(start, y):
 
 
 def test_a_repeated_column_is_refused_before_inversion():
-    # kernels.basis_inverse returns entries of 3.6e16 for this exactly
-    # singular basis instead of raising, and free columns have no bounds
-    # to catch its values, so only the check on repeated columns refuses
-    # the start.
+    # This basis repeats column 4, so it is exactly singular.  The check
+    # on repeated columns refuses it before any inversion, and
+    # kernels.basis_inverse would refuse it too, by its bump's
+    # conditioning.
     rows = np.vstack([ECONOMY_M_PLUS[:3] - ECONOMY_M_MINUS[:3], ECONOMY_M_MINUS[3:]])
     program = LinearProgram(cost=ECONOMY_PI @ ECONOMY_M_MINUS[3:], rows=rows,
                             senses=(lp.GREATER_EQUAL,) * 3 + (lp.LESS_EQUAL,) * 2,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heconet import lp
-from heconet.hfnmcf import StaticEioReduction, solve_static, static_lp
+from heconet.hfnmcf import StaticEioReduction, build_static, solve_static, static_lp
 from heconet.incidence import build_incidence
 from heconet.leontief import SquareEio, solve as leontief_solve
 from heconet.lp import LpStatus, certify
@@ -13,7 +13,7 @@ from heconet.rcot import (RcotInstance, build_rcot_lp, instance_from_incidence,
 
 from conftest import (ECONOMY_F, ECONOMY_M_MINUS, ECONOMY_M_PLUS, ECONOMY_PI,
                       ECONOMY_PHI_CAPITAL, ECONOMY_X, ECONOMY_Y, ECONOMY_Z, MAX_DEMAND,
-                      rectangular_economy)
+                      rectangular_economy, water_cut_supply)
 from test_incidence import two_buffer_model
 
 
@@ -249,3 +249,57 @@ def test_technology_choice_does_not_depend_on_demand():
             assert np.array_equal(inst.i_star[:, support].sum(axis=1), np.ones(inst.n_sectors))
             chosen.add(tuple(np.flatnonzero(support)))
         assert len(chosen) == 1, chosen
+
+
+def both_views(inc, f):
+    """rcot and the static reduction of the reference economy with
+    factor supply f, each solved by its one path."""
+    return (solve_rcot(instance_from_incidence(inc, 3, ECONOMY_Y, f, ECONOMY_PI)),
+            solve_static(build_static(inc, ECONOMY_Y, f, ECONOMY_PI)))
+
+
+def assert_nan_solution(sol, status, t, k, n_rows):
+    assert sol.status is status
+    assert sol.x_star.shape == (t,) and np.all(np.isnan(sol.x_star))
+    assert np.shape(sol.z) == () and np.isnan(sol.z)
+    assert sol.phi.shape == (k,) and np.all(np.isnan(sol.phi))
+    assert sol.binding.shape == (n_rows,) and np.all(np.isnan(sol.binding))
+
+
+def test_an_infeasible_solve_is_nan_in_the_optimal_shapes(economy_incidence):
+    for sol in both_views(economy_incidence, water_cut_supply(economy_incidence)):
+        assert_nan_solution(sol, LpStatus.INFEASIBLE, 6, 2, 5)
+
+
+def test_an_unbounded_static_solve_is_nan_in_the_optimal_shapes():
+    # min -u - v with u - v >= 1: v pays for any u
+    red = StaticEioReduction(m=np.array([[1.0, -1.0]]), c=np.array([1.0]),
+                             cost=np.array([-1.0, -1.0]), f_star=np.array([[1.0, 2.0]]))
+    assert_nan_solution(solve_static(red), LpStatus.UNBOUNDED, 2, 1, 1)
+
+
+def test_a_reduction_without_factor_rows_solves_to_an_empty_phi():
+    red = StaticEioReduction(m=np.eye(2), c=np.array([1.0, 2.0]), cost=np.array([1.0, 3.0]))
+    assert red.f_star.shape == (0, 2) and red.factor_labels == ()
+    sol = solve_static(red)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.phi.shape == (0,)
+    assert sol.z == pytest.approx(7.0, rel=1e-12)
+
+
+def test_an_optimal_solve_reports_the_certified_objective(economy_incidence, monkeypatch):
+    certified, check = [], lp.certify
+
+    def recorded(program, result, tol=lp.DEFAULT_TOLERANCES):
+        certificate = check(program, result, tol)
+        certified.append((result.objective, certificate))
+        return certificate
+    monkeypatch.setattr(lp, "certify", recorded)
+    for sol in both_views(economy_incidence, ECONOMY_F):
+        objective, certificate = certified.pop()
+        assert sol.status is LpStatus.OPTIMAL and certificate.passed
+        assert sol.z == objective
+        consistency, = (c for c in certificate.checks if c.name == "objective consistency")
+        assert consistency.value <= 1e-12 * abs(sol.z)
+        assert abs(sol.z - ECONOMY_PI @ sol.phi) <= 1e-12 * abs(sol.z)
+    assert certified == []
