@@ -33,16 +33,24 @@ _NUMERIC_ERRORS = (PivotBreakdownError, IterationLimitError,
 
 
 def _guard(fn):
+    """Map the library's errors to exit codes, and print every warning
+    the command raises as ``warning: <message>`` on stderr, also when it
+    exits early."""
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _NUMERIC_ERRORS as exc:
-            click.echo(f"numeric failure: {exc}", err=True)
-            sys.exit(4)
-        except _INPUT_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return fn(*args, **kwargs)
+            except _NUMERIC_ERRORS as exc:
+                click.echo(f"numeric failure: {exc}", err=True)
+                sys.exit(4)
+            except _INPUT_ERRORS as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            finally:
+                for w in caught:
+                    click.echo(f"warning: {w.message}", err=True)
     return wrapper
 
 
@@ -192,10 +200,7 @@ def hfnmcf_full(ctx, model_xml, scenario_json):
         given.update(boundary=hfnmcf.BoundaryConditions(**scenario.boundary),
                      lower=None, upper=None)
     problem = replace(problem, **given)
-    with warnings.catch_warnings():
-        # the conflicting rows are reported once, below
-        warnings.simplefilter("ignore", hfnmcf.InfeasibilityWarning)
-        sol = hfnmcf.solve_full(problem, tol=ctx.obj["tol"])
+    sol = hfnmcf.solve_full(problem, tol=ctx.obj["tol"])
     if sol.status is not LpStatus.OPTIMAL:
         if sol.infeasible_rows:
             click.echo("conflicting rows: " + ", ".join(sol.infeasible_rows), err=True)
@@ -223,11 +228,7 @@ def simulate(ctx, model_xml, schedule_json):
     initial = petri.Marking(
         np.zeros(net.n_places) if q_b0 is None else q_b0,
         np.zeros(net.n_transitions) if q_e0 is None else q_e0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = petri.simulate(net, initial, u_minus)
-    for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
+    result = petri.simulate(net, initial, u_minus)
     if ctx.obj["format"] == "json":
         doc = {"q_b": result.q_b.tolist(), "q_e": result.q_e.tolist(),
                "dropped": [asdict(d) for d in result.dropped]}

@@ -20,7 +20,6 @@ step k+1):
 
 import functools
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +34,6 @@ from heconet.incidence import IncidenceMatrices, build_incidence  # noqa: F401
 from heconet.lp import LinearProgram, LpResult, LpStatus
 from heconet.petri import EngineeringSystemNet
 from heconet.rcot import RcotSolution, solve_choice
-
-
-class InfeasibilityWarning(RuntimeWarning):
-    """An infeasible program's irreducible conflicting rows."""
 
 
 # --------------------------------------------------------------------------
@@ -543,10 +538,10 @@ class FullSolution:
 
 
 def solve_full(problem: HfnmcfProblem, extra_rows=None,
-               tol: Tolerances = DEFAULT_TOLERANCES,
-               diagnose_infeasibility: bool = True) -> FullSolution:
-    """Build and solve; on infeasibility, optionally report an
-    irreducible infeasible subset of the program's rows.
+               tol: Tolerances = DEFAULT_TOLERANCES) -> FullSolution:
+    """Build and solve; on infeasibility, ``infeasible_rows`` names an
+    irreducible infeasible subset of the program's rows.  That field is
+    the one report of the rows: nothing is warned.
 
     The subset names rows of the program: its equality rows (state
     transitions, duration coupling, synchronization, pins and boundary
@@ -557,10 +552,10 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
     A program shaped as :func:`embed_static` builds it is diagnosed
     through its static economy: the irreducible rows W of
     dt M[:, c] U >= -q_b_initial, U >= 0 (c: the transitions that
-    complete within the horizon) and their Farkas ray s lift to a ray
-    that is s on W's place rows at every step, -s on their initial
-    values, p = dt s'M+ on the duration rows and -p on the causality
-    rows.  The q_b columns telescope to 0 and q_b[K] gets -s, U+ nets to
+    complete within the horizon) and the Farkas multipliers s the filter
+    returns with them lift to a ray that is s on W's place rows at every
+    step, -s on their initial values, p = dt s'M+ on the duration rows
+    and -p on the causality rows.  The q_b columns telescope to 0 and q_b[K] gets -s, U+ nets to
     0, U- gets dt (s'M)_j <= 0 (-dt (s'M-)_j if j cannot complete), and
     the ray separates by s'C > 0.  Its support is returned once it
     passes :func:`heconet.lp.certify`.  It is irreducible: without a
@@ -580,15 +575,11 @@ def solve_full(problem: HfnmcfProblem, extra_rows=None,
     sol = FullSolution(status=result.status, objective=result.objective, x=x,
                        layout=layout, lp_result=result,
                        **{name: layout.family(x, name) for name in layout.families})
-    if result.status is LpStatus.INFEASIBLE and diagnose_infeasibility:
+    if result.status is LpStatus.INFEASIBLE:
         witness = None if extra_rows is not None else _lifted_witness(problem, program, tol)
         if witness is None:
             witness = lp_mod.irreducible_infeasible_rows(program, tol)
         sol.infeasible_rows = tuple(witness)
-        if witness:
-            warnings.warn(
-                "infeasible program; irreducible conflicting rows: "
-                + ", ".join(witness), InfeasibilityWarning, stacklevel=2)
     return sol
 
 
@@ -613,16 +604,10 @@ def _lifted_witness(problem: HfnmcfProblem, program: LinearProgram, tol: Toleran
         return None
     static = StaticEioReduction(m=net.dt * inc.m[:, c], c=-b.q_b_initial, cost=np.zeros(c.size),
                                 row_labels=inc.place_names)
-    place = {name: i for i, name in enumerate(inc.place_names)}
-    w = [place[name] for name in lp_mod.irreducible_infeasible_rows(static_lp(static), tol)]
-    if not w:
+    witness = lp_mod.irreducible_infeasible_rows(static_lp(static), tol)
+    if not witness:
         return None
-    ray_w = lp_mod.solve_lp(static_lp(StaticEioReduction(
-        m=static.m[w], c=static.c[w], cost=static.cost)), tol)
-    if ray_w.status is not LpStatus.INFEASIBLE:
-        return None
-    s = np.zeros(n_p)
-    s[w] = ray_w.duals
+    s = np.array([witness.get(name, 0.0) for name in inc.place_names])
     p = net.dt * (s @ inc.m_plus)
     # build_full's rows here: per step the place then the flight rows,
     # per transition its K duration rows (coupled first, then causality),

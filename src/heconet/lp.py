@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from heconet import kernels
-from heconet.checks import checked_array, checked_labels, read_only, set_fields
+from heconet.checks import checked_array, checked_labels, distinct, read_only, set_fields
 from heconet.config import DEFAULT_TOLERANCES, Tolerances
 
 LESS_EQUAL = "<="
@@ -137,7 +137,9 @@ class LinearProgram:
             raise ValueError(f"lower bound exceeds upper bound for variable {bad}")
         set_fields(self, cost=cost, matrix=rows, senses=senses, rhs=rhs, lower=lower,
                    upper=upper, var_labels=checked_labels(var_labels, "var_labels", n, "x"),
-                   row_labels=checked_labels(row_labels, "row_labels", m, "r"))
+                   # A label names one row: a witness reports rows by label.
+                   row_labels=distinct(checked_labels(row_labels, "row_labels", m, "r"),
+                                       "row_labels"))
 
     @property
     def rows(self) -> np.ndarray:
@@ -416,12 +418,14 @@ def _sense_masks(lp: LinearProgram):
 
 
 def _certified(lp: LinearProgram, result: LpResult, tol: Tolerances) -> LpResult:
-    cert = certify(lp, result, tol)
+    _require_passed(certify(lp, result, tol), result.status)
+    return result
+
+
+def _require_passed(cert: Certificate, status: LpStatus):
     if not cert.passed:
         failed = ", ".join(f"{c.name} ({c.value:.3e} > {c.bound:.3e})" for c in cert.failures())
-        raise CertificationError(
-            f"{result.status.value} result failed certification: {failed}")
-    return result
+        raise CertificationError(f"{status.value} result failed certification: {failed}")
 
 
 def _check(name: str, value, bound) -> CheckResult:
@@ -526,8 +530,9 @@ def feasible(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 
 def irreducible_infeasible_rows(lp: LinearProgram,
-                                tol: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """Deletion filter: labels of an irreducible infeasible set of rows.
+                                tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
+    """Deletion filter: an irreducible infeasible set of rows, as
+    ``{row label: Farkas multiplier}`` in row order.
 
     The rows may have any sense.  The filter works on the elastic form
     of ``lp`` (Chinneck, "Feasibility and Infeasibility in Optimization",
@@ -546,8 +551,14 @@ def irreducible_infeasible_rows(lp: LinearProgram,
     the rows left without it are a subset of a feasible system.  So
     every returned row is necessary and together they are infeasible
     (Chinneck & Dravnieks, "Locating minimal infeasible constraint sets
-    in linear programs", ORSA J. Computing 1991).  Returns [] when
-    ``lp`` is feasible.
+    in linear programs", ORSA J. Computing 1991).
+
+    The multipliers are the ray of the last trial that stayed infeasible,
+    or of the first phase 1 when none did, cut to its support: no later
+    trial drops a row, so that support is the returned rows.  The ray
+    is checked once more by :func:`_farkas_checks` on ``lp``, and
+    :class:`CertificationError` is raised when it fails, as
+    :func:`solve_lp` does.  Returns {} when ``lp`` is feasible.
     """
     m = lp.n_rows
     sx = _start(lp)
@@ -558,7 +569,7 @@ def irreducible_infeasible_rows(lp: LinearProgram,
     elastic = sx.c1[k:].reshape(2, m)
     _, infeasible, ray = _phase1(sx, tol)
     if not infeasible:
-        return []
+        return {}
 
     def drop_outside_support(ray):
         active = elastic[0] > 0.0
@@ -574,9 +585,11 @@ def irreducible_infeasible_rows(lp: LinearProgram,
         if not elastic[0, r]:
             continue
         elastic[:, r] = 0.0
-        _, infeasible, ray = _phase1(sx, tol)
+        _, infeasible, trial = _phase1(sx, tol)
         if infeasible:
+            ray = trial
             drop_outside_support(ray)
         else:
             elastic[:, r] = 1.0
-    return [lp.row_labels[i] for i in np.flatnonzero(elastic[0])]
+    _require_passed(Certificate(_farkas_checks(lp, ray, tol)), LpStatus.INFEASIBLE)
+    return {lp.row_labels[i]: float(ray[i]) for i in np.flatnonzero(elastic[0])}

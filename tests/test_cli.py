@@ -616,15 +616,31 @@ def test_infeasible_program_exits_three(runner, tmp_path):
     assert "program is infeasible" in result.stderr
 
 
+def run_cli(*args):
+    """The CLI run as a process, so that stderr is what a user sees:
+    in-process, pytest records any warning that escapes the CLI."""
+    package_root = os.path.dirname(os.path.dirname(heconet.__file__))
+    return subprocess.run([sys.executable, "-m", "heconet.cli", *args],
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["rcot", "hfnmcf-static"])
+def test_warnings_print_as_one_line_each(tmp_path, command):
+    # Zero demand: every capability value is zero, so the CSV's percent
+    # column warns.  It once printed as Python's raw RuntimeWarning, with
+    # the source line of the CLI after it.
+    path = changed_copy(tmp_path, SCENARIO, lambda doc: doc.update(
+        {"demand": dict.fromkeys(doc["demand"], 0.0)}))
+    out = run_cli(command, ECONOMY, path)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "warning: all capability values are zero; percent column is 0.0%\n"
+
+
 def test_hfnmcf_full_prints_conflicting_rows_once(tmp_path):
-    # run as a process: pytest would otherwise record the library's
-    # warning before it reached stderr
     path = changed_copy(tmp_path, SCENARIO,
                         lambda doc: doc["availability"].update({"water": 1.0}))
-    package_root = os.path.dirname(os.path.dirname(heconet.__file__))
-    out = subprocess.run([sys.executable, "-m", "heconet.cli", "hfnmcf-full", ECONOMY, path],
-                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-                         capture_output=True, text=True)
+    out = run_cli("hfnmcf-full", ECONOMY, path)
     assert out.returncode == 3, out.stderr
     assert out.stderr.count("conflicting rows") == 1
     assert out.stderr.startswith("conflicting rows: ")

@@ -2,14 +2,13 @@ import contextlib
 import dataclasses
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heconet import hfnmcf, kernels
+from heconet import kernels
 from heconet import lp as lp_mod
 from heconet.hfnmcf import (BoundaryConditions, FiringPins, HfnmcfProblem,
                             StaticEioReduction, VariableLayout, build_full,
@@ -518,8 +517,7 @@ def test_infeasible_program_reports_a_row_witness():
         pins=FiringPins(u_minus=np.zeros((1, 2)), u_plus=np.zeros((1, 2))),
         boundary=BoundaryConditions(q_e_initial=np.zeros(2),
                                     q_e_final=np.array([5.0, np.nan])))
-    with diagnosis_spy() as (diagnosed, _), \
-            pytest.warns(RuntimeWarning, match="irreducible conflicting rows"):
+    with diagnosis_spy() as (diagnosed, _, _):
         sol = solve_full(problem)
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.infeasible_rows
@@ -528,10 +526,6 @@ def test_infeasible_program_reports_a_row_witness():
     assert [p.row_labels for p, _ in diagnosed] == [build_full(problem).row_labels]
     assert np.all(np.isnan(sol.q_b))
     assert np.isnan(sol.objective)
-
-    quiet = solve_full(problem, diagnose_infeasibility=False)
-    assert quiet.status is LpStatus.INFEASIBLE
-    assert quiet.infeasible_rows == ()
 
 
 def test_build_full_holds_its_rows_once(economy_incidence):
@@ -550,9 +544,9 @@ def test_build_full_holds_its_rows_once(economy_incidence):
 
 
 def test_water_cut_witness_is_irreducible(water_cut_problem):
-    with pytest.warns(RuntimeWarning, match="irreducible conflicting rows"):
-        sol = solve_full(water_cut_problem)
+    sol = solve_full(water_cut_problem)
     assert sol.status is LpStatus.INFEASIBLE
+    assert sol.infeasible_rows
     program = build_full(water_cut_problem)
     assert certify(program, sol.lp_result).passed
     witness = [program.row_labels.index(label) for label in sol.infeasible_rows]
@@ -574,15 +568,17 @@ def assert_irreducible(program, rows):
 
 @contextlib.contextmanager
 def diagnosis_spy():
-    """Yields (diagnosed, certified): (program, witness) of every call of
-    lp.irreducible_infeasible_rows, and (program, ray, passed) of every
-    infeasible result lp.certify checks."""
-    diagnosed, certified = [], []
-    diagnose, check = lp_mod.irreducible_infeasible_rows, lp_mod.certify
+    """Yields (diagnosed, certified, solved): (program, witness labels)
+    of every call of lp.irreducible_infeasible_rows, (program, ray,
+    passed) of every infeasible result lp.certify checks, and the
+    program of every call of lp.solve_lp."""
+    diagnosed, certified, solved = [], [], []
+    diagnose, check, solve = (lp_mod.irreducible_infeasible_rows, lp_mod.certify,
+                              lp_mod.solve_lp)
 
     def record_diagnosis(program, *args):
         witness = diagnose(program, *args)
-        diagnosed.append((program, witness))
+        diagnosed.append((program, list(witness)))
         return witness
 
     def record_certificate(program, result, *args):
@@ -591,24 +587,26 @@ def diagnosis_spy():
             certified.append((program, result.duals, cert.passed))
         return cert
 
+    def record_solve(program, *args, **kwargs):
+        solved.append(program)
+        return solve(program, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp_mod, "irreducible_infeasible_rows", record_diagnosis)
         patch.setattr(lp_mod, "certify", record_certificate)
-        yield diagnosed, certified
+        patch.setattr(lp_mod, "solve_lp", record_solve)
+        yield diagnosed, certified, solved
 
 
-def solve_quietly(problem, extra_rows=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", hfnmcf.InfeasibilityWarning)
-        return solve_full(problem, extra_rows)
-
-
-def assert_lifted(problem, sol, diagnosed, certified):
+def assert_lifted(problem, sol, diagnosed, certified, solved):
     """The witness of ``sol`` is the support of a ray that passed
     certify on the full program, after the filter ran on the static
-    program only, and it is irreducible."""
+    program only and the full program was solved once: the lift takes
+    the filter's multipliers and solves nothing again.  The witness is
+    irreducible."""
     program = build_full(problem)
     assert [p.row_labels for p, _ in diagnosed] == [problem.net.incidence.place_names]
+    assert [p.row_labels for p in solved] == [program.row_labels]
     full, ray, passed = certified[-1]
     assert full.row_labels == program.row_labels and passed
     row = {label: i for i, label in enumerate(program.row_labels)}
@@ -646,14 +644,14 @@ def embedded_economies(draw):
 @given(embedded_economies())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_lifted_witness_is_certified_and_irreducible(problem):
-    with diagnosis_spy() as (diagnosed, certified):
-        sol = solve_quietly(problem)
+    with diagnosis_spy() as (diagnosed, certified, solved):
+        sol = solve_full(problem)
     if sol.status is not LpStatus.INFEASIBLE:
         return
     if np.all(problem.net.durations >= problem.horizon):
         # no transition completes: the static program has no columns
         assert [p.n_vars for p, _ in diagnosed] == [0]
-    assert_lifted(problem, sol, diagnosed, certified)
+    assert_lifted(problem, sol, diagnosed, certified, solved)
 
 
 def ledger(net):
@@ -688,7 +686,7 @@ def test_operand_rows_are_read_by_name():
     assert {"pin-ul_plus[1]:ledger:t1", "pin-ul_minus[1]:ledger:t1",
             "boundary-initial:q_el:ledger:t2", "boundary-final:q_el:ledger:t2"
             } <= set(program.row_labels)
-    sol = solve_quietly(problem)
+    sol = solve_full(problem)
     assert sol.status is LpStatus.INFEASIBLE
     assert list(sol.infeasible_rows) == [
         "operand-place[0]:ledger:done", "operand-place[1]:ledger:done",
@@ -728,8 +726,8 @@ def off_shape(problem, change):
 @pytest.mark.parametrize("change", ["pin", "operand net", "extra rows", "bound", "flight"])
 def test_a_program_off_the_shape_runs_the_filter_on_itself(water_cut_problem, change):
     problem, extra = off_shape(water_cut_problem, change)
-    with diagnosis_spy() as (diagnosed, _):
-        sol = solve_quietly(problem, extra)
+    with diagnosis_spy() as (diagnosed, _, _):
+        sol = solve_full(problem, extra)
     assert sol.status is LpStatus.INFEASIBLE
     program = build_full(problem, extra)
     assert [p.row_labels for p, _ in diagnosed] == [program.row_labels]
@@ -755,9 +753,9 @@ def test_a_lift_that_fails_its_certificate_runs_the_filter(water_cut_problem, mo
         return cert
     monkeypatch.setattr(lp_mod, "irreducible_infeasible_rows", record_diagnosis)
     monkeypatch.setattr(lp_mod, "certify", refuse_the_lift)
-    sol = solve_quietly(water_cut_problem)
+    sol = solve_full(water_cut_problem)
     assert diagnosed == [water_cut_problem.net.incidence.place_names, program.row_labels]
-    assert list(sol.infeasible_rows) == diagnose(program)
+    assert list(sol.infeasible_rows) == list(diagnose(program))
 
 
 @pytest.mark.parametrize("horizon", [1, 2])
@@ -767,24 +765,24 @@ def test_a_horizon_within_the_durations(economy_incidence, horizon):
     # completes, so the static program has no columns and the lift covers
     # every transition by its causality rows.
     problem = water_cut(economy_incidence, horizon)
-    with diagnosis_spy() as (diagnosed, certified):
-        sol = solve_quietly(problem)
+    with diagnosis_spy() as (diagnosed, certified, solved):
+        sol = solve_full(problem)
     assert sol.status is LpStatus.INFEASIBLE
     if horizon == 1:
         assert [p.n_vars for p, _ in diagnosed] == [0]
-    assert_lifted(problem, sol, diagnosed, certified)
+    assert_lifted(problem, sol, diagnosed, certified, solved)
 
 
 @pytest.mark.parametrize("horizon", [8, 20])
 def test_water_cut_is_diagnosed_on_its_static_economy(economy_incidence, horizon):
     problem = water_cut(economy_incidence, horizon)
-    with diagnosis_spy() as (diagnosed, _), pytest.warns(hfnmcf.InfeasibilityWarning):
+    with diagnosis_spy() as (diagnosed, _, _):
         sol = solve_full(problem)
     assert [(p.row_labels, w) for p, w in diagnosed] == [(
         economy_incidence.place_names,
         ["man@economy", "cons@economy", "ag@economy", "water@economy"])]
     assert len(sol.infeasible_rows) == {8: 84, 20: 204}[horizon]
-    assert list(sol.infeasible_rows) == irreducible_infeasible_rows(build_full(problem))
+    assert list(sol.infeasible_rows) == list(irreducible_infeasible_rows(build_full(problem)))
 
 
 # --------------------------------------------------------------------------

@@ -298,6 +298,9 @@ def test_validation_errors():
                       lower=[np.inf])
     with pytest.raises(ValueError, match="cost must be an array of numbers"):
         LinearProgram(cost="abc", rows=[[1.0]], senses=(lp.LESS_EQUAL,), rhs=[1.0])
+    with pytest.raises(ValueError, match="row_labels must be distinct; 'cap' is repeated"):
+        LinearProgram(cost=[1.0], rows=[[1.0], [1.0]], senses=(lp.LESS_EQUAL,) * 2,
+                      rhs=[1.0, 2.0], row_labels=("cap", "cap"))
 
 
 def test_caller_writes_do_not_reach_the_program():
@@ -367,10 +370,22 @@ def test_irreducible_infeasible_rows():
         row_labels=("needs-two", "caps-one", "irrelevant"))
     witness = irreducible_infeasible_rows(program)
     assert set(witness) == {"needs-two", "caps-one"}
+    # the multipliers carry the signs of their rows' senses
+    assert witness["needs-two"] > 0.0 > witness["caps-one"]
+
+
+def test_a_witness_ray_that_fails_its_checks_raises(monkeypatch):
+    program = LinearProgram(cost=[1.0], rows=[[1.0], [1.0]],
+                            senses=(lp.GREATER_EQUAL, lp.LESS_EQUAL), rhs=[2.0, 1.0])
+    failed = (lp.CheckResult("refused", False, 1.0, 0.0),)
+    monkeypatch.setattr(lp, "_farkas_checks", lambda *args: failed)
+    with pytest.raises(CertificationError, match="infeasible result failed certification: "
+                                                 "refused"):
+        irreducible_infeasible_rows(program)
 
 
 def test_irreducible_infeasible_rows_of_a_feasible_program_is_empty():
-    assert irreducible_infeasible_rows(economy_lp()) == []
+    assert irreducible_infeasible_rows(economy_lp()) == {}
 
 
 @pytest.mark.parametrize("refactor_every", [1, DEFAULT_TOLERANCES.lp_refactor_every])
@@ -386,7 +401,7 @@ def test_irreducible_infeasible_rows_keeps_each_needed_row_of_a_chain(refactor_e
         rhs=[3.0, 0.0, 0.0, 2.0, 2.0, 7.0], lower=[-np.inf] * 4,
         row_labels=("start", "step", "link", "cap", "cap-again", "other"))
     tol = DEFAULT_TOLERANCES.replace(lp_refactor_every=refactor_every)
-    witness = irreducible_infeasible_rows(program, tol)
+    witness = list(irreducible_infeasible_rows(program, tol))
     assert witness[:3] == ["start", "step", "link"]
     assert witness[3:] in (["cap"], ["cap-again"])
 
@@ -464,7 +479,7 @@ def test_elastic_filter_matches_the_restore_reference(water_cut_witness, horizon
     program, expected = water_cut_witness(horizon)
     tol = DEFAULT_TOLERANCES.replace(lp_refactor_every=refactor_every)
     assert len(expected) == {8: 84, 20: 204}[horizon]
-    assert irreducible_infeasible_rows(program, tol) == expected
+    assert list(irreducible_infeasible_rows(program, tol)) == expected
 
 
 def test_water_cut_diagnosis_pivots(water_cut_problem, monkeypatch):
@@ -595,8 +610,8 @@ def test_the_solve_path_reads_no_dense_rows(economy_incidence, economy_instance,
     sol = hfnmcf.solve_full(time_expanded(economy_incidence, np.ones(6, dtype=int), 40))
     assert sol.lp_result.iterations == 21
     assert sol.objective == pytest.approx(z, abs=1e-9)
-    with pytest.warns(hfnmcf.InfeasibilityWarning):
-        cut = hfnmcf.solve_full(water_cut_problem)
+    cut = hfnmcf.solve_full(water_cut_problem)
+    assert cut.status is LpStatus.INFEASIBLE
     assert len(cut.infeasible_rows) == 84
     red = hfnmcf.build_static(economy_incidence, ECONOMY_Y, ECONOMY_F, ECONOMY_PI)
     assert hfnmcf.solve_static(red).z == pytest.approx(z, abs=1e-9)
@@ -747,7 +762,7 @@ def test_rows_without_columns():
     assert result.status is LpStatus.INFEASIBLE
     assert certify(program, result).passed
     assert np.flatnonzero(result.duals).tolist() == [0]
-    assert irreducible_infeasible_rows(program) == ["r1"]
+    assert list(irreducible_infeasible_rows(program)) == ["r1"]
 
 
 @st.composite

@@ -158,8 +158,14 @@ def infeasible_lp(draw):
 def test_infeasibility_witness_is_irreducible_by_highs(program):
     assume(highs(program)[0] is LpStatus.INFEASIBLE)
     assert_agrees(program, LpStatus.INFEASIBLE, np.nan)
-    witness = [program.row_labels.index(label)
-               for label in irreducible_infeasible_rows(program)]
+    multipliers = irreducible_infeasible_rows(program)
+    witness = [program.row_labels.index(label) for label in multipliers]
+    # the multipliers, on their rows, are a certified ray of the program
+    # and nonzero on every witness row
+    ray = np.zeros(program.n_rows)
+    ray[witness] = list(multipliers.values())
+    assert certify(program, lp.LpResult(LpStatus.INFEASIBLE, None, np.nan, ray, None, 0)).passed
+    assert np.all(ray[witness] != 0.0)
     assert highs(row_subset(program, witness))[0] is LpStatus.INFEASIBLE
     for i in witness:
         assert highs(row_subset(program, [k for k in witness if k != i]))[0] is LpStatus.OPTIMAL
