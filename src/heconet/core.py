@@ -19,12 +19,14 @@ from each builder that takes the model) copy it.
 """
 
 import functools
-import math
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
-from heconet.checks import counts, set_fields
+import numpy as np
+
+from heconet.checks import counts, read_only, set_fields
 
 
 class ResourceKind(str, Enum):
@@ -59,19 +61,65 @@ class Flow:
     coeff: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Process:
-    """A recipe converting input operands into output operands."""
+    """A recipe converting input operands into output operands.
+
+    Its flows are held as columns: ``sides`` is ``(inputs, outputs)``,
+    each a tuple of operand ids and a read-only float array of their
+    per-unit coefficients, in flow order.  The constructor takes Flow
+    sequences and refuses a coefficient that is not a real number;
+    ``inputs`` and ``outputs`` read the columns back as Flows.
+    """
 
     id: str
-    name: str = ""
-    kind: ProcessKind = ProcessKind.TRANSFORMATION
-    inputs: tuple[Flow, ...] = ()
-    outputs: tuple[Flow, ...] = ()
+    name: str
+    kind: ProcessKind
+    sides: tuple
 
-    def __post_init__(self):
-        set_fields(self, kind=ProcessKind(self.kind), inputs=tuple(self.inputs),
-                   outputs=tuple(self.outputs))
+    def __init__(self, id: str, name: str = "", kind: ProcessKind = ProcessKind.TRANSFORMATION,
+                 inputs: tuple[Flow, ...] = (), outputs: tuple[Flow, ...] = ()):
+        sides = tuple(inputs), tuple(outputs)
+        for side, flows in zip(("inputs", "outputs"), sides):
+            for i, fl in enumerate(flows):
+                if not isinstance(fl.coeff, (int, float)) or isinstance(fl.coeff, bool):
+                    raise ValueError(f"process[{id}].{side}[{i}]: coefficient must be a "
+                                     f"real number, got {fl.coeff!r}")
+        set_fields(self, id=id, name=name, kind=ProcessKind(kind), sides=tuple(
+            (tuple(fl.operand for fl in flows),
+             read_only(np.array([fl.coeff for fl in flows], dtype=float))) for flows in sides))
+
+    @classmethod
+    def from_columns(cls, id: str, name: str, kind: ProcessKind, sides: tuple) -> "Process":
+        """A process that holds ``sides`` as given, in the form above."""
+        proc = cls.__new__(cls)
+        set_fields(proc, id=id, name=name, kind=kind, sides=sides)
+        return proc
+
+    @property
+    def inputs(self) -> tuple[Flow, ...]:
+        return self._flows(0)
+
+    @property
+    def outputs(self) -> tuple[Flow, ...]:
+        return self._flows(1)
+
+    def _flows(self, side: int) -> tuple[Flow, ...]:
+        ops, coeffs = self.sides[side]
+        return tuple(map(Flow, ops, coeffs.tolist()))
+
+    def _key(self) -> tuple:
+        return self.id, self.name, self.kind, self.inputs, self.outputs
+
+    def __eq__(self, other):
+        return other.__class__ is Process and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # through the constructor, so a copy's arrays are read-only too
+        return Process, self._key()
 
 
 @dataclass(frozen=True)
@@ -204,21 +252,23 @@ def _violations(model: SystemModel) -> list[Violation]:
         if not o.unit:
             out.append(Violation(f"operand[{o.id}].unit", "unit must be non-empty"))
 
-    for p in model.processes:
-        if not p.outputs:
-            out.append(Violation(f"process[{p.id}]", "must have at least one output"))
-        for fname, flows in (("inputs", p.inputs), ("outputs", p.outputs)):
-            for i, flow in enumerate(flows):
-                coeff = flow.coeff
-                if flow.operand in operand_ids and type(coeff) is float \
-                        and 0.0 <= coeff < math.inf:
-                    continue
-                where = f"process[{p.id}].{fname}[{i}]"
-                if flow.operand not in operand_ids:
-                    out.append(Violation(where, f"unknown operand {flow.operand!r}"))
-                if not isinstance(coeff, (int, float)) or isinstance(coeff, bool) \
-                        or not math.isfinite(coeff) or coeff < 0:
-                    out.append(Violation(where, f"coefficient must be finite and >= 0, got {coeff!r}"))
+    out += [Violation(f"process[{p.id}]", "must have at least one output")
+            for p in model.processes if not p.sides[1][0]]
+    # the flows of all processes are checked at once; each flow is looked
+    # at only if one fails
+    sides = [side for p in model.processes for side in p.sides]
+    coeffs = np.concatenate([np.zeros(0)] + [coeffs for _, coeffs in sides])
+    if not (operand_ids.issuperset(itertools.chain.from_iterable(ops for ops, _ in sides))
+            and np.all((coeffs >= 0) & (coeffs < np.inf))):
+        for p in model.processes:
+            for fname, (ops, coeffs) in zip(("inputs", "outputs"), p.sides):
+                for i, (operand, coeff) in enumerate(zip(ops, coeffs.tolist())):
+                    where = f"process[{p.id}].{fname}[{i}]"
+                    if operand not in operand_ids:
+                        out.append(Violation(where, f"unknown operand {operand!r}"))
+                    if not 0.0 <= coeff < np.inf:
+                        out.append(Violation(
+                            where, f"coefficient must be finite and >= 0, got {coeff!r}"))
 
     if not model.capabilities:
         out.append(Violation("capabilities", "at least one capability is required"))
@@ -234,9 +284,8 @@ def _violations(model: SystemModel) -> list[Violation]:
             counts(cap.duration, "duration")
         except ValueError as exc:
             out.append(Violation(f"{where}.duration", str(exc)))
-        for side, mapping in (("pull", cap.pull), ("push", cap.push)):
-            flows = () if proc is None else (proc.inputs if side == "pull" else proc.outputs)
-            needed = {fl.operand for fl in flows}
+        for k, (side, mapping) in enumerate((("pull", cap.pull), ("push", cap.push))):
+            needed = set(() if proc is None else proc.sides[k][0])
             if needed == mapping.keys() and buffer_ids.issuperset(mapping.values()):
                 continue
             for operand_id in needed - mapping.keys():

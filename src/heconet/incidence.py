@@ -15,6 +15,7 @@ nowhere else: the net matrix ``m = m_plus - m_minus`` and the name
 
 import functools
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -112,28 +113,26 @@ def build_incidence(model: SystemModel) -> IncidenceMatrices:
     require_valid(model)
     buffers = buffer_set(model)
     operands = [o.id for o in model.operands]
-    n_b = len(buffers)
-    row_of = {(o, b): i * n_b + j
-              for i, o in enumerate(operands) for j, b in enumerate(buffers)}
+    operand_row = {o: i * len(buffers) for i, o in enumerate(operands)}
+    buffer_row = {b: j for j, b in enumerate(buffers)}
+    shape = (len(operands) * len(buffers), len(model.capabilities))
+    procs = [model.process(cap.process) for cap in model.capabilities]
+    m_minus, m_plus = (_scatter(shape, operand_row, buffer_row, [
+        (proc.sides[side], routing) for proc, routing in zip(procs, routings)])
+        for side, routings in enumerate(zip(*((c.pull, c.push) for c in model.capabilities))))
+    return IncidenceMatrices(m_plus=m_plus, m_minus=m_minus, operands=tuple(operands),
+                             buffers=tuple(buffers),
+                             capabilities=tuple(c.id for c in model.capabilities))
 
-    shape = (len(operands) * n_b, len(model.capabilities))
-    # (rows, columns, coefficients) of the m_minus and the m_plus entries
-    entries = ([], [], []), ([], [], [])
-    for col, cap in enumerate(model.capabilities):
-        proc = model.process(cap.process)
-        for (rows, cols, coeffs), flows, routing in zip(
-                entries, (proc.inputs, proc.outputs), (cap.pull, cap.push)):
-            rows += [row_of[fl.operand, routing[fl.operand]] for fl in flows]
-            cols += [col] * len(flows)
-            coeffs += [fl.coeff for fl in flows]
-    m_minus, m_plus = np.zeros(shape), np.zeros(shape)
-    for m, (rows, cols, coeffs) in zip((m_minus, m_plus), entries):
-        np.add.at(m, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), coeffs)
 
-    return IncidenceMatrices(
-        m_plus=m_plus,
-        m_minus=m_minus,
-        operands=tuple(operands),
-        buffers=tuple(buffers),
-        capabilities=tuple(c.id for c in model.capabilities),
-    )
+def _scatter(shape, operand_row, buffer_row, columns) -> np.ndarray:
+    """Column j holds the coefficients of ``columns[j] = ((operand ids,
+    coefficients), routing)``, each added at its operand's row for the
+    buffer ``routing`` gives it, in flow order as a loop would add."""
+    ops = list(chain.from_iterable(ids for (ids, _), _ in columns))
+    rows = np.fromiter(map(operand_row.__getitem__, ops), np.intp, len(ops))
+    rows += np.fromiter(map(buffer_row.__getitem__, chain.from_iterable(
+        map(routing.__getitem__, ids) for (ids, _), routing in columns)), np.intp, len(ops))
+    rows = rows * shape[1] + np.repeat(np.arange(shape[1]), [len(ids) for (ids, _), _ in columns])
+    coeffs = np.concatenate([coeffs for (_, coeffs), _ in columns])
+    return np.bincount(rows, coeffs, shape[0] * shape[1]).reshape(shape)

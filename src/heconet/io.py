@@ -21,14 +21,22 @@ A capability without explicit <pull>/<push> children routes every
 process input and output through its own resource, which therefore
 must be a buffer.  A capability without an ``id`` is named
 "resource:process"; an empty ``id`` is an error.  Writing always emits
-the explicit form, so a written document re-reads to an equal model.
+the explicit form, so a written document re-reads to an equal model;
+text that XML 1.0 cannot carry, such as a control character or a lone
+surrogate, raises ``ValueError`` naming its element and attribute.
 
 A ``coeff`` is any ASCII text Python's ``float`` reads and a
 ``duration`` any ASCII text ``int`` reads (surrounding whitespace and a
 sign allowed), except that an underscore is rejected: ``0_5`` is not a
-number, and neither are other scripts' digits such as ``١٢``.  The loader
-checks the schema; the model it builds is then validated once, by
-:func:`heconet.core.require_valid`.
+number, and neither are other scripts' digits such as ``١٢``.  Bytes
+are read in the encoding the document declares, a ``str`` as the text
+it is.  The loader keeps each process's flows as columns
+(:class:`heconet.core.Process`): a well-placed ``<input>`` or
+``<output>`` only adds its operand id and coeff text to two lists, and
+the coefficients are read once, on arrays, after the parse.  A document
+that fails a check is read again element by element, so the error
+raised, with its line and column, is the first in document order.  The
+model is then validated once, by :func:`heconet.core.require_valid`.
 
 Numbers serialize with shortest round-trip decimal encoding (repr),
 so JSON round-trips are bit-exact.  CSV output always uses '.' as the
@@ -38,6 +46,7 @@ decimal point, ',' as the separator, and '\\n' line endings.
 import csv
 import io as _io
 import json
+import re
 import warnings
 import xml.parsers.expat
 from dataclasses import dataclass, field
@@ -47,9 +56,10 @@ import numpy as np
 
 from heconet.checks import (REQUIRED, JsonFormatError, as_given, checked_array,
                             checked_labels, counts, json_document, json_map,
-                            json_numbers, json_object, json_strings, positive)
-from heconet.core import (Capability, Flow, Operand, Process, ProcessKind,
-                          Resource, ResourceKind, SystemModel, require_valid)
+                            json_numbers, json_object, json_strings, positive,
+                            read_only)
+from heconet.core import (Capability, Operand, Process, ProcessKind, Resource,
+                          ResourceKind, SystemModel, require_valid)
 from heconet.incidence import IncidenceMatrices
 from heconet.rcot import RcotSolution
 
@@ -97,21 +107,49 @@ def _xml_number(text: str) -> str:
     return text
 
 
+def _floats(texts: list) -> np.ndarray:
+    """``texts`` as a read-only float array, or ``ValueError`` if one of
+    them is no XML number."""
+    _xml_number("".join(texts))
+    return read_only(np.fromiter(map(float, texts), float, len(texts)))
+
+
 class _XmlLoader:
-    def __init__(self):
-        self.parser = xml.parsers.expat.ParserCreate()
-        self.parser.StartElementHandler = self._start
-        self.parser.EndElementHandler = self._end
-        self.parser.CharacterDataHandler = self._chars
-        self.stack = [None]
-        self.operands = []
-        self.resources = []
-        self.processes = []
-        self.caps = []
-        self.current_process = None
-        self.flows = None
-        self.current_cap = None
-        self.routes = None
+    """The handlers of one expat parse of ``data``.
+
+    Every element is checked as it starts, except, on the ``fast``
+    path, an ``<input>`` or ``<output>`` in a ``<process>`` whose
+    attributes are ``operand`` then ``coeff``: it only adds its operand
+    id and coeff text to the flat list of its tag in ``flows``, and the
+    coeff is read in :meth:`build`.  The keys of ``open`` are the open
+    elements, and its ``pop`` the end handler: a name is not repeated
+    along any path that ``_SCHEMA`` allows.
+    """
+
+    def __init__(self, data, fast: bool):
+        self.parser = parser = xml.parsers.expat.ParserCreate()
+        parser.ordered_attributes = True
+        self.open = opened = {}
+        self.flows = flows = {"input": [], "output": []}
+        self.operands, self.resources, self.processes, self.caps = [], [], [], []
+
+        def start(name, attrs):
+            flat = flows.get(name)
+            if flat is not None and len(attrs) == 4 and attrs[0] == "operand" \
+                    and attrs[2] == "coeff" and len(opened) == 2 and "process" in opened:
+                flat.append(attrs[1])
+                flat.append(attrs[3])
+                opened[name] = None
+            else:
+                self._start(name, attrs)
+
+        parser.StartElementHandler = start if fast else self._start
+        parser.EndElementHandler = opened.pop
+        # Text outside markup follows a '>' after ASCII whitespace, or
+        # hides in CDATA; a str is not scanned.
+        if not fast or isinstance(data, str) or b"<![CDATA[" in data \
+                or re.search(rb">[^<]", data.translate(None, b" \t\r\n")):
+            parser.CharacterDataHandler = self._chars
 
     def _fail(self, message: str):
         raise XmlFormatError(message, self.parser.CurrentLineNumber,
@@ -123,26 +161,21 @@ class _XmlLoader:
         return attrs[attr]
 
     def _start(self, name, attrs):
+        attrs = dict(zip(attrs[::2], attrs[1::2]))
         try:
             parent, allowed, handler = _DISPATCH[name]
         except KeyError:
             self._fail(f"unknown element <{name}>")
-        if parent != self.stack[-1]:
-            if self.stack[-1] is None:
+        inner = next(reversed(self.open), None)
+        if parent != inner:
+            if inner is None:
                 self._fail(f"root element must be <system>, got <{name}>")
-            self._fail(f"<{name}> is not allowed inside <{self.stack[-1]}>")
+            self._fail(f"<{name}> is not allowed inside <{inner}>")
         if not allowed.issuperset(attrs):
             self._fail(f"<{name}> has unknown attribute '{sorted(set(attrs) - allowed)[0]}'")
-        self.stack.append(name)
+        self.open[name] = None
         if handler is not None:
             handler(self, name, attrs)
-
-    def _end(self, name):
-        self.stack.pop()
-        if name == "process":
-            self.processes.append(Process(*self.current_process, *self.flows.values()))
-        elif name == "capability":
-            self.caps.append((*self.current_cap, *self.routes.values()))
 
     def _chars(self, data):
         if not data.isspace() and data:
@@ -152,37 +185,32 @@ class _XmlLoader:
         self.operands.append(Operand(
             self._require(attrs, name, "id"), attrs.get("name", ""), attrs.get("unit", "")))
 
-    def _on_resource(self, name, attrs):
-        kind_text = self._require(attrs, name, "kind")
+    def _kind(self, kinds, text: str, what: str):
         try:
-            kind = ResourceKind(kind_text)
+            return kinds(text)
         except ValueError:
-            allowed = ", ".join(k.value for k in ResourceKind)
-            self._fail(f"unknown resource kind {kind_text!r}; expected one of: {allowed}")
+            allowed = ", ".join(k.value for k in kinds)
+            self._fail(f"unknown {what} kind {text!r}; expected one of: {allowed}")
+
+    def _on_resource(self, name, attrs):
+        kind = self._kind(ResourceKind, self._require(attrs, name, "kind"), "resource")
         self.resources.append(Resource(
             self._require(attrs, name, "id"), attrs.get("name", ""), kind))
 
     def _on_process(self, name, attrs):
-        kind_text = attrs.get("kind", ProcessKind.TRANSFORMATION.value)
-        try:
-            kind = ProcessKind(kind_text)
-        except ValueError:
-            allowed = ", ".join(k.value for k in ProcessKind)
-            self._fail(f"unknown process kind {kind_text!r}; expected one of: {allowed}")
-        self.current_process = (self._require(attrs, name, "id"), attrs.get("name", ""), kind)
-        self.flows = {"input": [], "output": []}
+        kind = self._kind(ProcessKind, attrs.get("kind", ProcessKind.TRANSFORMATION.value),
+                          "process")
+        # its flows of each tag start at the number read so far
+        self.processes.append((self._require(attrs, name, "id"), attrs.get("name", ""), kind,
+                               *(len(flat) // 2 for flat in self.flows.values())))
 
     def _on_flow(self, name, attrs):
-        coeff = attrs.get("coeff", "")
-        if "operand" in attrs and "_" not in coeff and coeff.isascii():
-            try:
-                self.flows[name].append(Flow(attrs["operand"], float(coeff)))
-                return
-            except ValueError:
-                pass
-        self._require(attrs, name, "operand")
-        self._fail(f"<{name}> attribute 'coeff' is not a number: "
-                   f"{self._require(attrs, name, 'coeff')!r}")
+        operand, coeff = (self._require(attrs, name, attr) for attr in ("operand", "coeff"))
+        try:
+            float(_xml_number(coeff))
+        except ValueError:
+            self._fail(f"<{name}> attribute 'coeff' is not a number: {coeff!r}")
+        self.flows[name] += operand, coeff
 
     _on_input = _on_output = _on_flow
 
@@ -192,10 +220,11 @@ class _XmlLoader:
             duration = int(_xml_number(text))
         except ValueError:
             self._fail(f"<capability> duration is not an integer: {text!r}")
-        # a missing id takes its default in build(); validate reports an empty one
-        self.current_cap = (attrs.get("id"), self._require(attrs, name, "resource"),
-                            self._require(attrs, name, "process"), duration)
         self.routes = {"pull": {}, "push": {}}
+        # a missing id takes its default in build(); validate reports an empty one
+        self.caps.append((attrs.get("id"), self._require(attrs, name, "resource"),
+                          self._require(attrs, name, "process"), duration,
+                          *self.routes.values()))
 
     def _on_route(self, name, attrs):
         self.routes[name][self._require(attrs, name, "operand")] = \
@@ -204,20 +233,26 @@ class _XmlLoader:
     _on_pull = _on_push = _on_route
 
     def build(self) -> SystemModel:
-        by_process = {p.id: p for p in self.processes}
+        sides = [(tuple(flat[::2]), _floats(flat[1::2])) for flat in self.flows.values()]
+        # a process's flows end where the next process's start
+        ends = [header[3:] for header in self.processes[1:]] + [[len(ops) for ops, _ in sides]]
+        processes = [Process.from_columns(pid, pname, kind, tuple(
+            (ops[start:end], c[start:end]) for (ops, c), start, end in zip(sides, starts, stops)))
+            for (pid, pname, kind, *starts), stops in zip(self.processes, ends)]
+        by_process = {p.id: p for p in processes}
         caps = []
         for cap_id, resource, process, duration, pull, push in self.caps:
             proc = by_process.get(process)
             if proc is not None:
-                # implicit routing through the capability's own resource
-                for routing, flows in ((pull, proc.inputs), (push, proc.outputs)):
-                    for fl in flows:
-                        routing.setdefault(fl.operand, resource)
+                # implicit routing through the capability's own resource:
+                # the explicit routes, then each other operand in flow order
+                pull, push = ({**routing, **dict.fromkeys(ops, resource), **routing}
+                              for routing, (ops, _) in zip((pull, push), proc.sides))
             if cap_id is None:
                 cap_id = f"{resource}:{process}"
             caps.append(Capability(cap_id, resource, process, pull, push, duration))
         return SystemModel(tuple(self.operands), tuple(self.resources),
-                           tuple(self.processes), tuple(caps))
+                           tuple(processes), tuple(caps))
 
 
 # element -> (allowed parent, allowed attributes, handler or None)
@@ -228,14 +263,23 @@ _DISPATCH = {name: (parent, allowed, getattr(_XmlLoader, f"_on_{name}", None))
 def parse_system_xml(data) -> SystemModel:
     """Parse an XML system description and validate the result.
 
-    Accepts bytes (UTF-8) or str.  Malformed or off-schema input raises
-    XmlFormatError with line and column; a well-formed document whose
-    model breaks a structural rule raises ModelError listing every
-    violation.
+    Accepts bytes, read in the encoding the document declares (UTF-8 by
+    default), or str, read as the text it is.  Malformed or off-schema
+    input raises XmlFormatError with line and column; a well-formed
+    document whose model breaks a structural rule raises ModelError
+    listing every violation.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    loader = _XmlLoader()
+    try:
+        model = _load(data, fast=True)
+    except ValueError:
+        # checked element by element, the first error in document order
+        # is the one raised
+        model = _load(data, fast=False)
+    return require_valid(model)
+
+
+def _load(data, fast: bool) -> SystemModel:
+    loader = _XmlLoader(data, fast)
     try:
         loader.parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
@@ -246,7 +290,6 @@ def parse_system_xml(data) -> SystemModel:
     # The parser's handlers refer back to the loader: dropping the parser
     # frees the loader and all it built now, not at a later cyclic collection.
     del loader.parser
-    require_valid(model)
     return model
 
 
@@ -263,41 +306,60 @@ def _attr(name: str, value: str) -> str:
     return f" {name}={quote}{value}{quote}"
 
 
+# what XML 1.0 cannot carry, not even as a character reference
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def write_system_xml(model: SystemModel) -> bytes:
-    """Serialize a model; parse_system_xml on the result reproduces it."""
+    """Serialize a model; parse_system_xml on the result reproduces it.
+    Text that XML 1.0 cannot carry raises ValueError naming its element
+    and attribute."""
+    where = ""
+
+    def attr(name: str, value: str) -> str:
+        bad = _NOT_XML.search(value)
+        if bad:
+            raise ValueError(f"{where} attribute {name!r} holds {bad.group()!r}, "
+                             "which XML 1.0 cannot carry")
+        return _attr(name, value)
+
     out = ["<?xml version='1.0' encoding='utf-8'?>", "<system>"]
     for op in model.operands:
-        line = f"  <operand{_attr('id', op.id)}"
+        where = f"<operand> {op.id!r}"
+        line = f"  <operand{attr('id', op.id)}"
         if op.name:
-            line += _attr("name", op.name)
+            line += attr("name", op.name)
         if op.unit:
-            line += _attr("unit", op.unit)
+            line += attr("unit", op.unit)
         out.append(line + "/>")
     for res in model.resources:
-        line = f"  <resource{_attr('id', res.id)}"
+        where = f"<resource> {res.id!r}"
+        line = f"  <resource{attr('id', res.id)}"
         if res.name:
-            line += _attr("name", res.name)
-        out.append(line + _attr("kind", res.kind.value) + "/>")
+            line += attr("name", res.name)
+        out.append(line + attr("kind", res.kind.value) + "/>")
     for proc in model.processes:
-        line = f"  <process{_attr('id', proc.id)}"
+        where = f"<process> {proc.id!r}"
+        line = f"  <process{attr('id', proc.id)}"
         if proc.name:
-            line += _attr("name", proc.name)
-        out.append(line + _attr("kind", proc.kind.value) + ">")
-        for tag, flows in (("input", proc.inputs), ("output", proc.outputs)):
-            for fl in flows:
-                out.append(f"    <{tag}{_attr('operand', fl.operand)}"
-                           f"{_attr('coeff', repr(fl.coeff))}/>")
+            line += attr("name", proc.name)
+        out.append(line + attr("kind", proc.kind.value) + ">")
+        for tag, (ops, coeffs) in zip(("input", "output"), proc.sides):
+            where = f"<{tag}> of process {proc.id!r}"
+            out += [f"    <{tag}{attr('operand', op)}{attr('coeff', repr(coeff))}/>"
+                    for op, coeff in zip(ops, coeffs.tolist())]
         out.append("  </process>")
     for cap in model.capabilities:
-        line = (f"  <capability{_attr('id', cap.id)}{_attr('resource', cap.resource)}"
-                f"{_attr('process', cap.process)}")
+        where = f"<capability> {cap.id!r}"
+        line = (f"  <capability{attr('id', cap.id)}{attr('resource', cap.resource)}"
+                f"{attr('process', cap.process)}")
         if cap.duration:
-            line += _attr("duration", str(counts(cap.duration, "duration")))
+            line += attr("duration", str(counts(cap.duration, "duration")))
         out.append(line + ">")
         for tag, routing in (("pull", cap.pull), ("push", cap.push)):
-            for operand, buffer in routing.items():
-                out.append(f"    <{tag}{_attr('operand', operand)}"
-                           f"{_attr('buffer', buffer)}/>")
+            where = f"<{tag}> of capability {cap.id!r}"
+            out += [f"    <{tag}{attr('operand', operand)}{attr('buffer', buffer)}/>"
+                    for operand, buffer in routing.items()]
         out.append("  </capability>")
     out.append("</system>")
     return ("\n".join(out) + "\n").encode("utf-8")
@@ -557,16 +619,13 @@ def to_dot(inc: IncidenceMatrices, name: str = "system") -> bytes:
                      f'color="{color_of[op]}"];')
     for j, cap in enumerate(inc.capabilities):
         lines.append(f'  t{j} [shape=box, label={_dot_string(cap)}];')
-    row_of = inc.row_index
-    for (op, buf), idx in row_of.items():
-        for j in range(len(inc.capabilities)):
-            if inc.m_minus[idx, j] != 0:
-                lines.append(
-                    f'  p{idx} -> t{j} [label="{inc.m_minus[idx, j]:g}", '
-                    f'color="{color_of[op]}"];')
-            if inc.m_plus[idx, j] != 0:
-                lines.append(
-                    f'  t{j} -> p{idx} [label="{inc.m_plus[idx, j]:g}", '
-                    f'color="{color_of[op]}"];')
+    rows, cols = np.nonzero((inc.m_minus != 0) | (inc.m_plus != 0))
+    m_minus, m_plus = inc.m_minus[rows, cols].tolist(), inc.m_plus[rows, cols].tolist()
+    for idx, j, minus, plus in zip(rows.tolist(), cols.tolist(), m_minus, m_plus):
+        color = color_of[inc.operands[idx // len(inc.buffers)]]
+        if minus != 0:
+            lines.append(f'  p{idx} -> t{j} [label="{minus:g}", color="{color}"];')
+        if plus != 0:
+            lines.append(f'  t{j} -> p{idx} [label="{plus:g}", color="{color}"];')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,29 @@ def test_flow_coefficients_must_be_finite_nonnegative():
                        (Flow("w", coeff),), (Flow("w", 1.0),))
         model = tiny_model(processes=(proc,))
         assert validate(model), f"coeff {coeff} accepted"
+
+
+@pytest.mark.parametrize("coeff", ["1.5", None, True, 1j])
+def test_a_flow_coefficient_must_be_a_real_number(coeff):
+    # a process holds its coefficients as floats: nothing else is read as one
+    with pytest.raises(ValueError, match=re.escape(
+            f"process[make].inputs[1]: coefficient must be a real number, got {coeff!r}")):
+        Process("make", "", ProcessKind.TRANSFORMATION, (Flow("w", 1.0), Flow("w", coeff)))
+
+
+def test_a_process_holds_its_flows_as_columns():
+    proc = Process("make", "", ProcessKind.TRANSFORMATION,
+                   (Flow("w", 0.5), Flow("v", 2)), (Flow("w", 1.0),))
+    (in_ops, in_coeffs), (out_ops, out_coeffs) = proc.sides
+    assert (in_ops, in_coeffs.tolist(), out_ops, out_coeffs.tolist()) == \
+        (("w", "v"), [0.5, 2.0], ("w",), [1.0])
+    assert not in_coeffs.flags.writeable
+    assert proc.inputs == (Flow("w", 0.5), Flow("v", 2.0))
+    assert Process.from_columns("make", "", ProcessKind.TRANSFORMATION, proc.sides) == proc
+    assert proc != Process("make", "", ProcessKind.TRANSFORMATION, proc.inputs, ())
+    assert hash(proc) == hash(Process("make", "", "transformation", proc.inputs, proc.outputs))
+    for copied in (pickle.loads(pickle.dumps(proc)), copy.deepcopy(proc), copy.copy(proc)):
+        assert copied == proc and not copied.sides[0][1].flags.writeable
 
 
 def test_model_needs_a_capability():

@@ -80,6 +80,14 @@ def test_parse_accepts_bytes_and_str():
         parse_system_xml(MINIMAL).operands
 
 
+def test_a_str_is_read_as_the_text_it_is():
+    # the declared encoding applies to bytes; a str is already text
+    text = MINIMAL.replace("<?xml version='1.0'?>",
+                           '<?xml version="1.0" encoding="iso-8859-1"?>').replace('"a"', '"café"')
+    assert parse_system_xml(text).operands[0].id == "café"
+    assert parse_system_xml(text.encode("iso-8859-1")).operands[0].id == "café"
+
+
 def test_parse_bundled_economy_reproduces_reference_matrices(economy_incidence):
     data = (DATA / "three_sector_economy.xml").read_bytes()
     model = parse_system_xml(data)
@@ -346,6 +354,41 @@ def test_xml_writer_pins_attribute_bytes(name, written):
     text = write_system_xml(model).decode()
     assert f'  <operand id="a" {written} unit="kg"/>' in text.splitlines()
     assert parse_system_xml(text).operands[0].name == name
+
+
+@pytest.mark.parametrize("where, text, message", [
+    ("operand", "a\x01", "<operand> 'a\\x01' attribute 'id' holds '\\x01'"),
+    ("operand", "a\ud800", "<operand> 'a\\ud800' attribute 'id' holds '\\ud800'"),
+    ("name", "\ufffe", "<operand> 'a' attribute 'name' holds '\\ufffe'"),
+    ("buffer", "r\x0b", "<pull> of capability 'r:make' attribute 'buffer' holds '\\x0b'"),
+])
+def test_xml_writer_refuses_text_xml_cannot_carry(where, text, message):
+    # a written document must re-read: XML 1.0 has no escape for these
+    model = parse_system_xml(MINIMAL)
+    op, cap = model.operands[0], model.capabilities[0]
+    if where == "operand":
+        op = dataclasses.replace(op, id=text)
+    elif where == "name":
+        op = dataclasses.replace(op, name=text)
+    else:
+        cap = dataclasses.replace(cap, pull={"a": text})
+    model = dataclasses.replace(model, operands=(op,) + model.operands[1:], capabilities=(cap,))
+    with pytest.raises(ValueError) as info:
+        write_system_xml(model)
+    assert str(info.value) == f"{message}, which XML 1.0 cannot carry"
+
+
+@given(st.text(st.characters(blacklist_categories=())))
+def test_a_written_name_re_reads_or_is_refused(name):
+    model = parse_system_xml(MINIMAL)
+    named = dataclasses.replace(model.operands[0], name=name)
+    model = dataclasses.replace(model, operands=(named,) + model.operands[1:])
+    try:
+        text = write_system_xml(model)
+    except ValueError:
+        assert re.search("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", name)
+    else:
+        assert parse_system_xml(text).operands[0].name == name
 
 
 @given(st.text(st.sampled_from("a&<>\"'\n\r\t") | st.characters()))
