@@ -273,7 +273,21 @@ def _violations(model: SystemModel) -> list[Violation]:
     if not model.capabilities:
         out.append(Violation("capabilities", "at least one capability is required"))
 
-    for cap in model.capabilities:
+    # The plain case first, for all capabilities at once: known resource
+    # and process, an int duration in range, and each side routed in the
+    # process's flow order to buffers.  Only when that fails is each
+    # capability walked for its messages.
+    caps = model.capabilities
+    processes = [process_by_id.get(cap.process) for cap in caps]
+    if (resource_ids.issuperset(cap.resource for cap in caps)
+            and None not in processes
+            and all(type(cap.duration) is int and 0 <= cap.duration < 2 ** 63 for cap in caps)
+            and all(tuple(routing) == ops and buffer_ids.issuperset(routing.values())
+                    for cap, proc in zip(caps, processes)
+                    for routing, (ops, _) in zip((cap.pull, cap.push), proc.sides))):
+        caps = ()
+
+    for cap in caps:
         where = f"capability[{cap.id}]"
         if cap.resource not in resource_ids:
             out.append(Violation(where, f"unknown resource {cap.resource!r}"))

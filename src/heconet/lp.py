@@ -22,8 +22,25 @@ The start basis and every later basis are inverted from the sparse
 columns by :func:`heconet.kernels.basis_inverse`, which solves the
 triangular part by substitution and inverts only the remaining bump; the
 crash basis is triangular, so it has no bump.
+
+:func:`solve_lp` runs the two phases on a presolved program (Andersen &
+Andersen, "Presolving in linear programming", Math. Prog. 1995).  Three
+reductions of "=" rows run once each: a singleton row fixes its column
+when the value is within the column's bounds; zero-rhs doubleton rows
+make each column of a spanning tree a multiple of the tree's root
+column, when the root's bounds keep every column within its own; and
+free, zero-cost columns with two entries, both in "=" rows, merge the
+rows of each spanning tree into one.  "=" rows left empty with a zero
+rhs go.  The postsolve maps the reduced answer back: x, and the duals or
+the Farkas ray (each removed row takes the multiplier that leaves its
+removed column a zero reduced cost, and a merged row's multiplier goes
+to its rows times their weights), with the slacks from the original
+rows.  A program with nothing to reduce is solved as it is.
+:func:`feasible`, the deletion filter and :func:`_start` see the program
+they are given.
 Every optimal answer is re-checked against the KKT conditions, and every
-infeasible answer against its Farkas ray, before it is returned.
+infeasible answer against its Farkas ray, on the program given to
+:func:`solve_lp`, before it is returned.
 
 Sign conventions for a minimization problem: duals are >= 0 on ">="
 rows, <= 0 on "<=" rows, free on "=" rows; slacks are reported so that
@@ -371,14 +388,46 @@ def _phase1(sx: _Simplex, tol: Tolerances):
     return iters, load > tol.lp_feasibility * scale, ray
 
 
+def _two_phase(lp: LinearProgram, tol: Tolerances, start):
+    """(status, x, y, iterations) of the two phases on ``lp``: y is the
+    duals when optimal and the Farkas ray when infeasible; x and y are
+    None when unbounded, and x when infeasible."""
+    sx = _start(lp, start)
+    iters1, infeasible, ray = _phase1(sx, tol)
+    if infeasible:
+        return LpStatus.INFEASIBLE, None, ray, iters1
+
+    # Artificials left in the basis stay there at zero; this replaces
+    # the removal of redundant rows.
+    sx.upper[sx.artificial] = 0.0
+    c2 = np.zeros(sx.w.size)
+    c2[:lp.n_vars] = lp.cost
+    status, iters2, duals = _run_kernel(sx, c2, tol, "phase 2")
+    if status == kernels.UNBOUNDED:
+        return LpStatus.UNBOUNDED, None, None, iters1 + iters2
+    return LpStatus.OPTIMAL, sx.w[:lp.n_vars].copy(), duals, iters1 + iters2
+
+
 def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES,
              start=None) -> LpResult:
     """Solve an LP; optimal and infeasible results are certified before
     being returned.
 
+    The two phases run on what :func:`_presolve` leaves of ``lp``:
+    singleton "=" rows fix their column (:class:`_Fixed`), zero-rhs
+    doubleton "=" rows substitute columns out (:class:`_Substituted`),
+    and "=" rows chained by free, zero-cost columns with two entries
+    merge into one (:class:`_Merged`).  The postsolve maps that
+    program's answer back to x and the duals, or the Farkas ray, of
+    ``lp``; the slacks and the objective are computed on ``lp``, and the
+    result is certified once, on ``lp``.  A program with nothing to
+    reduce is solved as it is.
+
     ``start`` is an optional start basis: one structural column or -1
     per row (see :func:`_start`, which falls back to the crash basis
     when it is unusable).  Without it the solve starts from the crash.
+    A start names columns of ``lp``, so it is dropped when the presolve
+    reduces anything.  ``iterations`` counts the pivots of the solve.
 
     Raises :class:`PivotBreakdownError` / :class:`IterationLimitError`
     on numeric failure and :class:`CertificationError` when an optimal
@@ -388,27 +437,434 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES,
     """
     nan_vec = np.full(lp.n_vars, np.nan)
     nan_rows = np.full(lp.n_rows, np.nan)
-    sx = _start(lp, start)
-    iters1, infeasible, ray = _phase1(sx, tol)
-    if infeasible:
-        return _certified(lp, LpResult(LpStatus.INFEASIBLE, nan_vec, np.nan,
-                                       ray, nan_rows, iters1), tol)
-
-    # Artificials left in the basis stay there at zero; this replaces
-    # the removal of redundant rows.
-    sx.upper[sx.artificial] = 0.0
-    c2 = np.zeros(sx.w.size)
-    c2[:lp.n_vars] = lp.cost
-    status, iters2, duals = _run_kernel(sx, c2, tol, "phase 2")
-    if status == kernels.UNBOUNDED:
-        return LpResult(LpStatus.UNBOUNDED, nan_vec, np.nan, nan_rows, nan_rows,
-                        iters1 + iters2)
-    x = sx.w[:lp.n_vars].copy()
+    presolved = _presolve(lp)
+    program, start = (lp, start) if presolved is None else (presolved.program, None)
+    status, x, y, iters = _two_phase(program, tol, start)
+    if status is LpStatus.UNBOUNDED:
+        return LpResult(status, nan_vec, np.nan, nan_rows, nan_rows, iters)
+    if presolved is not None:
+        x, y = presolved.postsolve(lp, x, y)
+    if status is LpStatus.INFEASIBLE:
+        return _certified(lp, LpResult(status, nan_vec, np.nan, y, nan_rows, iters), tol)
     ax = lp.matrix.matvec(x)
     slacks = np.where(_sense_masks(lp)[0], ax - lp.rhs, lp.rhs - ax)
     objective = float(lp.cost @ x) if lp.n_vars else 0.0
-    return _certified(lp, LpResult(LpStatus.OPTIMAL, x, objective, duals, slacks,
-                                   iters1 + iters2), tol)
+    return _certified(lp, LpResult(status, x, objective, y, slacks, iters), tol)
+
+
+# --------------------------------------------------------------------------
+# Presolve and postsolve of "=" rows (Andersen & Andersen, "Presolving in
+# linear programming", Math. Prog. 1995)
+
+
+def _jumped(pointer: np.ndarray) -> np.ndarray:
+    """``pointer`` followed to its fixed points (pointer jumping)."""
+    while True:
+        jumped = pointer[pointer]
+        if (jumped == pointer).all():
+            return pointer
+        pointer = jumped
+
+
+class _Forest:
+    """A spanning forest of the graph whose edge e joins the lines (rows
+    or columns) ``ends[0][e]`` and ``ends[1][e]`` of ``lines``, where the
+    two entries of e are ``values[0][e]`` and ``values[1][e]``.
+
+    Its nodes are the lines some edge joins, in order.  Each tree is
+    rooted at its node of least ``key``, then least index.  The forest
+    is grown by hooking (Shiloach & Vishkin, "An O(log n) parallel
+    connectivity algorithm", J. Algorithms 1982): each round, the root
+    of every tree that an edge joins to a tree with a lower ranked root
+    hooks under that root by one such edge, and pointer jumping flattens
+    the trees again.  The hooking edges are the forest; the other edges
+    close cycles.  The forest is then oriented by its Euler tour (Tarjan
+    & Vishkin, SIAM J. Comput. 1985), ranked by pointer jumping.  Each
+    loop is rounds of array operations: O(log n) of them when pointers
+    jump, and few when trees hook (1 on a path ranked along its length,
+    11 on a randomly ranked path of 100,000 nodes).
+
+    Per node: ``root``, ``up`` (the forest edge to its parent, -1 at a
+    root), ``own`` (its entry on that edge) and ``scale``, the product
+    of -other / own over the edges from it up to its root, which makes
+    the node line ``scale`` times the root line where the edges are
+    doubleton rows, and weighs the rows so that the edges cancel where
+    they are columns.  ``child`` is the node of each forest edge away
+    from the root, in edge order.
+    """
+
+    def __init__(self, lines: int, ends, values, key=None):
+        met = np.zeros(lines, dtype=bool)
+        met[ends[0]] = met[ends[1]] = True
+        slot = np.cumsum(met) - 1
+        u, v = slot[ends[0]], slot[ends[1]]
+        self.nodes = nodes = np.flatnonzero(met)
+        n = nodes.size
+        rank = np.arange(n)
+        if key is not None:
+            rank[np.lexsort((nodes, key[nodes]))] = np.arange(n)
+        root = np.arange(n)
+        tree = np.zeros(u.size, dtype=bool)
+        hook = np.full(n, -1)
+        while True:
+            ru, rv = root[u], root[v]
+            cross = np.flatnonzero(ru != rv)
+            if not cross.size:
+                break
+            ru, rv = ru[cross], rv[cross]
+            under = rank[rv] < rank[ru]
+            high = np.where(under, ru, rv)
+            # One edge per hooked root: whichever of a repeated index's
+            # writes the assignment keeps, only that edge reads itself back.
+            hook[high] = np.arange(cross.size)
+            pick = hook[high]
+            pick = pick[pick == np.arange(cross.size)]
+            root[high[pick]] = np.where(under, rv, ru)[pick]
+            tree[cross[pick]] = True
+            root = _jumped(root)
+        self.root = root
+
+        # The tour: arc i < t runs along forest edge i from its first
+        # end, arc i + t is its twin, and the arc after an arc is the one
+        # after its twin in the cyclic list of arcs out of its head.
+        # Each tree's tour is cut where it would return to the first arc
+        # out of its root.
+        edges = np.flatnonzero(tree)
+        t = edges.size
+        src = np.concatenate([u[edges], v[edges]])
+        arcs = np.arange(2 * t)
+        by_src = np.argsort(src, kind="stable")
+        s = src[by_src]
+        head = np.concatenate([[True], s[1:] != s[:-1]])
+        last = np.concatenate([head[1:], [True]])
+        first = np.maximum.accumulate(np.where(head, arcs, 0))
+        after = np.empty(2 * t, dtype=np.int64)
+        after[by_src] = by_src[np.where(last, first, arcs + 1)]
+        twin = np.concatenate([arcs[t:], arcs[:t]])
+        succ = after[twin]
+        end = twin[by_src[last & (s == root[s])]]
+        succ[end] = end
+        # Arcs left to the end of the tour, by pointer jumping.
+        left = (succ != arcs).astype(np.int64)
+        while True:
+            jumped = succ[succ]
+            if (jumped == succ).all():
+                break
+            left = left + left[succ]
+            succ = jumped
+        down = left[:t] > left[t:]             # edge i is first run from u to v
+        self.child = np.where(down, v[edges], u[edges])
+        self.up = np.full(n, -1)
+        self.up[self.child] = edges
+        parent = np.arange(n)
+        parent[self.child] = np.where(down, u[edges], v[edges])
+        # The tours in one sequence: a subtree's arcs lie between the
+        # arc into it and the arc out of it.
+        tour = root[src]
+        length = np.bincount(tour, minlength=n)
+        position = (np.cumsum(length) - 1)[tour] - left
+        edge = np.arange(t)
+        self._into = position[np.where(down, edge, edge + t)]
+        self._out = position[np.where(down, edge + t, edge)]
+
+        up = np.maximum(self.up, 0)
+        at_first = u[up] == np.arange(n)
+        self.own = np.where(at_first, values[0][up], values[1][up])
+        other = np.where(at_first, values[1][up], values[0][up])
+        scale = np.where(self.up >= 0, -other / self.own, 1.0)
+        # Products up to the root, by pointer jumping.
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            scale = scale * scale[parent]
+            parent = jumped
+        self.scale = scale
+
+    def subtree_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per node the sum of ``values`` over its subtree; 0 at roots."""
+        along = np.zeros(2 * self.child.size)
+        along[self._into] = values[self.child]
+        running = np.concatenate([[0.0], np.cumsum(along)])
+        sums = np.zeros(self.up.size)
+        sums[self.child] = running[self._out + 1] - running[self._into]
+        return sums
+
+
+@dataclass
+class _Reduced:
+    """The program as the presolve reduces it, in the numbering of the
+    original: its live entries (row r, column c, value v), sorted by
+    column, then row; its rhs and cost; and masks of the live rows and
+    columns."""
+
+    r: np.ndarray
+    c: np.ndarray
+    v: np.ndarray
+    rhs: np.ndarray
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    equal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def keep(self, entries: np.ndarray):
+        self.r, self.c, self.v = self.r[entries], self.c[entries], self.v[entries]
+
+    def regroup(self, r: np.ndarray, c: np.ndarray, scale: np.ndarray):
+        """Move entry k to row r[k] and column c[k], times scale[k]:
+        entries that meet add up, in entry order, and exact zeros go."""
+        if not self.v.size:
+            return
+        m = self.rows.size
+        key = c * m + r
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        value = np.add.reduceat((self.v * scale)[order], starts)
+        nonzero = value != 0.0
+        self.c, self.r = np.divmod(key[starts][nonzero], m)
+        self.v = value[nonzero]
+
+    def pairs(self, lines: np.ndarray, by_row: bool) -> tuple:
+        """(line, (index, index), (value, value)) of the two entries on
+        each marked row (``by_row``) or column, the indices being of the
+        other axis."""
+        k = np.flatnonzero(lines[self.r if by_row else self.c])
+        r, c, v = self.r[k], self.c[k], self.v[k]
+        if by_row:
+            order = np.argsort(r, kind="stable")
+            r, c, v = r[order], c[order], v[order]
+            return r[::2], (c[::2], c[1::2]), (v[::2], v[1::2])
+        return c[::2], (r[::2], r[1::2]), (v[::2], v[1::2])
+
+    def entries(self, lines: np.ndarray, by_row: bool) -> tuple:
+        """(row, column, value, position in ``lines``) of the live entries
+        on the rows (``by_row``) or columns ``lines``."""
+        slot = np.full(self.rows.size if by_row else self.cols.size, -1)
+        slot[lines] = np.arange(lines.size)
+        at = slot[self.r if by_row else self.c]
+        k = np.flatnonzero(at >= 0)
+        return self.r[k], self.c[k], self.v[k], at[k]
+
+
+class _Fixed:
+    """Singleton "=" rows a x_j = b folded into x_j = b / a when that
+    value is within x_j's bounds (else the row stays, and the solve
+    certifies the infeasibility).  A column fixed by several rows is
+    fixed by the first; the others stay."""
+
+    def __init__(self, p: _Reduced):
+        count = np.bincount(p.r, minlength=p.rows.size)
+        k = np.flatnonzero((p.equal & (count == 1))[p.r])
+        r, c, a = p.r[k], p.c[k], p.v[k]
+        value = p.rhs[r] / a
+        first = ((p.lower[c] <= value) & (value <= p.upper[c])
+                 & np.concatenate([[True], c[1:] != c[:-1]]))
+        self.rows, self.cols, self.coef, self.values = r[first], c[first], a[first], value[first]
+        if not self.rows.size:
+            return
+        self.entries = p.entries(self.cols, by_row=False)
+        rows, _, vals, at = self.entries
+        p.rhs -= np.bincount(rows, weights=vals * self.values[at], minlength=p.rows.size)
+        p.rows[self.rows] = False
+        p.cols[self.cols] = False
+        p.keep(p.cols[p.c])
+
+    def __bool__(self):
+        return bool(self.rows.size)
+
+    def primal(self, x: np.ndarray):
+        x[self.cols] = self.values
+
+    def dual(self, y: np.ndarray, cost: np.ndarray):
+        # Each fixed column's reduced cost drops to zero.
+        rows, _, vals, at = self.entries
+        priced = np.bincount(at, weights=vals * y[rows], minlength=self.cols.size)
+        y[self.rows] = (cost[self.cols] - priced) / self.coef
+
+
+class _Substituted:
+    """Zero-rhs doubleton "=" rows a x_i + b x_j = 0 substituted out.
+
+    The rows are the edges of a :class:`_Forest` on their columns: each
+    column becomes ``scale`` times its tree's root column.  The root's
+    bounds must keep every column of its tree within the column's own
+    bounds; a tree that fails this keeps its rows.  The tightest bounds
+    rank first as roots.  A row that closes a cycle stays, over the root
+    column.
+    """
+
+    def __init__(self, p: _Reduced):
+        count = np.bincount(p.r, minlength=p.rows.size)
+        edge_rows, ends, values = p.pairs(p.equal & (count == 2) & (p.rhs == 0.0), by_row=True)
+        self.gone = np.zeros(0, dtype=bool)
+        if not edge_rows.size:
+            return
+        finite = np.isfinite(p.lower).astype(int) + np.isfinite(p.upper)
+        forest = self.forest = _Forest(p.cols.size, ends, values, key=-finite)
+        nodes, scale = forest.nodes, forest.scale
+        root = nodes[forest.root]
+        lo, hi = p.lower[nodes] / scale, p.upper[nodes] / scale
+        lo, hi = np.where(scale < 0, hi, lo), np.where(scale < 0, lo, hi)
+        fits = (lo <= p.lower[root]) & (hi >= p.upper[root]) & np.isfinite(scale) & (scale != 0)
+        unfit = np.zeros(nodes.size, dtype=bool)
+        unfit[forest.root[~fits]] = True
+        gone = self.gone = (forest.up >= 0) & ~unfit[forest.root]
+        if not gone.any():
+            return
+        self.cols, self.root = nodes[gone], root[gone]
+        self.rows = edge_rows[forest.up[gone]]
+        self.entries = p.entries(self.cols, by_row=False)
+        p.cost += np.bincount(self.root, weights=scale[gone] * p.cost[self.cols],
+                              minlength=p.cols.size)
+        p.rows[self.rows] = False
+        p.cols[self.cols] = False
+        p.keep(p.rows[p.r])
+        slot = np.zeros(p.cols.size, dtype=np.int64)
+        slot[nodes] = np.arange(nodes.size)
+        live = p.cols[p.c]
+        p.regroup(p.r, np.where(live, p.c, root[slot[p.c]]),
+                  np.where(live, 1.0, scale[slot[p.c]]))
+
+    def __bool__(self):
+        return bool(self.gone.any())
+
+    def primal(self, x: np.ndarray):
+        x[self.cols] = self.forest.scale[self.gone] * x[self.root]
+
+    def dual(self, y: np.ndarray, cost: np.ndarray):
+        # Each substituted column's reduced cost drops to zero: the row
+        # to a node's parent carries the reduced cost of its subtree,
+        # weighed by the scales.
+        forest, gone = self.forest, self.gone
+        rows, _, vals, at = self.entries
+        reduced = np.zeros(gone.size)
+        reduced[gone] = forest.scale[gone] * (
+            cost[self.cols] - np.bincount(at, weights=vals * y[rows], minlength=self.cols.size))
+        y[self.rows] = forest.subtree_sums(reduced)[gone] / (forest.scale * forest.own)[gone]
+
+
+class _Merged:
+    """Rows joined along free, zero-cost columns with two entries, both in
+    "=" rows.
+
+    The columns are the edges of a :class:`_Forest` on their rows: each
+    tree becomes one row, the sum of its rows times the ``scale`` weights
+    that cancel its tree columns, in the place of its first row.  A
+    column that closes a cycle stays.
+    """
+
+    def __init__(self, p: _Reduced):
+        count = np.bincount(p.c, minlength=p.cols.size)
+        off_equal = np.bincount(p.c, weights=(~p.equal[p.r]).astype(float), minlength=p.cols.size)
+        chain = (np.isinf(p.lower) & np.isinf(p.upper) & (p.cost == 0.0) & (count == 2)
+                 & (off_equal == 0) & p.cols)
+        edge_cols, ends, values = p.pairs(chain, by_row=False)
+        self.joined = np.zeros(0, dtype=bool)
+        if not edge_cols.size:
+            return
+        forest = self.forest = _Forest(p.rows.size, ends, values)
+        nodes, weight = forest.nodes, forest.scale
+        joined = self.joined = forest.up >= 0
+        self.rows, self.root = nodes[joined], nodes[forest.root]
+        self.cols = edge_cols[forest.up[joined]]
+        p.cols[self.cols] = False
+        p.keep(p.cols[p.c])
+        self.entries = p.entries(nodes, by_row=True)
+        self.rhs = p.rhs[nodes]
+        p.rhs += np.bincount(self.root[joined], weights=weight[joined] * self.rhs[joined],
+                             minlength=p.rows.size)
+        p.rows[self.rows] = False
+        slot = np.full(p.rows.size, -1)
+        slot[nodes] = np.arange(nodes.size)
+        at = slot[p.r]
+        member = at >= 0
+        p.regroup(np.where(member, self.root[at], p.r), p.c,
+                  np.where(member, weight[at], 1.0))
+
+    def __bool__(self):
+        return bool(self.joined.any())
+
+    def primal(self, x: np.ndarray):
+        # A subtree's rows, weighed, leave only the column to its parent.
+        forest, joined = self.forest, self.joined
+        _, cols, vals, at = self.entries
+        residual = self.rhs - np.bincount(at, weights=vals * x[cols], minlength=joined.size)
+        sums = forest.subtree_sums(forest.scale * residual)
+        x[self.cols] = sums[joined] / (forest.scale * forest.own)[joined]
+
+    def dual(self, y: np.ndarray, cost: np.ndarray):
+        joined = self.joined
+        y[self.rows] = self.forest.scale[joined] * y[self.root[joined]]
+
+
+@dataclass
+class _Presolved:
+    """A reduced program, the rows and columns of the original it keeps,
+    and the steps that reduced it, in order."""
+
+    program: LinearProgram
+    rows: np.ndarray
+    cols: np.ndarray
+    steps: tuple
+
+    def postsolve(self, lp: LinearProgram, x, y) -> tuple:
+        """(x, y) of the program mapped back to ``lp`` through the steps
+        in reverse: an optimal x and its duals, or no x and a Farkas ray,
+        which maps as the duals of a zero cost.  Rows dropped empty keep
+        a zero multiplier."""
+        full_y = np.zeros(lp.n_rows)
+        full_y[self.rows] = y
+        if x is not None:
+            full_x = np.zeros(lp.n_vars)
+            full_x[self.cols] = x
+            for step in reversed(self.steps):
+                step.primal(full_x)
+            x = full_x
+        cost = lp.cost if x is not None else np.zeros(lp.n_vars)
+        for step in reversed(self.steps):
+            step.dual(full_y, cost)
+        return x, full_y
+
+
+def _presolve(lp: LinearProgram):
+    """The :class:`_Presolved` form of ``lp``, or None when nothing
+    reduces.
+
+    Three reductions of "=" rows run once each, in this order:
+    :class:`_Fixed`, :class:`_Substituted` and :class:`_Merged`.  "="
+    rows they leave empty with a zero rhs are then dropped.  Each is
+    vectorized and linear in the nonzeros, up to sorts and the rounds
+    of :class:`_Forest`.
+    """
+    if EQUAL not in lp.senses:
+        return None
+    m, n = lp.matrix.shape
+    equal = np.array(lp.senses, dtype="<U2") == EQUAL
+    # Each reduction needs an "=" row of at most two entries or a free column.
+    if not (np.any(equal & (np.bincount(lp.matrix.indices, minlength=m) <= 2))
+            or np.any(np.isinf(lp.lower) & np.isinf(lp.upper))):
+        return None
+    p = _Reduced(r=lp.matrix.indices, c=lp.matrix.cols, v=lp.matrix.data, rhs=lp.rhs.copy(),
+                 cost=lp.cost.copy(), lower=lp.lower, upper=lp.upper, equal=equal,
+                 rows=np.ones(m, dtype=bool), cols=np.ones(n, dtype=bool))
+    steps = tuple(step for step in (_Fixed(p), _Substituted(p), _Merged(p)) if step)
+    empty = p.rows & p.equal & (p.rhs == 0.0) & (np.bincount(p.r, minlength=m) == 0)
+    if not steps and not empty.any():
+        return None
+    p.rows &= ~empty
+    rows, cols = np.flatnonzero(p.rows), np.flatnonzero(p.cols)
+    slot_r, slot_c = np.cumsum(p.rows) - 1, np.cumsum(p.cols) - 1
+    program = LinearProgram(
+        cost=p.cost[cols], rows=kernels.SparseColumns((rows.size, cols.size), slot_c[p.c],
+                                                      slot_r[p.r], p.v),
+        senses=tuple(lp.senses[i] for i in rows.tolist()), rhs=p.rhs[rows],
+        lower=lp.lower[cols], upper=lp.upper[cols],
+        var_labels=tuple(lp.var_labels[j] for j in cols.tolist()),
+        row_labels=tuple(lp.row_labels[i] for i in rows.tolist()))
+    return _Presolved(program, rows, cols, steps)
 
 
 def _sense_masks(lp: LinearProgram):

@@ -469,7 +469,8 @@ def test_tolerance_config_is_honored(runner, tmp_path):
     cfg = tmp_path / "tol.json"
     cfg.write_text(json.dumps({"lp_max_iter": 1}))
     # rcot starts from the Leontief basis and needs 1 pivot on the bundled
-    # economy; the full program still pivots past the cap
+    # economy; the full program, after its presolve, still takes 7 phase-1
+    # pivots, past the cap
     result = runner.invoke(main, ["--tolerance-config", str(cfg), "hfnmcf-full",
                                   ECONOMY, SCENARIO])
     assert result.exit_code == 4

@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,25 @@ def test_capability_duration_is_a_count(duration, valid):
     assert bad == ([] if valid else [
         f"capability[c1].duration: duration must be an integer >= 0 and < 2**63, "
         f"got {duration!r}"])
+
+
+def test_valid_capabilities_off_the_plain_case():
+    # Routing in another order than the flows, an operand named twice, a
+    # numpy integer duration: each is walked capability by capability,
+    # and each is valid.
+    two = tiny_model(
+        operands=(Operand("w", "", "kgal"), Operand("e", "", "MWh")),
+        processes=(Process("make", "", ProcessKind.TRANSFORMATION,
+                           (Flow("w", 0.5), Flow("e", 0.1), Flow("w", 0.2)), (Flow("w", 1.0),)),),
+        capabilities=(Capability("c1", "plant", "make", {"e": "plant", "w": "plant"},
+                                 {"w": "plant"}, np.int64(2)),))
+    assert validate(two) == []
+    # Off the plain case and invalid: the walk reports the capability.
+    bad = tiny_model(capabilities=(Capability("c1", "plant", "make", {"w": "plant"},
+                                              {"w": "plant"}, np.int64(-1)),))
+    assert [str(v) for v in validate(bad)] == [
+        "capability[c1].duration: duration must be an integer >= 0 and < 2**63, "
+        f"got {np.int64(-1)!r}"]
 
 
 def test_pull_push_completeness():

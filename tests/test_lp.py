@@ -560,8 +560,9 @@ def test_crash_and_its_inverse_match_the_lu_reference(economy_incidence, water_c
 
 
 def test_time_expanded_solve_inverts_no_dense_matrix(economy_incidence, monkeypatch):
-    # The crash basis is triangular and 21 pivots stay below one
-    # refactorization, so no dense inverse runs.
+    # The presolve leaves 11 rows, which start on artificials (a unit
+    # basis), and 14 pivots stay below one refactorization, so no dense
+    # inverse runs.
     program = hfnmcf.build_full(time_expanded(economy_incidence, np.ones(6, dtype=int), 40))
 
     def refuse(matrix):
@@ -569,7 +570,7 @@ def test_time_expanded_solve_inverts_no_dense_matrix(economy_incidence, monkeypa
     monkeypatch.setattr(np.linalg, "inv", refuse)
     result = solve_lp(program)
     assert result.status is LpStatus.OPTIMAL
-    assert result.iterations == 21
+    assert result.iterations == 14
     assert result.objective == pytest.approx(ECONOMY_Z, rel=1e-9)
 
 
@@ -608,7 +609,7 @@ def test_the_solve_path_reads_no_dense_rows(economy_incidence, economy_instance,
     monkeypatch.setattr(LinearProgram, "rows", property(refuse))
     z = rcot.solve_rcot(economy_instance).z
     sol = hfnmcf.solve_full(time_expanded(economy_incidence, np.ones(6, dtype=int), 40))
-    assert sol.lp_result.iterations == 21
+    assert sol.lp_result.iterations == 14
     assert sol.objective == pytest.approx(z, abs=1e-9)
     cut = hfnmcf.solve_full(water_cut_problem)
     assert cut.status is LpStatus.INFEASIBLE
@@ -633,18 +634,31 @@ def test_pivots_do_not_grow_with_the_horizon(economy_incidence, durations):
     assert pivots[0] == pivots[1]
 
 
-def test_build_and_solve_memory_at_k160(economy_incidence):
-    # The m x m inverse (60 MB here) and little else: with dense rows
-    # held through the solve (81 MB) the peak was about 164 MB.
-    problem = time_expanded(economy_incidence, np.ones(6, dtype=int), 160)
+def build_and_solve_peak(economy_incidence, horizon) -> float:
+    """Peak traced memory of building and solving the unit-duration
+    horizon construction, whose solve must take 14 pivots to the static
+    optimum."""
+    problem = time_expanded(economy_incidence, np.ones(6, dtype=int), horizon)
     tracemalloc.start()
     try:
         result = solve_lp(hfnmcf.build_full(problem))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.iterations == 21
-    assert peak <= 100e6
+    assert result.iterations == 14
+    assert result.objective == pytest.approx(ECONOMY_Z, rel=1e-9)
+    return peak
+
+
+def test_build_and_solve_memory_at_k160(economy_incidence):
+    # The presolve leaves 11 rows, so no 2,737 x 2,737 inverse (60 MB)
+    # is built: the peak is the program and its reductions, 2.8 MB.
+    assert build_and_solve_peak(economy_incidence, 160) <= 4e6
+
+
+def test_build_and_solve_memory_at_k640(economy_incidence):
+    # As at K=160, with no 10,897 x 10,897 inverse (950 MB): 10.9 MB.
+    assert build_and_solve_peak(economy_incidence, 640) <= 300e6
 
 
 def test_start_memory_at_k160(economy_incidence):
