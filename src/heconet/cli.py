@@ -5,12 +5,12 @@ format error, 3 infeasible or unbounded program, 4 internal numeric
 failure.
 """
 
-import json
 import sys
 import warnings
 from dataclasses import asdict, replace
-from functools import wraps
+from functools import partial, wraps
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -76,12 +76,20 @@ def main(ctx, tolerance_config, output, fmt):
     ctx.obj = {"tol": tol, "output": output, "format": fmt}
 
 
-def _write(ctx, payload: bytes):
+def _write(ctx, payload):
+    """Send ``payload`` to ``--output`` or stdout: bytes, or a function
+    that writes text to the sink it is given, block by block."""
     output = ctx.obj["output"]
     if output is None:
-        click.echo(payload.decode("utf-8"), nl=False)
-    else:
+        if isinstance(payload, bytes):
+            click.echo(payload.decode("utf-8"), nl=False)
+        else:
+            payload(SimpleNamespace(write=partial(click.echo, nl=False)))
+    elif isinstance(payload, bytes):
         Path(output).write_bytes(payload)
+    else:
+        with open(output, "w", encoding="utf-8", newline="") as out:
+            payload(out)
 
 
 def _load_model(path: str):
@@ -206,10 +214,11 @@ def hfnmcf_full(ctx, model_xml, scenario_json):
             click.echo("conflicting rows: " + ", ".join(sol.infeasible_rows), err=True)
         _exit_on_status(sol.status)
     if ctx.obj["format"] == "json":
-        _write(ctx, io.emit_full_json(sol))
+        _write(ctx, partial(io.write_full_json, sol=sol))
     else:
-        _write(ctx, io.emit_trajectory_csv(sol.q_b, sol.q_e, inc.place_names,
-                                           inc.capabilities))
+        _write(ctx, partial(io.write_trajectory_csv, q_b=sol.q_b, q_e=sol.q_e,
+                            place_labels=inc.place_names,
+                            transition_labels=inc.capabilities))
 
 
 @main.command()
@@ -232,10 +241,11 @@ def simulate(ctx, model_xml, schedule_json):
     if ctx.obj["format"] == "json":
         doc = {"q_b": result.q_b.tolist(), "q_e": result.q_e.tolist(),
                "dropped": [asdict(d) for d in result.dropped]}
-        _write(ctx, (json.dumps(doc, indent=2) + "\n").encode())
+        _write(ctx, partial(io.write_json, doc=doc))
     else:
-        _write(ctx, io.emit_trajectory_csv(result.q_b, result.q_e, inc.place_names,
-                                           inc.capabilities))
+        _write(ctx, partial(io.write_trajectory_csv, q_b=result.q_b, q_e=result.q_e,
+                            place_labels=inc.place_names,
+                            transition_labels=inc.capabilities))
 
 
 @main.command()

@@ -41,6 +41,14 @@ model is then validated once, by :func:`heconet.core.require_valid`.
 Numbers serialize with shortest round-trip decimal encoding (repr),
 so JSON round-trips are bit-exact.  CSV output always uses '.' as the
 decimal point, ',' as the separator, and '\\n' line endings.
+
+Trajectories are written to a text sink in blocks: of CSV rows by
+:func:`write_trajectory_csv`, of JSON encoder chunks by
+:func:`write_json`.  Each block is formatted, written and freed before
+the next, so their memory does not grow with the horizon.  The
+``emit_*`` functions return whole outputs as bytes;
+``emit_trajectory_csv`` and ``emit_full_json`` are the writers into a
+``StringIO``.
 """
 
 import csv
@@ -51,6 +59,7 @@ import warnings
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -569,21 +578,56 @@ def emit_chord_csv(a_star, sector_labels=(), tech_labels=(),
     return _csv_bytes(rows)
 
 
-def emit_trajectory_csv(q_b, q_e, place_labels, transition_labels) -> bytes:
-    """Wide-format marking trajectory: one row per step k = 0..K; values
-    are ``repr`` of the float, the shortest text that reads back exactly."""
+# Rows per block of a written trajectory: about 0.4 MB of text at 83
+# columns.  Larger blocks cost memory (a block's floats as a list), not time.
+_BLOCK_ROWS = 256
+# Encoder chunks per block of a written JSON document; a number in a
+# nested list is one chunk.
+_BLOCK_CHUNKS = 16384
+
+
+def write_trajectory_csv(out, q_b, q_e, place_labels, transition_labels) -> None:
+    """Write the wide-format marking trajectory to the text sink ``out``
+    (anything with ``write(str)``): a header, then one row per step
+    k = 0..K; values are ``repr`` of the float, the shortest text that
+    reads back exactly.
+
+    Rows are formatted and written in blocks of ``_BLOCK_ROWS``, each
+    freed before the next, so the text held at once does not grow with K.
+    """
+    q_b, q_e = np.asarray(q_b, dtype=float), np.asarray(q_e, dtype=float)
+    if q_b.ndim != 2 or q_e.ndim != 2 or q_b.shape[0] != q_e.shape[0]:
+        raise ValueError(f"q_b and q_e must be 2-d with one row per step, "
+                         f"got shapes {q_b.shape} and {q_e.shape}")
     header = ["step"] + [f"qB:{p}" for p in place_labels] \
         + [f"qE:{t}" for t in transition_labels]
-    table = np.hstack([np.asarray(q_b, dtype=float), np.asarray(q_e, dtype=float)])
+    csv.writer(out, lineterminator="\n").writerow(header)
+    for start in range(0, q_b.shape[0], _BLOCK_ROWS):
+        block = np.hstack([q_b[start:start + _BLOCK_ROWS], q_e[start:start + _BLOCK_ROWS]])
+        out.write("".join([",".join([str(k), *map(repr, row)]) + "\n"
+                           for k, row in enumerate(block.tolist(), start)]))
+
+
+def emit_trajectory_csv(q_b, q_e, place_labels, transition_labels) -> bytes:
+    """:func:`write_trajectory_csv` as UTF-8 bytes."""
     buf = _io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(header)
-    buf.writelines(",".join([str(k), *map(repr, row.tolist())]) + "\n"
-                   for k, row in enumerate(table))
+    write_trajectory_csv(buf, q_b, q_e, place_labels, transition_labels)
     return buf.getvalue().encode("utf-8")
 
 
-def emit_full_json(sol) -> bytes:
-    """Serialize a solved time-domain program (FullSolution)."""
+def write_json(out, doc) -> None:
+    """Write ``doc`` to the text sink ``out`` as ``json.dumps(doc,
+    indent=2)`` and a newline, in blocks of ``_BLOCK_CHUNKS`` encoder
+    chunks, so the whole text is never held at once."""
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    for block in iter(lambda: list(islice(chunks, _BLOCK_CHUNKS)), []):
+        out.write("".join(block))
+    out.write("\n")
+
+
+def write_full_json(out, sol) -> None:
+    """Write a solved time-domain program (FullSolution) to the text sink
+    ``out`` by :func:`write_json`."""
     doc = {"status": sol.status.value,
            "objective": None if np.isnan(sol.objective) else float(sol.objective)}
     if sol.infeasible_rows:
@@ -593,7 +637,14 @@ def emit_full_json(sol) -> bytes:
             arr = getattr(sol, name)
             if arr.size:
                 doc[name] = arr.tolist()
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    write_json(out, doc)
+
+
+def emit_full_json(sol) -> bytes:
+    """:func:`write_full_json` as UTF-8 bytes."""
+    buf = _io.StringIO()
+    write_full_json(buf, sol)
+    return buf.getvalue().encode("utf-8")
 
 
 # --------------------------------------------------------------------------

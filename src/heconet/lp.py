@@ -55,6 +55,7 @@ phase-1 dual c1_B B^-1, where c1 prices the artificials at 1.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -163,6 +164,13 @@ class LinearProgram:
         dense = np.zeros(self.matrix.shape)
         dense[self.matrix.indices, self.matrix.cols] = self.matrix.data
         return read_only(dense)
+
+    @cached_property
+    def sense_masks(self) -> tuple:
+        """Read-only boolean masks of the "=", the ">=" and the "<=" rows,
+        derived from ``senses`` once."""
+        senses = np.array(self.senses, dtype="<U2")
+        return tuple(read_only(senses == s) for s in (EQUAL, GREATER_EQUAL, LESS_EQUAL))
 
     @property
     def n_vars(self) -> int:
@@ -289,8 +297,8 @@ def _start(lp: LinearProgram, start=None) -> _Simplex:
     columns; the crash basis is triangular.
     """
     n, structural = lp.n_vars, lp.matrix
-    senses = np.asarray(lp.senses, dtype=object)
-    has_slack = senses != EQUAL
+    equal, ge, le = lp.sense_masks
+    has_slack = ~equal
     w = np.where(np.isfinite(lp.lower), lp.lower,
                  np.where(np.isfinite(lp.upper), lp.upper, 0.0))
 
@@ -331,8 +339,7 @@ def _start(lp: LinearProgram, start=None) -> _Simplex:
     w[owner[covered]] = basic[covered]
 
     residual = basic[uncovered]
-    slack_ok = ((senses[uncovered] == LESS_EQUAL) & (residual >= 0.0)) | \
-        ((senses[uncovered] == GREATER_EQUAL) & (residual <= 0.0))
+    slack_ok = (le[uncovered] & (residual >= 0.0)) | (ge[uncovered] & (residual <= 0.0))
     art_rows = uncovered[~slack_ok]
     art_sign = np.where(residual[~slack_ok] < 0.0, -1.0, 1.0)
     negative = art_rows[art_sign < 0.0]
@@ -341,7 +348,7 @@ def _start(lp: LinearProgram, start=None) -> _Simplex:
     sx = _Simplex(a=structural, b=lp.rhs, lower=lp.lower, upper=lp.upper,
                   artificial=slice(0), c1=np.zeros(n), w=w, basis=basis, binv=binv)
     slack_rows = np.flatnonzero(has_slack)
-    below = senses[slack_rows] == LESS_EQUAL
+    below = le[slack_rows]
     slack_cols = sx.append_units(slack_rows, np.ones(slack_rows.size),
                                  np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0), 0.0)
     art_cols = sx.append_units(art_rows, art_sign, 0.0, np.inf, 1.0)
@@ -447,7 +454,8 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLERANCES,
     if status is LpStatus.INFEASIBLE:
         return _certified(lp, LpResult(status, nan_vec, np.nan, y, nan_rows, iters), tol)
     ax = lp.matrix.matvec(x)
-    slacks = np.where(_sense_masks(lp)[0], ax - lp.rhs, lp.rhs - ax)
+    _, ge, _ = lp.sense_masks
+    slacks = np.where(ge, ax - lp.rhs, lp.rhs - ax)
     objective = float(lp.cost @ x) if lp.n_vars else 0.0
     return _certified(lp, LpResult(status, x, objective, y, slacks, iters), tol)
 
@@ -839,10 +847,10 @@ def _presolve(lp: LinearProgram):
     vectorized and linear in the nonzeros, up to sorts and the rounds
     of :class:`_Forest`.
     """
-    if EQUAL not in lp.senses:
+    equal = lp.sense_masks[0]
+    if not equal.any():
         return None
     m, n = lp.matrix.shape
-    equal = np.array(lp.senses, dtype="<U2") == EQUAL
     # Each reduction needs an "=" row of at most two entries or a free column.
     if not (np.any(equal & (np.bincount(lp.matrix.indices, minlength=m) <= 2))
             or np.any(np.isinf(lp.lower) & np.isinf(lp.upper))):
@@ -865,12 +873,6 @@ def _presolve(lp: LinearProgram):
         var_labels=tuple(lp.var_labels[j] for j in cols.tolist()),
         row_labels=tuple(lp.row_labels[i] for i in rows.tolist()))
     return _Presolved(program, rows, cols, steps)
-
-
-def _sense_masks(lp: LinearProgram):
-    """Boolean masks of the ">=" and of the "<=" rows."""
-    senses = np.array(lp.senses, dtype="<U2")
-    return senses == GREATER_EQUAL, senses == LESS_EQUAL
 
 
 def _certified(lp: LinearProgram, result: LpResult, tol: Tolerances) -> LpResult:
@@ -907,7 +909,7 @@ def certify(lp: LinearProgram, result: LpResult,
         raise ValueError(f"can only certify optimal or infeasible results, got {result.status}")
     x = np.asarray(result.x, dtype=float)
     lam = np.asarray(result.duals, dtype=float)
-    ge, le = _sense_masks(lp)
+    _, ge, le = lp.sense_masks
     feas = tol.lp_feasibility
 
     r = lp.matrix.matvec(x) - lp.rhs
@@ -965,7 +967,7 @@ def _farkas_checks(lp: LinearProgram, ray, tol: Tolerances) -> tuple:
     """
     norm = float(np.sum(np.abs(ray)))
     y = ray / norm if 0.0 < norm < np.inf else np.full(lp.n_rows, np.nan)
-    ge, le = _sense_masks(lp)
+    _, ge, le = lp.sense_masks
     sign = np.max(np.where(ge, -y, np.where(le, y, 0.0)), initial=0.0)
     g = lp.matrix.rmatvec(y)
     compat = max(np.max(g[np.isinf(lp.upper)], initial=0.0),

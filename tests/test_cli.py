@@ -340,6 +340,34 @@ def test_simulate_csv_header(runner):
     assert header.endswith("qE:cap-treat,qE:cap-ship")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["simulate", "hfnmcf-full"])
+def test_stdout_and_output_file_hold_the_same_bytes(runner, tmp_path, command, fmt):
+    # 600 steps: the written trajectory spans several row blocks
+    if command == "simulate":
+        schedule = changed_copy(tmp_path, SCHEDULE, lambda doc: doc.update(
+            u_minus=[[float(k % 7), float(k % 3)] for k in range(600)]))
+        args = ["simulate", CHAIN, schedule]
+    else:
+        args = ["hfnmcf-full", ECONOMY,
+                changed_copy(tmp_path, SCENARIO, lambda doc: doc.update(horizon=600))]
+    to_stdout = runner.invoke(main, ["--format", fmt, *args])
+    out = tmp_path / "out"
+    to_file = runner.invoke(main, ["--format", fmt, "--output", str(out), *args])
+    assert to_stdout.exit_code == to_file.exit_code == 0, to_stdout.output
+    assert to_file.stdout_bytes == b""
+    assert to_stdout.stdout_bytes == out.read_bytes()
+    assert to_stdout.stderr_bytes == to_file.stderr_bytes
+    if command == "simulate":
+        assert "dropped" in to_stdout.stderr
+    if fmt == "csv":
+        assert to_stdout.stdout.splitlines()[-1].startswith("600,")
+    else:
+        doc = json.loads(to_stdout.stdout)
+        assert len(doc["q_b"]) == 601
+        assert to_stdout.stdout == json.dumps(doc, indent=2) + "\n"
+
+
 def test_one_place_name_format_everywhere(runner, tmp_path):
     from heconet import hfnmcf, io
     from heconet.incidence import build_incidence

@@ -3,8 +3,10 @@ import dataclasses
 import gc
 import json
 import re
+import tracemalloc
 from importlib import resources
 from io import StringIO
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from heconet.io import (JsonFormatError, Scenario, ScenarioError,
                         emit_trajectory_csv, load_scenario, load_schedule,
                         parse_system_xml, read_incidence_json, to_dot,
                         vectors_from_scenario, write_incidence_json,
-                        write_system_xml)
+                        write_json, write_system_xml, write_trajectory_csv)
 from heconet.leontief import SquareEio
 from heconet.lp import LpStatus
 from heconet.rcot import RcotSolution
@@ -731,6 +733,66 @@ def test_trajectory_csv_matches_csv_writer(steps, places, transitions):
     transition_labels = [f"t{j}" for j in range(transitions)]
     assert emit_trajectory_csv(q_b, q_e, place_labels, transition_labels) \
         == trajectory_csv_by_writer(q_b, q_e, place_labels, transition_labels)
+
+
+BLOCK = io._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("places, transitions", [(3, 2), (0, 2), (3, 0), (0, 0)])
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_written_trajectory_matches_emit_and_csv_writer(rows, places, transitions):
+    q_b = np.resize(AWKWARD, (rows, places))
+    q_e = np.resize(AWKWARD[::-1], (rows, transitions))
+    place_labels = [f"p{i},x@\"b\"" for i in range(places)]  # quoted in the header
+    transition_labels = [f"Wärme→{j}" for j in range(transitions)]
+    writes = []
+    write_trajectory_csv(SimpleNamespace(write=writes.append), q_b, q_e,
+                         place_labels, transition_labels)
+    expected = trajectory_csv_by_writer(q_b, q_e, place_labels, transition_labels)
+    assert "".join(writes).encode("utf-8") == expected
+    assert emit_trajectory_csv(q_b, q_e, place_labels, transition_labels) == expected
+    # the header, then one write of whole rows per block
+    assert len(writes) == 1 + -(-rows // BLOCK)
+    assert all(text.endswith("\n") for text in writes)
+
+
+def test_written_trajectory_refuses_unequal_step_counts():
+    writes = []
+    with pytest.raises(ValueError, match=r"one row per step, got shapes \(3, 1\) and \(2, 1\)"):
+        write_trajectory_csv(SimpleNamespace(write=writes.append), np.zeros((3, 1)),
+                             np.zeros((2, 1)), ["p"], ["t"])
+    assert writes == []
+
+
+def test_trajectory_write_memory_does_not_grow_with_the_horizon():
+    # 23 places and 60 transitions, the simulate benchmark's width; ten
+    # times the steps may not raise the peak by a megabyte
+    sink = SimpleNamespace(write=len)
+    labels = ([f"p{i}" for i in range(23)], [f"t{j}" for j in range(60)])
+
+    def peak(steps: int) -> int:
+        rng = np.random.default_rng(steps)
+        q_b, q_e = rng.uniform(0.0, 100.0, (steps + 1, 23)), rng.uniform(0.0, 1.0, (steps + 1, 60))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(sink, q_b, q_e, *labels)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(500), peak(5000)
+    assert large - small < 1_000_000, (small, large)
+
+
+def test_written_json_matches_dumps():
+    doc = {"q_b": [[-0.0, 5e-324, float("nan")], [0.1 + 0.2, 1e16, 2.0 ** 53]],
+           "Wärme→": {"ünits": [1.0, -float("inf")]}, "empty": [], "none": None,
+           "long": np.resize(AWKWARD, 3 * io._BLOCK_CHUNKS).tolist()}
+    writes = []
+    write_json(SimpleNamespace(write=writes.append), doc)
+    assert "".join(writes) == json.dumps(doc, indent=2) + "\n"
+    assert len(writes) > 3  # the long list spans blocks
 
 
 def test_full_json_keys(economy_incidence):

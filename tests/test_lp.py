@@ -233,6 +233,19 @@ def test_equality_rows():
     assert np.allclose(result.x, [3.0, 1.0], atol=1e-10)
 
 
+def test_sense_masks_are_derived_once_and_read_only():
+    program = LinearProgram(cost=[1.0], rows=[[1.0], [2.0], [1.0]],
+                            senses=(lp.EQUAL, lp.LESS_EQUAL, lp.GREATER_EQUAL),
+                            rhs=[3.0, 6.0, 1.0])
+    equal, ge, le = program.sense_masks
+    assert equal.tolist() == [True, False, False]
+    assert ge.tolist() == [False, False, True]
+    assert le.tolist() == [False, True, False]
+    assert program.sense_masks is program.sense_masks
+    with pytest.raises(ValueError, match="read-only"):
+        equal[0] = False
+
+
 def test_redundant_rows_are_survived():
     program = LinearProgram(cost=[1.0], rows=[[1.0], [2.0], [1.0]],
                             senses=(lp.EQUAL, lp.EQUAL, lp.GREATER_EQUAL),
